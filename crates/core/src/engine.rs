@@ -504,118 +504,28 @@ impl PlanningEngine {
             .map_err(|e| VwSdkError::new(e.to_string()))
     }
 
-    /// Simulates a network end to end on the functional crossbar
-    /// simulator with the default configuration (VW-SDK plans for every
-    /// layer, quantized inter-stage mode), planning through the shared
-    /// cache; see [`PlanningEngine::simulate_network_with`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VwSdkError`] if the network does not chain spatially
-    /// or a stage fails to simulate.
-    pub fn simulate_network(
-        &self,
-        network: &Network,
-        array: PimArray,
-        seed: u64,
-    ) -> Result<pim_sim::SimulationReport> {
-        self.simulate_network_with(
-            network,
-            array,
-            MappingAlgorithm::VwSdk,
-            seed,
-            pim_sim::ExecMode::Quantized,
-        )
-    }
-
     /// Simulates a network end to end: every layer is planned with
     /// `algorithm` on `array` *through the engine's shape-keyed cache*
     /// (repeated shapes and repeated simulations plan once), the
-    /// resulting plans are executed stage by stage on the functional
-    /// simulator with deterministic seed-derived tensors, and the
-    /// output is verified bit-exact against the `pim-tensor` reference
-    /// forward pass — the report also carries per-stage executed vs.
-    /// predicted cycles, MACs, ADC/DAC conversions and energy.
+    /// deployment's crossbars are programmed **once**, and `batch`
+    /// deterministic seed-derived input feature maps stream through the
+    /// programmed pipeline with up to `jobs` worker threads (`0` = all
+    /// cores, clamped to the batch). Every batch element is verified
+    /// bit-exact against its own `pim-tensor` reference forward pass,
+    /// and the report carries per-stage executed vs. predicted cycles,
+    /// MACs, ADC/DAC conversions and energy, aggregated over the batch
+    /// (programmings counted once; cycles, MACs and energy summed). A
+    /// single input is a one-element batch.
     ///
     /// This is the correctness backstop under the planning products:
-    /// the `vwsdk simulate` subcommand and `POST /v1/simulate` both
-    /// answer with exactly this report.
+    /// `vwsdk simulate` and `POST /v1/simulate` both answer with exactly
+    /// this report.
     ///
     /// # Errors
     ///
     /// Returns [`VwSdkError`] if the network is empty or does not chain
-    /// spatially ([`Network::check_chain`]), or a stage fails to
-    /// simulate.
-    pub fn simulate_network_with(
-        &self,
-        network: &Network,
-        array: PimArray,
-        algorithm: MappingAlgorithm,
-        seed: u64,
-        mode: pim_sim::ExecMode,
-    ) -> Result<pim_sim::SimulationReport> {
-        network.check_chain()?;
-        let tasks: Vec<&ConvLayer> = network.layers().iter().collect();
-        let _span = pim_telemetry::span!(
-            "engine.simulate_network",
-            jobs = self.effective_jobs(tasks.len()),
-            layers = tasks.len()
-        );
-        let planned = self.parallel_map(&tasks, |&layer| {
-            self.plan_uncounted(layer, array, algorithm)
-        });
-        self.mirror_plan_cache();
-        let mut plans = Vec::with_capacity(network.len());
-        for plan in planned {
-            plans.push(plan?);
-        }
-        pim_sim::simulate_network(network, &plans, seed, mode)
-            .map_err(|e| VwSdkError::new(e.to_string()))
-    }
-
-    /// Batched [`PlanningEngine::simulate_network`] with the default
-    /// configuration (VW-SDK plans, quantized mode); `jobs` follows the
-    /// engine's convention (`0` = all cores).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VwSdkError`] under the same conditions as
-    /// [`PlanningEngine::simulate_network_batch_with`].
-    pub fn simulate_network_batch(
-        &self,
-        network: &Network,
-        array: PimArray,
-        seed: u64,
-        batch: usize,
-        jobs: usize,
-    ) -> Result<pim_sim::SimulationReport> {
-        self.simulate_network_batch_with(
-            network,
-            array,
-            MappingAlgorithm::VwSdk,
-            seed,
-            pim_sim::ExecMode::Quantized,
-            batch,
-            jobs,
-        )
-    }
-
-    /// Batched [`PlanningEngine::simulate_network_with`]: plans every
-    /// layer through the shared cache, programs the deployment's
-    /// crossbars **once**, then streams `batch` deterministic input
-    /// feature maps through the programmed pipeline with up to `jobs`
-    /// worker threads (`0` = all cores, clamped to the batch). Every
-    /// batch element is verified bit-exact against its own reference
-    /// forward pass, and the report aggregates over the batch
-    /// (programmings counted once; cycles, MACs and energy summed).
-    ///
-    /// `vwsdk simulate --batch N` and `POST /v1/simulate` with a
-    /// `batch` field both answer with exactly this report.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VwSdkError`] under the same conditions as
-    /// [`PlanningEngine::simulate_network_with`], or when `batch == 0`.
+    /// spatially ([`Network::check_chain`]), `batch == 0`, or a stage
+    /// fails to simulate.
     #[allow(clippy::too_many_arguments)]
     pub fn simulate_network_batch_with(
         &self,
@@ -1046,35 +956,51 @@ mod tests {
         assert!(err.to_string().contains("candidate plan"), "{err}");
     }
 
+    /// One input, VW-SDK plans, quantized mode.
+    fn simulate_one(
+        engine: &PlanningEngine,
+        network: &Network,
+        array: PimArray,
+        seed: u64,
+    ) -> Result<pim_sim::SimulationReport> {
+        engine.simulate_network_batch_with(
+            network,
+            array,
+            MappingAlgorithm::VwSdk,
+            seed,
+            pim_sim::ExecMode::Quantized,
+            1,
+            1,
+        )
+    }
+
     #[test]
     fn simulate_network_is_bit_exact_and_feeds_the_cache() {
         let engine = PlanningEngine::new();
-        let report = engine
-            .simulate_network(&zoo::tiny(), arr(64, 64), 42)
-            .unwrap();
+        let report = simulate_one(&engine, &zoo::tiny(), arr(64, 64), 42).unwrap();
         assert!(report.is_fully_consistent(), "{report:?}");
         assert_eq!(report.stages.len(), 2);
         // A second simulation re-plans nothing.
         let misses = engine.stats().plan_misses;
-        let again = engine
-            .simulate_network(&zoo::tiny(), arr(64, 64), 42)
-            .unwrap();
+        let again = simulate_one(&engine, &zoo::tiny(), arr(64, 64), 42).unwrap();
         assert_eq!(report, again);
         assert_eq!(engine.stats().plan_misses, misses);
         assert!(engine.stats().plan_hits > 0);
     }
 
     #[test]
-    fn simulate_network_with_honours_algorithm_seed_and_mode() {
+    fn simulate_network_batch_with_honours_algorithm_seed_and_mode() {
         use pim_sim::ExecMode;
         let engine = PlanningEngine::new();
         let exact = engine
-            .simulate_network_with(
+            .simulate_network_batch_with(
                 &zoo::tiny(),
                 arr(64, 64),
                 MappingAlgorithm::Im2col,
                 7,
                 ExecMode::Exact,
+                1,
+                1,
             )
             .unwrap();
         assert!(exact.is_fully_consistent(), "{exact:?}");
@@ -1086,12 +1012,14 @@ mod tests {
             .all(|s| s.algorithm == MappingAlgorithm::Im2col));
         // Different seeds generate different tensors but stay exact.
         let other = engine
-            .simulate_network_with(
+            .simulate_network_batch_with(
                 &zoo::tiny(),
                 arr(64, 64),
                 MappingAlgorithm::Im2col,
                 8,
                 ExecMode::Exact,
+                1,
+                1,
             )
             .unwrap();
         assert!(other.is_fully_consistent());
@@ -1100,9 +1028,7 @@ mod tests {
     #[test]
     fn simulate_rejects_unchained_networks() {
         let engine = PlanningEngine::new();
-        let err = engine
-            .simulate_network(&zoo::vgg13(), arr(512, 512), 1)
-            .unwrap_err();
+        let err = simulate_one(&engine, &zoo::vgg13(), arr(512, 512), 1).unwrap_err();
         assert!(err.to_string().contains("conv1"), "{err}");
     }
 

@@ -835,12 +835,14 @@ mod tests {
         // the same JSON view.
         let expected = s
             .engine()
-            .simulate_network_with(
+            .simulate_network_batch_with(
                 &zoo::tiny(),
                 PimArray::new(64, 64).unwrap(),
                 MappingAlgorithm::VwSdk,
                 42,
                 pim_sim::ExecMode::Quantized,
+                1,
+                1,
             )
             .unwrap();
         assert_eq!(response.render(), api::simulation_json(&expected).render());

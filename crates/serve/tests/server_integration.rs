@@ -222,12 +222,14 @@ fn simulate_round_trips_the_shared_simulation_schema() {
     assert_eq!(status, 200, "{payload}");
     let engine = vw_sdk::PlanningEngine::new();
     let expected = engine
-        .simulate_network_with(
+        .simulate_network_batch_with(
             &zoo::lenet5(),
             PimArray::new(96, 64).expect("positive"),
             pim_mapping::MappingAlgorithm::VwSdk,
             7,
             pim_sim::ExecMode::Quantized,
+            1,
+            1,
         )
         .expect("executable network");
     assert_eq!(payload, api::simulation_json(&expected).render());

@@ -39,11 +39,6 @@ impl<T> SimRun<T> {
     pub fn stats(&self) -> &RunStats {
         &self.stats
     }
-
-    /// Consumes the run, returning the output feature map.
-    pub fn into_ofm(self) -> Tensor3<T> {
-        self.ofm
-    }
 }
 
 /// The crossbar execution engine.
@@ -59,11 +54,6 @@ impl Engine {
     /// Engine with the default (ISAAC-like) energy model.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Engine with an explicit energy model.
-    pub fn with_energy_model(energy: EnergyModel) -> Self {
-        Self { energy }
     }
 
     /// The engine's energy model (used when replaying analytical

@@ -14,19 +14,18 @@
 //!
 //! Along the way the engine counts cycles, MAC operations and ADC/DAC
 //! conversions, and integrates the `pim-arch` energy model, which is how
-//! the energy experiment (docs/EXPERIMENTS.md, A5) is produced. A
-//! [`quant::QuantSpec`] models finite weight/input/ADC precision for the
-//! device-realism extension.
+//! the energy experiment (docs/EXPERIMENTS.md, A5) is produced.
 //!
 //! Beyond single layers, the [`network`] module executes *whole
 //! networks*: [`NetworkExecutor`] programs every stage of a deployed
 //! network once ([`ProgrammedStage`]) and streams input feature maps
 //! through the programmed state (convolution on the crossbars,
-//! ReLU/pooling in the digital periphery) — one input via `execute`, a
-//! whole batch via `execute_batch`, bit-identically. [`simulate_network`]
-//! and [`simulate_network_batch`] prove every result bit-exact against
-//! the `pim-tensor` reference forward pass while cross-checking
-//! executed against predicted cycles.
+//! ReLU/pooling in the digital periphery) via
+//! [`NetworkExecutor::execute_batch`] — one entry point for a single
+//! input (a one-element batch) and for a whole batch alike.
+//! [`simulate_network_batch`] and [`simulate_deployment_batch`] prove
+//! every result bit-exact against the `pim-tensor` reference forward
+//! pass while cross-checking executed against predicted cycles.
 //!
 //! # Example
 //!
@@ -57,15 +56,14 @@ mod engine;
 pub mod metrics;
 pub mod network;
 pub mod programmed;
-pub mod quant;
 pub mod verify;
 
 pub use crossbar::Crossbar;
 pub use engine::{layer_params, Engine, SimRun};
 pub use metrics::RunStats;
 pub use network::{
-    simulate_deployment, simulate_deployment_batch, simulate_network, simulate_network_batch,
-    BatchRun, NetworkExecutor, NetworkRun, SimulationReport, StageExecution,
+    simulate_deployment_batch, simulate_network_batch, BatchRun, NetworkExecutor, SimulationReport,
+    StageExecution,
 };
 pub use pim_tensor::ExecMode;
 pub use programmed::ProgrammedStage;

@@ -1,31 +1,32 @@
-//! Network-scale execution: stream one input feature map through every
-//! stage of a deployed network.
+//! Network-scale execution: stream a batch of input feature maps
+//! through every stage of a deployed network.
 //!
 //! [`verify_plan`](crate::verify::verify_plan) proves one *layer*
 //! correct in isolation. This module proves a whole *deployment*
 //! correct: the [`NetworkExecutor`] takes a [`Network`] together with
-//! its per-layer [`MappingPlan`]s (or a chip [`Deployment`], whose
-//! allocations carry the plans), programs each stage's tiles into
-//! crossbars,
-//! executes the stage on the streamed feature map, applies the stage's
-//! digital [`InterOp`](pim_nets::InterOp)s (ReLU, pooling), and hands
-//! the result to the next stage — exactly the data flow of a pipelined
-//! PIM chip processing one image.
+//! its per-layer [`MappingPlan`]s, programs each stage's tiles into
+//! crossbars once, executes the stage on each streamed feature map,
+//! applies the stage's digital [`InterOp`](pim_nets::InterOp)s (ReLU,
+//! pooling), and hands the result to the next stage — exactly the data
+//! flow of a pipelined PIM chip processing a stream of images. A chip
+//! [`Deployment`] runs through [`simulate_deployment_batch`], which
+//! executes the plans its allocations carry. One input is a
+//! one-element batch.
 //!
 //! Two guarantees come out the other end, pinned by
-//! [`simulate_network`]:
+//! [`simulate_network_batch`] for every batch element:
 //!
-//! * **Functional** — the final output feature map equals the
+//! * **Functional** — each final output feature map equals the
 //!   `pim-tensor` reference forward pass bit-for-bit (integer
 //!   arithmetic, both [`ExecMode`]s).
 //! * **Analytical** — every stage's executed computing cycles equal the
 //!   plan's predicted [`MappingPlan::cycles`], which is also the
 //!   `compute_cycles` the chip-level `DeploymentReport` advertises.
 
-use crate::engine::Engine;
 use crate::metrics::RunStats;
 use crate::programmed::ProgrammedStage;
 use crate::{Result, SimError};
+use pim_arch::energy::EnergyModel;
 use pim_chip::allocate::Deployment;
 use pim_mapping::{MappingAlgorithm, MappingPlan};
 use pim_nets::Network;
@@ -54,7 +55,8 @@ pub struct StageExecution {
     pub dac_conversions: u64,
     /// Crossbar tile programmings.
     pub array_programmings: u64,
-    /// Stage energy under the engine's model, in picojoules.
+    /// Stage energy under the default (ISAAC-like) energy model, in
+    /// picojoules.
     pub energy_pj: f64,
 }
 
@@ -62,46 +64,6 @@ impl StageExecution {
     /// `true` when the executed cycle count equals the prediction.
     pub fn cycles_match(&self) -> bool {
         self.executed_cycles == self.predicted_cycles
-    }
-}
-
-/// The result of executing a network: the final output feature map plus
-/// per-stage execution records.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetworkRun<T> {
-    ofm: Tensor3<T>,
-    stages: Vec<StageExecution>,
-}
-
-impl<T> NetworkRun<T> {
-    /// The final output feature map (after the last stage's operators).
-    pub fn ofm(&self) -> &Tensor3<T> {
-        &self.ofm
-    }
-
-    /// Per-stage execution records, in network order.
-    pub fn stages(&self) -> &[StageExecution] {
-        &self.stages
-    }
-
-    /// Total executed computing cycles across all stages.
-    pub fn executed_cycles(&self) -> u64 {
-        self.stages.iter().map(|s| s.executed_cycles).sum()
-    }
-
-    /// Total predicted cycles across all stages.
-    pub fn predicted_cycles(&self) -> u64 {
-        self.stages.iter().map(|s| s.predicted_cycles).sum()
-    }
-
-    /// `true` when every stage executed exactly its predicted cycles.
-    pub fn cycles_match(&self) -> bool {
-        self.stages.iter().all(StageExecution::cycles_match)
-    }
-
-    /// Consumes the run, returning the output feature map.
-    pub fn into_ofm(self) -> Tensor3<T> {
-        self.ofm
     }
 }
 
@@ -144,11 +106,6 @@ impl<T> BatchRun<T> {
     pub fn cycles_match(&self) -> bool {
         self.stages.iter().all(StageExecution::cycles_match)
     }
-
-    /// Consumes the run, returning the output feature maps.
-    pub fn into_ofms(self) -> Vec<Tensor3<T>> {
-        self.ofms
-    }
 }
 
 /// Resolves a `jobs` request against the batch size: `0` means all
@@ -169,13 +126,11 @@ fn effective_jobs(jobs: usize, tasks: usize) -> usize {
 /// [module docs](self).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct NetworkExecutor {
-    engine: Engine,
     mode: ExecMode,
 }
 
 impl NetworkExecutor {
-    /// An executor with the default engine and the default (quantized)
-    /// inter-stage mode.
+    /// An executor with the default (quantized) inter-stage mode.
     pub fn new() -> Self {
         Self::default()
     }
@@ -184,64 +139,6 @@ impl NetworkExecutor {
     pub fn with_mode(mut self, mode: ExecMode) -> Self {
         self.mode = mode;
         self
-    }
-
-    /// Sets the crossbar engine (e.g. for a custom energy model).
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The configured inter-stage mode.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
-    /// Executes `network` stage by stage: `plans[i]` maps layer `i`,
-    /// `weights[i]` is its weight bank, and the stage's inter-layer
-    /// operators (plus the quantized mode's requantization) run
-    /// digitally between stages.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] if the plan list does not match the
-    /// network, the network does not chain spatially, or a stage fails
-    /// to simulate.
-    pub fn execute<T: Scalar>(
-        &self,
-        network: &Network,
-        plans: &[MappingPlan],
-        ifm: &Tensor3<T>,
-        weights: &[Tensor4<T>],
-    ) -> Result<NetworkRun<T>> {
-        self.check_execution_inputs(network, plans, weights.len())?;
-        let mut stages = Vec::with_capacity(network.len());
-        let mut current = ifm.clone();
-        for (i, layer) in network.layers().iter().enumerate() {
-            let mut stats = RunStats::new();
-            let stage = ProgrammedStage::program(&plans[i], &weights[i], &mut stats)?;
-            stage.stream_stats(self.engine.energy_model(), &mut stats);
-            let mut ofms = stage.stream_batch(std::slice::from_ref(&current))?;
-            let ofm = ofms.pop().expect("one output per streamed input");
-            stages.push(StageExecution {
-                layer: layer.name().to_string(),
-                algorithm: plans[i].algorithm(),
-                descriptor: plans[i].descriptor(),
-                predicted_cycles: plans[i].cycles(),
-                executed_cycles: stats.computing_cycles,
-                macs: stats.macs,
-                adc_conversions: stats.adc_conversions,
-                dac_conversions: stats.dac_conversions,
-                array_programmings: stats.array_programmings,
-                energy_pj: stats.energy_pj(),
-            });
-            current = self.apply_stage_ops(network, i, ofm)?;
-        }
-        record_sim_telemetry(&stages, 1);
-        Ok(NetworkRun {
-            ofm: current,
-            stages,
-        })
     }
 
     /// Executes `network` on a whole **batch** of input feature maps,
@@ -255,8 +152,8 @@ impl NetworkExecutor {
     /// every programmed crossbar row is read once per shard-MVM rather
     /// than once per input. Crossbar state is shared read-only; results
     /// are reassembled in input order, and each output is bit-identical
-    /// to what [`NetworkExecutor::execute`] produces for that input
-    /// alone — regardless of `jobs`.
+    /// to what a one-element batch produces for that input alone —
+    /// regardless of `jobs`.
     ///
     /// The returned per-stage records aggregate over the batch:
     /// `array_programmings` is counted **once per deployment**, while
@@ -268,8 +165,9 @@ impl NetworkExecutor {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] under the same conditions as
-    /// [`NetworkExecutor::execute`], or for an empty batch.
+    /// Returns [`SimError`] for an empty batch, if the plan list or
+    /// weight banks do not match the network, the network does not
+    /// chain spatially, or a stage fails to simulate.
     pub fn execute_batch<T: Scalar + Send + Sync>(
         &self,
         network: &Network,
@@ -292,11 +190,12 @@ impl NetworkExecutor {
             program_stats.push(stats);
         }
         // Per-input analytical stream counters (input-independent).
+        let energy = EnergyModel::default();
         let stream_stats: Vec<RunStats> = programmed
             .iter()
             .map(|stage| {
                 let mut stats = RunStats::new();
-                stage.stream_stats(self.engine.energy_model(), &mut stats);
+                stage.stream_stats(&energy, &mut stats);
                 stats
             })
             .collect();
@@ -416,28 +315,6 @@ impl NetworkExecutor {
         }
         Ok(())
     }
-
-    /// Executes a chip [`Deployment`]'s plans end to end (the
-    /// allocations carry one plan per layer, in network order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] under the same conditions as
-    /// [`NetworkExecutor::execute`].
-    pub fn execute_deployment<T: Scalar>(
-        &self,
-        network: &Network,
-        deployment: &Deployment,
-        ifm: &Tensor3<T>,
-        weights: &[Tensor4<T>],
-    ) -> Result<NetworkRun<T>> {
-        let plans: Vec<MappingPlan> = deployment
-            .allocations()
-            .iter()
-            .map(|alloc| alloc.plan().clone())
-            .collect();
-        self.execute(network, &plans, ifm, weights)
-    }
 }
 
 /// One network-scale simulation flattened into report numbers — the
@@ -454,9 +331,9 @@ pub struct SimulationReport {
     /// Inter-stage execution mode.
     pub mode: ExecMode,
     /// Number of input feature maps streamed through the programmed
-    /// pipeline (1 for single-input simulation).
+    /// pipeline.
     pub batch: usize,
-    /// Per-stage execution records (batch-aggregated when `batch > 1`).
+    /// Per-stage execution records, aggregated over the batch.
     pub stages: Vec<StageExecution>,
     /// Output elements compared against the reference forward pass,
     /// summed over the batch.
@@ -541,14 +418,17 @@ fn weight_seed(seed: u64, index: usize) -> u64 {
 }
 
 /// The deterministic per-batch-element input seed. Element 0 uses
-/// `seed` unchanged, so a batch-1 simulation generates byte-identical
-/// tensors to the single-input path.
+/// `seed` unchanged — the input [`crate::verify::verify_plan`] generates
+/// for the first layer.
 fn ifm_seed(seed: u64, element: usize) -> u64 {
     seed.wrapping_add((element as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Simulates a network end to end on deterministic pseudo-random
-/// tensors and cross-checks it against the reference forward pass.
+/// Simulates a network end to end: programs the deployment's crossbars
+/// once, streams `batch` deterministic pseudo-random input feature maps
+/// through it with up to `jobs` worker threads (`0` = all cores), and
+/// cross-checks **every** element against its own reference forward
+/// pass. Batch element 0 uses `seed` itself.
 ///
 /// The scalar domain follows the mode: [`ExecMode::Quantized`] runs in
 /// `i64` (the inter-stage requantization bounds magnitudes at any
@@ -559,27 +439,8 @@ fn ifm_seed(seed: u64, element: usize) -> u64 {
 /// # Errors
 ///
 /// Returns [`SimError`] under the same conditions as
-/// [`NetworkExecutor::execute`], or for an empty network.
-pub fn simulate_network(
-    network: &Network,
-    plans: &[MappingPlan],
-    seed: u64,
-    mode: ExecMode,
-) -> Result<SimulationReport> {
-    simulate_network_batch(network, plans, seed, mode, 1, 1)
-}
-
-/// Batched [`simulate_network`]: programs the deployment once, streams
-/// `batch` deterministic input feature maps through it with up to
-/// `jobs` worker threads (`0` = all cores), and cross-checks **every**
-/// element against its own reference forward pass. Batch element 0 uses
-/// `seed` itself, so `batch == 1` reproduces [`simulate_network`]
-/// byte for byte.
-///
-/// # Errors
-///
-/// Returns [`SimError`] under the same conditions as
-/// [`simulate_network`], or when `batch == 0`.
+/// [`NetworkExecutor::execute_batch`], for an empty network, or when
+/// `batch == 0`.
 pub fn simulate_network_batch(
     network: &Network,
     plans: &[MappingPlan],
@@ -604,24 +465,9 @@ pub fn simulate_network_batch(
 }
 
 /// Simulates a chip [`Deployment`] end to end (see
-/// [`simulate_network`]); the executed per-stage cycles are the ones
-/// the deployment's `DeploymentReport` predicts as `compute_cycles`.
-///
-/// # Errors
-///
-/// Returns [`SimError`] under the same conditions as
-/// [`simulate_network`].
-pub fn simulate_deployment(
-    network: &Network,
-    deployment: &Deployment,
-    seed: u64,
-    mode: ExecMode,
-) -> Result<SimulationReport> {
-    simulate_deployment_batch(network, deployment, seed, mode, 1, 1)
-}
-
-/// Batched [`simulate_deployment`] (see [`simulate_network_batch`] for
-/// the batch and `jobs` semantics).
+/// [`simulate_network_batch`] for the batch and `jobs` semantics); the
+/// executed per-stage cycles are the ones the deployment's
+/// `DeploymentReport` predicts as `compute_cycles`, times the batch.
 ///
 /// # Errors
 ///
@@ -767,7 +613,7 @@ mod tests {
         for alg in MappingAlgorithm::paper_trio() {
             for mode in [ExecMode::Exact, ExecMode::Quantized] {
                 let plans = plans_for(&net, array, alg);
-                let report = simulate_network(&net, &plans, 42, mode).unwrap();
+                let report = simulate_network_batch(&net, &plans, 42, mode, 1, 1).unwrap();
                 assert!(report.is_fully_consistent(), "{alg} {mode}: {report:?}");
                 assert_eq!(report.elements, 8 * 4 * 4);
                 assert_eq!(report.array, "64x64");
@@ -780,7 +626,7 @@ mod tests {
         let net = zoo::lenet5();
         let array = PimArray::new(96, 64).unwrap();
         let plans = plans_for(&net, array, MappingAlgorithm::VwSdk);
-        let report = simulate_network(&net, &plans, 7, ExecMode::Exact).unwrap();
+        let report = simulate_network_batch(&net, &plans, 7, ExecMode::Exact, 1, 1).unwrap();
         assert!(report.is_fully_consistent(), "{report:?}");
         // 16 channels x 5x5 after the trailing average pool.
         assert_eq!(report.elements, 16 * 5 * 5);
@@ -794,11 +640,11 @@ mod tests {
         let array = PimArray::new(64, 64).unwrap();
         let mut plans = plans_for(&net, array, MappingAlgorithm::VwSdk);
         plans.pop();
-        assert!(simulate_network(&net, &plans, 1, ExecMode::Quantized).is_err());
+        assert!(simulate_network_batch(&net, &plans, 1, ExecMode::Quantized, 1, 1).is_err());
         // Plans in the wrong order carry the wrong shapes.
         let mut swapped = plans_for(&net, array, MappingAlgorithm::VwSdk);
         swapped.reverse();
-        assert!(simulate_network(&net, &swapped, 1, ExecMode::Quantized).is_err());
+        assert!(simulate_network_batch(&net, &swapped, 1, ExecMode::Quantized, 1, 1).is_err());
     }
 
     #[test]
@@ -806,7 +652,7 @@ mod tests {
         let net = zoo::vgg13();
         let array = PimArray::new(512, 512).unwrap();
         let plans = plans_for(&net, array, MappingAlgorithm::VwSdk);
-        let err = simulate_network(&net, &plans, 1, ExecMode::Quantized).unwrap_err();
+        let err = simulate_network_batch(&net, &plans, 1, ExecMode::Quantized, 1, 1).unwrap_err();
         assert!(err.to_string().contains("conv1"), "{err}");
     }
 
@@ -817,11 +663,12 @@ mod tests {
         let chip = ChipConfig::new(16, PimArray::new(128, 128).unwrap(), 2_000).unwrap();
         let deployment =
             optimize::deploy_mixed(&net, &MappingAlgorithm::paper_trio(), &chip).unwrap();
-        let report = simulate_deployment(&net, &deployment, 11, ExecMode::Quantized).unwrap();
+        let report =
+            simulate_deployment_batch(&net, &deployment, 11, ExecMode::Quantized, 1, 1).unwrap();
         assert!(report.is_fully_consistent(), "{report:?}");
         // Stage algorithms are whatever the optimizer chose.
         assert_eq!(report.stages.len(), net.len());
-        let direct = simulate_network(
+        let direct = simulate_network_batch(
             &net,
             &deployment
                 .allocations()
@@ -830,6 +677,8 @@ mod tests {
                 .collect::<Vec<_>>(),
             11,
             ExecMode::Quantized,
+            1,
+            1,
         )
         .unwrap();
         assert_eq!(report, direct);
@@ -838,7 +687,7 @@ mod tests {
     #[test]
     fn empty_networks_are_rejected() {
         let net = Network::new("empty");
-        assert!(simulate_network(&net, &[], 1, ExecMode::Quantized).is_err());
+        assert!(simulate_network_batch(&net, &[], 1, ExecMode::Quantized, 1, 1).is_err());
     }
 
     #[test]
@@ -846,7 +695,7 @@ mod tests {
         let net = zoo::lenet5();
         let array = PimArray::new(96, 64).unwrap();
         let plans = plans_for(&net, array, MappingAlgorithm::VwSdk);
-        let single = simulate_network(&net, &plans, 7, ExecMode::Exact).unwrap();
+        let single = simulate_network_batch(&net, &plans, 7, ExecMode::Exact, 1, 1).unwrap();
         let batch = simulate_network_batch(&net, &plans, 7, ExecMode::Exact, 4, 1).unwrap();
         assert!(batch.is_fully_consistent(), "{batch:?}");
         assert_eq!(batch.batch, 4);
@@ -858,16 +707,6 @@ mod tests {
             // Weights are programmed once per deployment, not per input.
             assert_eq!(b.array_programmings, s.array_programmings);
         }
-    }
-
-    #[test]
-    fn batch_of_one_reproduces_the_single_input_report() {
-        let net = zoo::tiny();
-        let array = PimArray::new(64, 64).unwrap();
-        let plans = plans_for(&net, array, MappingAlgorithm::VwSdk);
-        let single = simulate_network(&net, &plans, 42, ExecMode::Quantized).unwrap();
-        let batch = simulate_network_batch(&net, &plans, 42, ExecMode::Quantized, 1, 1).unwrap();
-        assert_eq!(single, batch);
     }
 
     #[test]
@@ -905,10 +744,10 @@ mod tests {
         }
         let array = PimArray::new(512, 512).unwrap();
         let plans = plans_for(&net, array, MappingAlgorithm::Im2col);
-        let err = simulate_network(&net, &plans, 1, ExecMode::Exact).unwrap_err();
+        let err = simulate_network_batch(&net, &plans, 1, ExecMode::Exact, 1, 1).unwrap_err();
         assert!(err.to_string().contains("quantized"), "{err}");
         // The quantized mode resets the bound each stage and runs fine.
-        let report = simulate_network(&net, &plans, 1, ExecMode::Quantized).unwrap();
+        let report = simulate_network_batch(&net, &plans, 1, ExecMode::Quantized, 1, 1).unwrap();
         assert!(report.is_fully_consistent(), "{report:?}");
     }
 }

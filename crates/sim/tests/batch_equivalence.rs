@@ -1,8 +1,9 @@
 //! Batched execution is provably equivalent to sequential execution:
 //! `execute_batch(N)` must produce bit-identical output tensors to N
-//! independent `execute` calls, aggregate cycles/MACs as exact N-fold
-//! sums, and count crossbar programmings once per deployment — across
-//! the executable zoo, in both execution modes, for any worker count.
+//! independent one-element batches, aggregate cycles/MACs as exact
+//! N-fold sums, and count crossbar programmings once per deployment —
+//! across the executable zoo, in both execution modes, for any worker
+//! count.
 
 use pim_arch::PimArray;
 use pim_mapping::{MappingAlgorithm, MappingPlan};
@@ -68,13 +69,13 @@ fn assert_batch_equivalent(
         .iter()
         .map(|ifm| {
             executor
-                .execute(network, plans, ifm, &weights)
+                .execute_batch(network, plans, std::slice::from_ref(ifm), &weights, 1)
                 .expect("single executes")
         })
         .collect();
     for (i, (single, ofm)) in singles.iter().zip(batch.ofms()).enumerate() {
         assert_eq!(
-            single.ofm(),
+            &single.ofms()[0],
             ofm,
             "{}: batched element {i} diverged from its sequential run ({mode})",
             network.name()

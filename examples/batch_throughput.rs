@@ -12,7 +12,9 @@
 //! Run with: `cargo run --release --example batch_throughput`
 
 use vw_sdk::pim_arch::PimArray;
+use vw_sdk::pim_mapping::MappingAlgorithm;
 use vw_sdk::pim_nets::zoo;
+use vw_sdk::pim_sim::ExecMode;
 use vw_sdk::PlanningEngine;
 use vw_sdk_bench::simbench::{self, SimBenchOptions};
 
@@ -40,8 +42,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // entry point streams a batch through the same programmed state and
     // verifies every element against the reference forward pass.
     let engine = PlanningEngine::new();
-    let sim =
-        engine.simulate_network_batch(&zoo::vgg13_sim(), PimArray::new(512, 512)?, 2024, 4, 0)?;
+    let sim = engine.simulate_network_batch_with(
+        &zoo::vgg13_sim(),
+        PimArray::new(512, 512)?,
+        MappingAlgorithm::VwSdk,
+        2024,
+        ExecMode::Quantized,
+        4,
+        0,
+    )?;
     assert!(sim.is_fully_consistent(), "batched run must stay bit-exact");
     println!(
         "\nverified: batch {} on {} -> {} elements, {} mismatches, cycles as predicted",

@@ -13,7 +13,7 @@ use vw_sdk::pim_arch::PimArray;
 use vw_sdk::pim_chip::report::DeploymentReport;
 use vw_sdk::pim_chip::ChipConfig;
 use vw_sdk::pim_nets::zoo;
-use vw_sdk::pim_sim::{simulate_deployment, ExecMode};
+use vw_sdk::pim_sim::{simulate_deployment_batch, ExecMode};
 use vw_sdk::PlanningEngine;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = PlanningEngine::new().with_jobs(0);
     let deployment = engine.deploy_network(&network, &chip)?;
     let report = DeploymentReport::with_defaults(network.name(), &deployment);
-    let sim = simulate_deployment(&network, &deployment, 2024, ExecMode::Quantized)?;
+    let sim = simulate_deployment_batch(&network, &deployment, 2024, ExecMode::Quantized, 1, 1)?;
 
     println!("stage      algorithm  predicted  executed  = report.compute_cycles?");
     println!("----------------------------------------------------------------");

@@ -2091,16 +2091,54 @@ mod tests {
         .unwrap();
         let out = run(&cmd).unwrap();
         let expected = vw_sdk::PlanningEngine::new()
-            .simulate_network_with(
+            .simulate_network_batch_with(
                 &zoo::lenet5(),
                 PimArray::new(96, 64).unwrap(),
                 MappingAlgorithm::VwSdk,
                 7,
                 ExecMode::Quantized,
+                1,
+                1,
             )
             .unwrap();
         assert_eq!(out, api::simulation_json(&expected).render());
         assert!(JsonValue::parse(&out).is_ok());
+    }
+
+    #[test]
+    fn simulate_json_of_one_input_is_pinned_in_both_modes() {
+        // Golden bytes of `vwsdk simulate --network tiny --array 64x64
+        // --seed 42 --format json`, with and without `--mode exact`: a
+        // one-element batch must keep answering exactly these.
+        const QUANTIZED: &str = concat!(
+            r#"{"network":"tiny","array":"64x64","seed":42,"mode":"quantized","batch":1,"#,
+            r#""stages":[{"layer":"c1","algorithm":"VW-SDK","descriptor":"8x4x2x4","#,
+            r#""predicted_cycles":3,"executed_cycles":3,"macs":2592,"adc_conversions":144,"#,
+            r#""dac_conversions":192,"array_programmings":1,"energy_pj":318.37},"#,
+            r#"{"layer":"c2","algorithm":"VW-SDK","descriptor":"4x4x4x8","#,
+            r#""predicted_cycles":4,"executed_cycles":4,"macs":4608,"adc_conversions":128,"#,
+            r#""dac_conversions":256,"array_programmings":1,"energy_pj":295.91}],"#,
+            r#""elements":128,"mismatches":0,"bit_exact":true,"cycles_match":true,"#,
+            r#""executed_cycles":7,"predicted_cycles":7,"macs":7200,"energy_pj":614.28}"#,
+        );
+        const EXACT: &str = concat!(
+            r#"{"network":"tiny","array":"64x64","seed":42,"mode":"exact","batch":1,"#,
+            r#""stages":[{"layer":"c1","algorithm":"VW-SDK","descriptor":"8x4x2x4","#,
+            r#""predicted_cycles":3,"executed_cycles":3,"macs":2592,"adc_conversions":144,"#,
+            r#""dac_conversions":192,"array_programmings":1,"energy_pj":318.37},"#,
+            r#"{"layer":"c2","algorithm":"VW-SDK","descriptor":"4x4x4x8","#,
+            r#""predicted_cycles":4,"executed_cycles":4,"macs":4608,"adc_conversions":128,"#,
+            r#""dac_conversions":256,"array_programmings":1,"energy_pj":295.91}],"#,
+            r#""elements":128,"mismatches":0,"bit_exact":true,"cycles_match":true,"#,
+            r#""executed_cycles":7,"predicted_cycles":7,"macs":7200,"energy_pj":614.28}"#,
+        );
+        for (mode_flag, expected) in [("", QUANTIZED), (" --mode exact", EXACT)] {
+            let cmd = parse(&argv(&format!(
+                "simulate --network tiny --array 64x64 --seed 42 --format json{mode_flag}"
+            )))
+            .unwrap();
+            assert_eq!(run(&cmd).unwrap(), expected, "mode flag {mode_flag:?}");
+        }
     }
 
     #[test]

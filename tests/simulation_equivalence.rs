@@ -20,7 +20,7 @@ use vw_sdk_repro::pim_chip::{optimize, ChipConfig};
 use vw_sdk_repro::pim_mapping::MappingAlgorithm;
 use vw_sdk_repro::pim_nets::{zoo, ConvLayer, LayerShape};
 use vw_sdk_repro::pim_sim::verify::verify_plan;
-use vw_sdk_repro::pim_sim::{simulate_deployment, simulate_network, ExecMode};
+use vw_sdk_repro::pim_sim::{simulate_deployment_batch, simulate_network_batch, ExecMode};
 use vw_sdk_repro::vw_sdk::PlanningEngine;
 
 /// Shrinks a zoo layer to simulation scale while preserving its
@@ -102,7 +102,7 @@ fn executable_zoo_networks_simulate_bit_exactly_under_all_algorithms() {
     ] {
         for alg in MappingAlgorithm::paper_trio() {
             let report = engine
-                .simulate_network_with(&network, array, alg, 2024, ExecMode::Quantized)
+                .simulate_network_batch_with(&network, array, alg, 2024, ExecMode::Quantized, 1, 1)
                 .unwrap();
             assert!(
                 report.is_fully_consistent(),
@@ -113,7 +113,15 @@ fn executable_zoo_networks_simulate_bit_exactly_under_all_algorithms() {
         }
         // Exact mode (i128, no inter-stage rescaling) on one algorithm.
         let exact = engine
-            .simulate_network_with(&network, array, MappingAlgorithm::VwSdk, 7, ExecMode::Exact)
+            .simulate_network_batch_with(
+                &network,
+                array,
+                MappingAlgorithm::VwSdk,
+                7,
+                ExecMode::Exact,
+                1,
+                1,
+            )
             .unwrap();
         assert!(
             exact.is_fully_consistent(),
@@ -126,12 +134,14 @@ fn executable_zoo_networks_simulate_bit_exactly_under_all_algorithms() {
 
     // The dilated atrous stack exercises dilation at network scale.
     let dilated = engine
-        .simulate_network_with(
+        .simulate_network_batch_with(
             &zoo::dilated_context(),
             PimArray::new(256, 128).unwrap(),
             MappingAlgorithm::VwSdk,
             5,
             ExecMode::Quantized,
+            1,
+            1,
         )
         .unwrap();
     assert!(dilated.is_fully_consistent(), "{dilated:?}");
@@ -144,7 +154,8 @@ fn deployment_execution_reproduces_the_report_cycle_predictions() {
     let deployment =
         optimize::deploy_mixed(&network, &MappingAlgorithm::paper_trio(), &chip).unwrap();
     let report = DeploymentReport::with_defaults(network.name(), &deployment);
-    let sim = simulate_deployment(&network, &deployment, 11, ExecMode::Quantized).unwrap();
+    let sim =
+        simulate_deployment_batch(&network, &deployment, 11, ExecMode::Quantized, 1, 1).unwrap();
     assert!(sim.is_fully_consistent(), "{sim:?}");
     assert_eq!(sim.stages.len(), report.stages().len());
     let mut algorithms = HashSet::new();
@@ -169,6 +180,6 @@ fn deployment_execution_reproduces_the_report_cycle_predictions() {
         .collect();
     assert_eq!(
         sim,
-        simulate_network(&network, &plans, 11, ExecMode::Quantized).unwrap()
+        simulate_network_batch(&network, &plans, 11, ExecMode::Quantized, 1, 1).unwrap()
     );
 }
