@@ -80,6 +80,16 @@ fn count_shed() {
         .inc();
 }
 
+/// Prepares an accepted socket for its shard: non-blocking, and with
+/// Nagle's algorithm off. With Nagle on, a response written while the
+/// previous one on the connection is still unacknowledged waits for the
+/// client's delayed ACK, which held pipelined responses back by
+/// milliseconds.
+fn adopt(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nonblocking(true)?;
+    stream.set_nodelay(true)
+}
+
 /// An accepted connection's mailbox on its way to a shard thread, plus
 /// the waker that tells the shard to look.
 #[derive(Debug)]
@@ -207,7 +217,7 @@ impl Shard {
 
             // New connections from the acceptor.
             for stream in self.handle.take() {
-                if stream.set_nonblocking(true).is_err() {
+                if adopt(&stream).is_err() {
                     // ORDERING: SeqCst — the slot release must be
                     // totally ordered against the acceptor's cap check.
                     self.open.fetch_sub(1, Ordering::SeqCst);
@@ -494,5 +504,22 @@ impl Shard {
         conn.reading_since = (conn.parser.buffered() > 0).then_some(now);
         conn.deadline = now + self.timeout;
         self.try_advance(poller, tx, token, conn)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn adopted_sockets_are_nonblocking_and_send_without_delay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        adopt(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        let err = (&accepted).read(&mut [0u8; 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::{Result, SimError};
 use pim_mapping::layout::CellAssignment;
-use pim_tensor::{Scalar, Tensor2, Tensor4};
+use pim_tensor::{Scalar, Tensor4};
 
 /// One crossbar array holding programmed weights.
 ///
@@ -10,73 +10,66 @@ use pim_tensor::{Scalar, Tensor2, Tensor4};
 /// outputs, and one [`Crossbar::mvm`] — the per-column accumulation of
 /// `input × conductance` — is one computing cycle.
 ///
+/// Only programmed cells are stored, as one (column, weight) list per
+/// row; every other cell holds conductance zero and is never visited.
+/// Window-parallel layouts leave most of a tile unprogrammed (VW-SDK
+/// programs 22 % and 25 % of the cells of its 512×512 tiles on
+/// `vgg13-sim` and `resnet18-sim`), so an MVM costs its programmed
+/// cells, not `rows × cols`.
+///
 /// # Example
 ///
 /// ```
+/// use pim_mapping::layout::{CellAssignment, WeightCoord};
 /// use pim_sim::Crossbar;
+/// use pim_tensor::Tensor4;
 ///
-/// let mut xbar: Crossbar<i64> = Crossbar::new(2, 2);
-/// xbar.program_cell(0, 0, 3);
-/// xbar.program_cell(1, 1, 5);
+/// let bank = Tensor4::from_vec(2, 1, 1, 1, vec![3i64, 5]).unwrap();
+/// let cell = |row, col, oc| CellAssignment {
+///     row,
+///     col,
+///     weight: WeightCoord { oc, ic: 0, ky: 0, kx: 0 },
+/// };
+/// let xbar = Crossbar::program(2, 2, &[cell(0, 0, 0), cell(1, 1, 1)], &bank).unwrap();
 /// assert_eq!(xbar.mvm(&[10, 100]).unwrap(), vec![30, 500]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Crossbar<T> {
-    cells: Tensor2<T>,
-    programmed: usize,
+    rows: usize,
+    cols: usize,
+    /// Row `r`'s cells are entries `row_start[r]..row_start[r + 1]` of
+    /// `col` and `weight`; `row_start` has `rows + 1` entries.
+    row_start: Vec<usize>,
+    col: Vec<usize>,
+    weight: Vec<T>,
 }
 
 impl<T: Scalar> Crossbar<T> {
-    /// Creates an erased (all-zero) crossbar of the given geometry.
-    pub fn new(rows: usize, cols: usize) -> Self {
-        Self {
-            cells: Tensor2::zeros(rows, cols),
-            programmed: 0,
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.cells.rows()
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cells.cols()
-    }
-
-    /// Number of `program_cell` writes since the last erase.
-    pub fn programmed_cells(&self) -> usize {
-        self.programmed
-    }
-
-    /// Writes one cell.
+    /// Programs a `rows × cols` crossbar with a tile layout's cells,
+    /// fetching weight values from the weight bank. When the list
+    /// writes one cell twice, the later write wins.
     ///
-    /// # Panics
-    ///
-    /// Panics if the coordinates are out of bounds.
-    pub fn program_cell(&mut self, row: usize, col: usize, weight: T) {
-        self.cells.set(row, col, weight);
-        self.programmed += 1;
-    }
-
-    /// Programs a tile layout's cells, fetching weight values from the
-    /// weight bank.
+    /// Layouts list their cells column by column, so a counting pass
+    /// sizes each row's list and a second pass fills the lists in cell
+    /// order.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] if any assignment exceeds the crossbar or the
     /// weight bank dimensions.
-    pub fn program_layout(&mut self, cells: &[CellAssignment], weights: &Tensor4<T>) -> Result<()> {
+    pub fn program(
+        rows: usize,
+        cols: usize,
+        cells: &[CellAssignment],
+        weights: &Tensor4<T>,
+    ) -> Result<Self> {
         let (oc, ic, kh, kw) = weights.dims();
+        let mut row_start = vec![0usize; rows + 1];
         for cell in cells {
-            if cell.row >= self.rows() || cell.col >= self.cols() {
+            if cell.row >= rows || cell.col >= cols {
                 return Err(SimError::new(format!(
-                    "cell ({}, {}) outside {}x{} crossbar",
-                    cell.row,
-                    cell.col,
-                    self.rows(),
-                    self.cols()
+                    "cell ({}, {}) outside {rows}x{cols} crossbar",
+                    cell.row, cell.col
                 )));
             }
             let w = cell.weight;
@@ -86,140 +79,178 @@ impl<T: Scalar> Crossbar<T> {
                     w.oc, w.ic, w.ky, w.kx, oc, ic, kh, kw
                 )));
             }
-            self.program_cell(cell.row, cell.col, weights.get(w.oc, w.ic, w.ky, w.kx));
+            row_start[cell.row + 1] += 1;
         }
-        Ok(())
+        for r in 0..rows {
+            row_start[r + 1] += row_start[r];
+        }
+        let mut next = row_start[..rows].to_vec();
+        let mut col = vec![0; cells.len()];
+        let mut weight = vec![T::ZERO; cells.len()];
+        for cell in cells {
+            let slot = next[cell.row];
+            next[cell.row] += 1;
+            col[slot] = cell.col;
+            let w = cell.weight;
+            weight[slot] = weights.get(w.oc, w.ic, w.ky, w.kx);
+        }
+        // Compact each row so it lists a column once: the first
+        // occurrence keeps its place and takes the last write's weight.
+        // `seen[c]` is where column `c` last landed; positions below the
+        // row's start belong to earlier rows.
+        let mut seen = vec![usize::MAX; cols];
+        let mut kept = 0;
+        for r in 0..rows {
+            let (lo, hi) = (row_start[r], row_start[r + 1]);
+            row_start[r] = kept;
+            for i in lo..hi {
+                let c = col[i];
+                let s = seen[c];
+                if s >= row_start[r] && s < kept {
+                    weight[s] = weight[i];
+                } else {
+                    seen[c] = kept;
+                    col[kept] = c;
+                    weight[kept] = weight[i];
+                    kept += 1;
+                }
+            }
+        }
+        row_start[rows] = kept;
+        col.truncate(kept);
+        weight.truncate(kept);
+        Ok(Self {
+            rows,
+            cols,
+            row_start,
+            col,
+            weight,
+        })
     }
 
-    /// Erases all cells to zero.
-    pub fn erase(&mut self) {
-        self.cells = Tensor2::zeros(self.rows(), self.cols());
-        self.programmed = 0;
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Number of distinct programmed cells.
+    pub fn programmed_cells(&self) -> usize {
+        self.col.len()
     }
 
     /// One analog matrix-vector multiply: drives `input` into the rows and
-    /// returns the per-column accumulations.
-    ///
-    /// Thin allocating wrapper around [`Crossbar::mvm_into`]; hot paths
-    /// (the engine's cycle loop) use the `_into` form to reuse one
-    /// output buffer across cycles.
+    /// returns the per-column accumulations — a one-element
+    /// [`Crossbar::mvm_batch_into`].
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] if `input.len() != rows`.
     pub fn mvm(&self, input: &[T]) -> Result<Vec<T>> {
         let mut out = Vec::new();
-        self.mvm_into(input, &mut out)?;
+        self.mvm_batch_into(input, 1, &mut out)?;
         Ok(out)
-    }
-
-    /// [`Crossbar::mvm`] into a caller-provided buffer (cleared and
-    /// resized to `cols`), avoiding the per-cycle allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] if `input.len() != rows`.
-    pub fn mvm_into(&self, input: &[T], out: &mut Vec<T>) -> Result<()> {
-        pim_tensor::matmul::column_mvm_into(&self.cells, input, out).map_err(SimError::from)
     }
 
     /// `batch` independent MVMs against the same programmed cells in one
     /// pass: `inputs` packs `batch` row-vectors back to back
-    /// (`inputs[bi * rows + r]`), and `out` receives `batch` column
-    /// accumulations (`out[bi * cols + c]`).
+    /// (`inputs[bi * rows + r]`), and `out` is cleared and resized to
+    /// `batch` column accumulations (`out[bi * cols + c]`).
     ///
-    /// Each programmed row is read once per batch instead of once per
-    /// input vector — the cache-locality win batched simulation is built
-    /// on. Per-element results are bit-identical to [`Crossbar::mvm`].
+    /// Rows are visited in ascending order and each row's cells are read
+    /// once per batch instead of once per input vector. A zero input
+    /// skips its row. Every column therefore accumulates its programmed
+    /// products in ascending row order, so each element's result is
+    /// bit-identical to a one-element batch.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] if `batch == 0` or
     /// `inputs.len() != batch * rows`.
     pub fn mvm_batch_into(&self, inputs: &[T], batch: usize, out: &mut Vec<T>) -> Result<()> {
-        pim_tensor::matmul::column_mvm_batch_into(&self.cells, inputs, batch, out)
-            .map_err(SimError::from)
+        if batch == 0 {
+            return Err(SimError::new("crossbar MVM batch must be >= 1"));
+        }
+        let (rows, cols) = (self.rows, self.cols);
+        if inputs.len() != batch * rows {
+            return Err(SimError::new(format!(
+                "crossbar MVM batch of {batch} expects {} packed inputs, got {}",
+                batch * rows,
+                inputs.len()
+            )));
+        }
+        out.clear();
+        out.resize(batch * cols, T::ZERO);
+        for r in 0..rows {
+            let span = self.row_start[r]..self.row_start[r + 1];
+            let (row_col, row_weight) = (&self.col[span.clone()], &self.weight[span]);
+            for bi in 0..batch {
+                let x = inputs[bi * rows + r];
+                if x == T::ZERO {
+                    continue;
+                }
+                let acc = &mut out[bi * cols..(bi + 1) * cols];
+                for (&c, &w) in row_col.iter().zip(row_weight) {
+                    acc[c] += x * w;
+                }
+            }
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_mapping::layout::{CellAssignment, WeightCoord};
+    use pim_mapping::layout::WeightCoord;
     use pim_tensor::gen;
+    use proptest::prelude::*;
 
-    #[test]
-    fn erase_clears_state() {
-        let mut x: Crossbar<i32> = Crossbar::new(2, 2);
-        x.program_cell(1, 1, 7);
-        assert_eq!(x.programmed_cells(), 1);
-        x.erase();
-        assert_eq!(x.programmed_cells(), 0);
-        assert_eq!(x.mvm(&[1, 1]).unwrap(), vec![0, 0]);
+    fn cell(row: usize, col: usize, oc: usize, ic: usize, ky: usize, kx: usize) -> CellAssignment {
+        CellAssignment {
+            row,
+            col,
+            weight: WeightCoord { oc, ic, ky, kx },
+        }
     }
 
     #[test]
     fn mvm_rejects_wrong_input_length() {
-        let x: Crossbar<i32> = Crossbar::new(3, 2);
+        let bank = gen::ramp4::<i32>(1, 1, 1, 1);
+        let x = Crossbar::program(3, 2, &[], &bank).unwrap();
         assert!(x.mvm(&[1, 2]).is_err());
-        assert!(x.mvm(&[1, 2, 3]).is_ok());
+        assert_eq!(x.mvm(&[1, 2, 3]).unwrap(), vec![0, 0]);
     }
 
     #[test]
-    fn program_layout_reads_weight_bank() {
+    fn program_reads_weight_bank_and_last_write_wins() {
         let weights = gen::ramp4::<i64>(2, 1, 2, 2);
-        let mut x: Crossbar<i64> = Crossbar::new(4, 2);
-        let cells = vec![
-            CellAssignment {
-                row: 0,
-                col: 0,
-                weight: WeightCoord {
-                    oc: 0,
-                    ic: 0,
-                    ky: 0,
-                    kx: 0,
-                },
-            },
-            CellAssignment {
-                row: 3,
-                col: 1,
-                weight: WeightCoord {
-                    oc: 1,
-                    ic: 0,
-                    ky: 1,
-                    kx: 1,
-                },
-            },
+        let cells = [
+            cell(0, 0, 0, 0, 0, 0),
+            cell(3, 1, 0, 0, 1, 0),
+            cell(3, 1, 1, 0, 1, 1),
         ];
-        x.program_layout(&cells, &weights).unwrap();
+        let x = Crossbar::program(4, 2, &cells, &weights).unwrap();
+        assert_eq!(x.programmed_cells(), 2);
         let y = x.mvm(&[1, 0, 0, 1]).unwrap();
         assert_eq!(y, vec![weights.get(0, 0, 0, 0), weights.get(1, 0, 1, 1)]);
     }
 
     #[test]
-    fn mvm_into_reuses_a_dirty_buffer() {
-        let mut x: Crossbar<i64> = Crossbar::new(2, 3);
-        x.program_cell(0, 0, 2);
-        x.program_cell(1, 2, 5);
-        let mut out = vec![99, 99, 99, 99, 99];
-        x.mvm_into(&[3, 4], &mut out).unwrap();
-        assert_eq!(out, vec![6, 0, 20]);
-        assert_eq!(x.mvm(&[3, 4]).unwrap(), out);
-    }
-
-    #[test]
     fn batched_mvm_matches_per_element_mvm() {
         let weights = gen::ramp4::<i64>(4, 2, 2, 2);
-        let mut x: Crossbar<i64> = Crossbar::new(8, 4);
-        for r in 0..8 {
-            for c in 0..4 {
-                x.program_cell(r, c, weights.get(c, r % 2, (r / 2) % 2, r / 4));
-            }
-        }
+        let cells: Vec<_> = (0..8)
+            .flat_map(|r| (0..4).map(move |c| cell(r, c, c, r % 2, (r / 2) % 2, r / 4)))
+            .collect();
+        let x = Crossbar::program(8, 4, &cells, &weights).unwrap();
         let a: Vec<i64> = (0..8).map(|v| v - 3).collect();
         let b: Vec<i64> = (0..8).map(|v| 2 * v - 7).collect();
         let packed: Vec<i64> = a.iter().chain(b.iter()).copied().collect();
-        let mut out = Vec::new();
+        let mut out = vec![99; 3];
         x.mvm_batch_into(&packed, 2, &mut out).unwrap();
         let mut expect = x.mvm(&a).unwrap();
         expect.extend(x.mvm(&b).unwrap());
@@ -228,31 +259,68 @@ mod tests {
         assert!(x.mvm_batch_into(&packed[1..], 2, &mut out).is_err());
     }
 
+    /// A crossbar shape, a cell list as (row, col, weight) writes, a
+    /// batch size and the packed batch inputs.
+    type Case = (usize, usize, Vec<(usize, usize, i8)>, usize, Vec<i8>);
+
+    fn case() -> impl Strategy<Value = Case> {
+        (1usize..10, 1usize..10, 1usize..5).prop_flat_map(|(rows, cols, batch)| {
+            (
+                Just(rows),
+                Just(cols),
+                // Up to 40 writes into at most 81 cells: duplicate
+                // writes, zero weights and rows without a cell all occur.
+                collection::vec((0..rows, 0..cols, -3i8..4), 0..40),
+                Just(batch),
+                collection::vec(-2i8..3, batch * rows..batch * rows + 1),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn batched_mvm_equals_a_dense_loop((rows, cols, writes, batch, inputs) in case()) {
+            // Tenths are inexact in binary, so float sums expose any
+            // change in accumulation order.
+            let value = |v: i8| f64::from(v) * 0.1;
+            let bank =
+                Tensor4::from_vec(writes.len(), 1, 1, 1, writes.iter().map(|w| value(w.2)).collect())
+                    .unwrap();
+            let cells: Vec<_> = writes
+                .iter()
+                .enumerate()
+                .map(|(i, &(r, c, _))| cell(r, c, i, 0, 0, 0))
+                .collect();
+            let xbar = Crossbar::program(rows, cols, &cells, &bank).unwrap();
+            let inputs: Vec<f64> = inputs.into_iter().map(value).collect();
+            let mut dense = vec![0.0; rows * cols];
+            for &(r, c, w) in &writes {
+                dense[r * cols + c] = value(w);
+            }
+            let mut expect = vec![0.0; batch * cols];
+            for bi in 0..batch {
+                for r in 0..rows {
+                    for c in 0..cols {
+                        expect[bi * cols + c] += inputs[bi * rows + r] * dense[r * cols + c];
+                    }
+                }
+            }
+            let mut out = vec![1.0; 3];
+            xbar.mvm_batch_into(&inputs, batch, &mut out).unwrap();
+            prop_assert_eq!(out, expect);
+            let distinct: std::collections::HashSet<_> =
+                writes.iter().map(|&(r, c, _)| (r, c)).collect();
+            prop_assert_eq!(xbar.programmed_cells(), distinct.len());
+        }
+    }
+
     #[test]
-    fn program_layout_validates_bounds() {
+    fn program_validates_bounds() {
         let weights = gen::ramp4::<i64>(1, 1, 2, 2);
-        let mut x: Crossbar<i64> = Crossbar::new(2, 2);
-        let oob_cell = vec![CellAssignment {
-            row: 2,
-            col: 0,
-            weight: WeightCoord {
-                oc: 0,
-                ic: 0,
-                ky: 0,
-                kx: 0,
-            },
-        }];
-        assert!(x.program_layout(&oob_cell, &weights).is_err());
-        let oob_weight = vec![CellAssignment {
-            row: 0,
-            col: 0,
-            weight: WeightCoord {
-                oc: 1,
-                ic: 0,
-                ky: 0,
-                kx: 0,
-            },
-        }];
-        assert!(x.program_layout(&oob_weight, &weights).is_err());
+        assert!(Crossbar::program(2, 2, &[cell(2, 0, 0, 0, 0, 0)], &weights).is_err());
+        assert!(Crossbar::program(2, 2, &[cell(0, 2, 0, 0, 0, 0)], &weights).is_err());
+        assert!(Crossbar::program(2, 2, &[cell(0, 0, 1, 0, 0, 0)], &weights).is_err());
     }
 }

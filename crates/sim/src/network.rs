@@ -33,6 +33,7 @@ use pim_nets::Network;
 use pim_tensor::forward::{self, ExecMode};
 use pim_tensor::{gen, ops, Scalar, Tensor3, Tensor4};
 use std::num::NonZeroUsize;
+use std::ops::Range;
 
 /// Execution record of one pipeline stage (= one convolutional layer).
 #[derive(Debug, Clone, PartialEq)]
@@ -108,10 +109,16 @@ impl<T> BatchRun<T> {
     }
 }
 
-/// Resolves a `jobs` request against the batch size: `0` means all
-/// available cores, and the worker count never exceeds the number of
-/// batch elements (matching the planning engine's convention).
-fn effective_jobs(jobs: usize, tasks: usize) -> usize {
+/// Runs `work` over contiguous shards of `0..len`, one per worker, and
+/// returns the shard results in shard order. `jobs = 0` means all
+/// available cores, and the worker count never exceeds `len` (matching
+/// the planning engine's convention). With one worker, `work` runs on
+/// the calling thread and no thread is spawned.
+fn on_shards<R: Send>(
+    len: usize,
+    jobs: usize,
+    work: impl Fn(Range<usize>) -> Result<R> + Sync,
+) -> Result<Vec<R>> {
     let requested = if jobs == 0 {
         std::thread::available_parallelism()
             .map(NonZeroUsize::get)
@@ -119,7 +126,27 @@ fn effective_jobs(jobs: usize, tasks: usize) -> usize {
     } else {
         jobs
     };
-    requested.min(tasks).max(1)
+    let workers = requested.min(len).max(1);
+    if workers == 1 {
+        return Ok(vec![work(0..len)?]);
+    }
+    let (base, extra) = (len / workers, len % workers);
+    let work = &work;
+    std::thread::scope(|scope| {
+        let mut lo = 0;
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let hi = lo + base + usize::from(w < extra);
+                let shard = lo..hi;
+                lo = hi;
+                scope.spawn(move || work(shard))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("shard worker panicked"))
+            .collect()
+    })
 }
 
 /// Executes whole networks on the crossbar engine; see the
@@ -200,30 +227,12 @@ impl NetworkExecutor {
             })
             .collect();
         // Stream phase: contiguous batch shards across worker threads.
-        let workers = effective_jobs(jobs, batch);
-        let ofms = if workers <= 1 {
-            self.stream_shard(network, &programmed, ifms)?
-        } else {
-            let programmed = &programmed;
-            std::thread::scope(|scope| -> Result<Vec<Tensor3<T>>> {
-                let mut handles = Vec::with_capacity(workers);
-                let base = batch / workers;
-                let extra = batch % workers;
-                let mut lo = 0;
-                for w in 0..workers {
-                    let hi = lo + base + usize::from(w < extra);
-                    let shard = &ifms[lo..hi];
-                    handles
-                        .push(scope.spawn(move || self.stream_shard(network, programmed, shard)));
-                    lo = hi;
-                }
-                let mut all = Vec::with_capacity(batch);
-                for handle in handles {
-                    all.extend(handle.join().expect("stream worker panicked")?);
-                }
-                Ok(all)
-            })?
-        };
+        let ofms: Vec<Tensor3<T>> = on_shards(batch, jobs, |shard| {
+            self.stream_shard(network, &programmed, &ifms[shard])
+        })?
+        .into_iter()
+        .flatten()
+        .collect();
         let b = batch as u64;
         let stages = network
             .layers()
@@ -428,7 +437,8 @@ fn ifm_seed(seed: u64, element: usize) -> u64 {
 /// once, streams `batch` deterministic pseudo-random input feature maps
 /// through it with up to `jobs` worker threads (`0` = all cores), and
 /// cross-checks **every** element against its own reference forward
-/// pass. Batch element 0 uses `seed` itself.
+/// pass on the same workers and batch shards. Batch element 0 uses
+/// `seed` itself.
 ///
 /// The scalar domain follows the mode: [`ExecMode::Quantized`] runs in
 /// `i64` (the inter-stage requantization bounds magnitudes at any
@@ -561,18 +571,7 @@ fn simulate_batch_as<T: Scalar + Send + Sync>(
         .collect();
     let executor = NetworkExecutor::new().with_mode(mode);
     let run = executor.execute_batch(network, plans, &ifms, &weights, jobs)?;
-    let mut elements = 0;
-    let mut mismatches = 0;
-    for (ifm, ofm) in ifms.iter().zip(run.ofms()) {
-        let reference = forward::forward(network, ifm, &weights, mode)?;
-        elements += reference.as_slice().len();
-        mismatches += ofm
-            .as_slice()
-            .iter()
-            .zip(reference.as_slice())
-            .filter(|(a, b)| a != b)
-            .count();
-    }
+    let (elements, mismatches) = verify_batch(network, &ifms, run.ofms(), &weights, mode, jobs)?;
     let mut arrays: Vec<String> = plans.iter().map(|p| p.array().to_string()).collect();
     arrays.dedup();
     let array = if arrays.len() == 1 {
@@ -590,6 +589,37 @@ fn simulate_batch_as<T: Scalar + Send + Sync>(
         elements,
         mismatches,
     })
+}
+
+/// Compares every batch element's output with its own reference
+/// forward pass, on the stream phase's contiguous shards and worker
+/// count, and returns (compared elements, mismatches) summed over the
+/// batch.
+fn verify_batch<T: Scalar + Send + Sync>(
+    network: &Network,
+    ifms: &[Tensor3<T>],
+    ofms: &[Tensor3<T>],
+    weights: &[Tensor4<T>],
+    mode: ExecMode,
+    jobs: usize,
+) -> Result<(usize, usize)> {
+    let shards = on_shards(ifms.len(), jobs, |shard| {
+        let (mut elements, mut mismatches) = (0, 0);
+        for (ifm, ofm) in ifms[shard.clone()].iter().zip(&ofms[shard]) {
+            let reference = forward::forward(network, ifm, weights, mode)?;
+            elements += reference.as_slice().len();
+            mismatches += ofm
+                .as_slice()
+                .iter()
+                .zip(reference.as_slice())
+                .filter(|(a, b)| a != b)
+                .count();
+        }
+        Ok((elements, mismatches))
+    })?;
+    Ok(shards
+        .into_iter()
+        .fold((0, 0), |(e, m), (se, sm)| (e + se, m + sm)))
 }
 
 #[cfg(test)]
@@ -719,6 +749,42 @@ mod tests {
             let sharded =
                 simulate_network_batch(&net, &plans, 9, ExecMode::Quantized, 5, jobs).unwrap();
             assert_eq!(serial, sharded, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn sharded_verification_counts_every_element_once() {
+        let net = zoo::tiny();
+        let array = PimArray::new(64, 64).unwrap();
+        let plans = plans_for(&net, array, MappingAlgorithm::VwSdk);
+        let first = &net.layers()[0];
+        let ifms: Vec<Tensor3<i64>> = (0..5)
+            .map(|i| gen::random3(first.in_channels(), first.input_h(), first.input_w(), i))
+            .collect();
+        let weights: Vec<Tensor4<i64>> = net
+            .layers()
+            .iter()
+            .map(|l| {
+                gen::random4(
+                    l.out_channels(),
+                    l.in_channels(),
+                    l.kernel_h(),
+                    l.kernel_w(),
+                    9,
+                )
+            })
+            .collect();
+        let run = NetworkExecutor::new()
+            .execute_batch(&net, &plans, &ifms, &weights, 1)
+            .unwrap();
+        let per_element = run.ofms()[0].as_slice().len();
+        // Element 4 is in the last shard for every worker count.
+        let mut ofms = run.ofms().to_vec();
+        ofms[4].add_assign_at(0, 0, 0, 1);
+        for jobs in [1, 2, 3, 0] {
+            let counts =
+                verify_batch(&net, &ifms, &ofms, &weights, ExecMode::Quantized, jobs).unwrap();
+            assert_eq!(counts, (5 * per_element, 1), "jobs={jobs}");
         }
     }
 

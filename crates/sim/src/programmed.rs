@@ -30,16 +30,21 @@ use crate::crossbar::Crossbar;
 use crate::metrics::RunStats;
 use crate::{Result, SimError};
 use pim_arch::energy::EnergyModel;
-use pim_mapping::layout::{SmdLayout, TileLayout};
+use pim_mapping::layout::{ColSink, RowSource, SmdLayout, TileLayout};
 use pim_mapping::schedule::{pw_positions, windows_per_pw, PwPosition};
 use pim_mapping::{MappingAlgorithm, MappingPlan};
 use pim_nets::ConvLayer;
 use pim_tensor::{Scalar, Tensor3, Tensor4};
 
-/// One (AR, AC) tile: its layout plus the crossbar programmed from it.
+/// One (AR, AC) tile: the input element each row reads, the output
+/// each column feeds, and the crossbar programmed from the tile's
+/// layout. The layout's cell list is not kept: the crossbar holds the
+/// cells.
 #[derive(Debug, Clone, PartialEq)]
 struct WindowedTile<T> {
-    layout: TileLayout,
+    row_sources: Vec<RowSource>,
+    col_sinks: Vec<ColSink>,
+    used_cells: usize,
     xbar: Crossbar<T>,
 }
 
@@ -113,8 +118,12 @@ impl<T: Scalar> ProgrammedStage<T> {
         plan.check_layout_supported()?;
         let kind = if plan.algorithm() == MappingAlgorithm::Smd && plan.duplication() > 1 {
             let layout = SmdLayout::build(plan)?;
-            let mut xbar = Crossbar::new(layout.rows_used(), layout.cols_used());
-            xbar.program_layout(layout.cells(), weights)?;
+            let xbar = Crossbar::program(
+                layout.rows_used(),
+                layout.cols_used(),
+                layout.cells(),
+                weights,
+            )?;
             stats.record_programming();
             StageKind::Smd { layout, xbar }
         } else {
@@ -122,10 +131,19 @@ impl<T: Scalar> ProgrammedStage<T> {
             for t in 0..plan.ar_cycles() {
                 for u in 0..plan.ac_cycles() {
                     let layout = TileLayout::build(plan, t, u)?;
-                    let mut xbar = Crossbar::new(layout.rows_used(), layout.cols_used());
-                    xbar.program_layout(layout.cells(), weights)?;
+                    let xbar = Crossbar::program(
+                        layout.rows_used(),
+                        layout.cols_used(),
+                        layout.cells(),
+                        weights,
+                    )?;
                     stats.record_programming();
-                    tiles.push(WindowedTile { layout, xbar });
+                    tiles.push(WindowedTile {
+                        row_sources: layout.row_sources().to_vec(),
+                        col_sinks: layout.col_sinks().to_vec(),
+                        used_cells: layout.used_cells(),
+                        xbar,
+                    });
                 }
             }
             let (oh, ow) = plan.layer().output_dims();
@@ -227,9 +245,9 @@ impl<T: Scalar> ProgrammedStage<T> {
                     for _ in 0..positions.len() {
                         stats.record_cycle(
                             energy,
-                            tile.layout.rows_used(),
-                            tile.layout.cols_used(),
-                            tile.layout.used_cells(),
+                            tile.xbar.rows(),
+                            tile.xbar.cols(),
+                            tile.used_cells,
                         );
                     }
                 }
@@ -306,12 +324,12 @@ impl<T: Scalar> ProgrammedStage<T> {
         let mut inputs: Vec<T> = Vec::new();
         let mut result: Vec<T> = Vec::new();
         for tile in tiles {
-            let rows = tile.layout.rows_used();
-            let cols = tile.layout.cols_used();
+            let rows = tile.xbar.rows();
+            let cols = tile.xbar.cols();
             for (pidx, pos) in positions.iter().enumerate() {
                 inputs.clear();
                 inputs.resize(b * rows, T::ZERO);
-                for (r, src) in tile.layout.row_sources().iter().enumerate() {
+                for (r, src) in tile.row_sources.iter().enumerate() {
                     let iy = pos.origin_y as isize + src.dy as isize - pad;
                     let ix = pos.origin_x as isize + src.dx as isize - pad;
                     for (bi, ifm) in ifms.iter().enumerate() {
@@ -319,7 +337,7 @@ impl<T: Scalar> ProgrammedStage<T> {
                     }
                 }
                 tile.xbar.mvm_batch_into(&inputs, b, &mut result)?;
-                for (col, sink) in tile.layout.col_sinks().iter().enumerate() {
+                for (col, sink) in tile.col_sinks.iter().enumerate() {
                     let gy = pos.first_win_y + sink.wy;
                     let gx = pos.first_win_x + sink.wx;
                     if owner[gy * ow + gx] == pidx {

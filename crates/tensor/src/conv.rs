@@ -10,7 +10,7 @@
 //! Both support stride, zero padding and dilation; [`conv2d_grouped`] adds
 //! grouped/depthwise convolution for the MobileNet-style extension nets.
 
-use crate::matmul::matmul_into;
+use crate::matmul::matmul;
 use crate::{Result, Scalar, ShapeError, Tensor2, Tensor3, Tensor4};
 
 /// Hyper-parameters of a 2-D convolution: stride, zero padding and dilation.
@@ -147,28 +147,58 @@ pub fn conv2d_direct<T: Scalar>(
 ) -> Result<Tensor3<T>> {
     check_channels(input, weights)?;
     let (oc, ic, kh, kw) = weights.dims();
-    let (oh, ow) = params.output_dims(input.height(), input.width(), kh, kw)?;
-    let mut out = Tensor3::zeros(oc, oh, ow);
-    for o in 0..oc {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = T::ZERO;
-                let base_y = (oy * params.stride_h) as isize - params.pad_h as isize;
-                let base_x = (ox * params.stride_w) as isize - params.pad_w as isize;
-                for c in 0..ic {
-                    for ky in 0..kh {
-                        for kx in 0..kw {
-                            let iy = base_y + (ky * params.dilation_h) as isize;
-                            let ix = base_x + (kx * params.dilation_w) as isize;
-                            acc += input.get_padded(c, iy, ix) * weights.get(o, c, ky, kx);
+    let (h, w) = (input.height(), input.width());
+    let (oh, ow) = params.output_dims(h, w, kh, kw)?;
+    let (sh, sw) = (params.stride_h, params.stride_w);
+    // Each tap (o, c, ky, kx) adds into the outputs whose input pixel is
+    // inside the image; padded pixels read zero and add nothing. Taps run
+    // in ascending (c, ky, kx) order, so every output sums its products
+    // in the textbook loop's order.
+    let mut out = vec![T::ZERO; oc * oh * ow];
+    for (o, plane) in out.chunks_exact_mut(oh * ow).enumerate() {
+        for c in 0..ic {
+            let channel = &input.as_slice()[c * h * w..(c + 1) * h * w];
+            for ky in 0..kh {
+                let dy = ky * params.dilation_h;
+                let ys = in_image(oh, h, sh, params.pad_h, dy);
+                for kx in 0..kw {
+                    let dx = kx * params.dilation_w;
+                    let xs = in_image(ow, w, sw, params.pad_w, dx);
+                    if xs.is_empty() {
+                        continue;
+                    }
+                    let tap = weights.get(o, c, ky, kx);
+                    let x0 = xs.start * sw + dx - params.pad_w;
+                    for oy in ys.clone() {
+                        let iy = oy * sh + dy - params.pad_h;
+                        let pixels = &channel[iy * w + x0..(iy + 1) * w];
+                        let outs = &mut plane[oy * ow + xs.start..oy * ow + xs.end];
+                        for (k, acc) in outs.iter_mut().enumerate() {
+                            *acc += pixels[k * sw] * tap;
                         }
                     }
                 }
-                out.set(o, oy, ox, acc);
             }
         }
     }
-    Ok(out)
+    Tensor3::from_vec(oc, oh, ow, out)
+}
+
+/// The output positions `o` along one axis whose input coordinate
+/// `o * stride + offset - pad` lies inside `0..input`.
+fn in_image(
+    outputs: usize,
+    input: usize,
+    stride: usize,
+    pad: usize,
+    offset: usize,
+) -> std::ops::Range<usize> {
+    let lo = pad.saturating_sub(offset).div_ceil(stride);
+    let hi = (input + pad)
+        .saturating_sub(offset)
+        .div_ceil(stride)
+        .min(outputs);
+    lo..hi.max(lo)
 }
 
 /// Lowers the input into the im2col patch matrix.
@@ -191,22 +221,6 @@ pub fn im2col_matrix<T: Scalar>(
     let (oh, ow) = params.output_dims(input.height(), input.width(), kh, kw)?;
     let ic = input.channels();
     let mut m = Tensor2::zeros(oh * ow, ic * kh * kw);
-    im2col_fill(&mut m, input, kh, kw, params, oh, ow);
-    Ok(m)
-}
-
-/// Fills a correctly-sized patch matrix in place (the body of
-/// [`im2col_matrix`], shared with the scratch-reusing path).
-fn im2col_fill<T: Scalar>(
-    m: &mut Tensor2<T>,
-    input: &Tensor3<T>,
-    kh: usize,
-    kw: usize,
-    params: Conv2dParams,
-    oh: usize,
-    ow: usize,
-) {
-    let ic = input.channels();
     for oy in 0..oh {
         for ox in 0..ow {
             let r = oy * ow + ox;
@@ -225,41 +239,7 @@ fn im2col_fill<T: Scalar>(
             }
         }
     }
-}
-
-/// Reusable intermediate buffers for [`conv2d_im2col_with`]: the patch
-/// matrix, the flattened weight matrix and the GEMM product.
-///
-/// The im2col lowering allocates three matrices whose combined size
-/// dwarfs the output; callers convolving many inputs (the batched
-/// simulator's reference checks, benchmarks) keep one scratch alive and
-/// pay the allocation once. Buffers are lazily (re)sized, so one
-/// scratch serves convolutions of different shapes.
-#[derive(Debug, Clone, Default)]
-pub struct Im2colScratch<T> {
-    patches: Option<Tensor2<T>>,
-    wmat: Option<Tensor2<T>>,
-    prod: Option<Tensor2<T>>,
-}
-
-impl<T: Scalar> Im2colScratch<T> {
-    /// An empty scratch; buffers materialize on first use.
-    pub fn new() -> Self {
-        Self {
-            patches: None,
-            wmat: None,
-            prod: None,
-        }
-    }
-}
-
-/// Returns a scratch buffer resized to `rows × cols` (reusing the
-/// allocation when the shape already matches).
-fn ensure_shape<T: Scalar>(slot: &mut Option<Tensor2<T>>, rows: usize, cols: usize) {
-    match slot {
-        Some(t) if t.dims() == (rows, cols) => {}
-        _ => *slot = Some(Tensor2::zeros(rows, cols)),
-    }
+    Ok(m)
 }
 
 /// im2col + GEMM convolution; numerically identical to [`conv2d_direct`]
@@ -273,31 +253,12 @@ pub fn conv2d_im2col<T: Scalar>(
     weights: &Tensor4<T>,
     params: Conv2dParams,
 ) -> Result<Tensor3<T>> {
-    conv2d_im2col_with(input, weights, params, &mut Im2colScratch::new())
-}
-
-/// [`conv2d_im2col`] with caller-owned scratch buffers: repeated calls
-/// reuse the patch/weight/product matrices instead of reallocating
-/// them. Results are identical to [`conv2d_im2col`] bit for bit.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] under the same conditions as [`conv2d_direct`].
-pub fn conv2d_im2col_with<T: Scalar>(
-    input: &Tensor3<T>,
-    weights: &Tensor4<T>,
-    params: Conv2dParams,
-    scratch: &mut Im2colScratch<T>,
-) -> Result<Tensor3<T>> {
     check_channels(input, weights)?;
     let (oc, ic, kh, kw) = weights.dims();
     let (oh, ow) = params.output_dims(input.height(), input.width(), kh, kw)?;
-    ensure_shape(&mut scratch.patches, oh * ow, ic * kh * kw);
-    let patches = scratch.patches.as_mut().expect("ensured above");
-    im2col_fill(patches, input, kh, kw, params, oh, ow);
+    let patches = im2col_matrix(input, kh, kw, params)?;
     // Weight matrix: one kernel per column (the crossbar orientation).
-    ensure_shape(&mut scratch.wmat, ic * kh * kw, oc);
-    let wmat = scratch.wmat.as_mut().expect("ensured above");
+    let mut wmat = Tensor2::zeros(ic * kh * kw, oc);
     for o in 0..oc {
         let mut row = 0;
         for c in 0..ic {
@@ -309,13 +270,7 @@ pub fn conv2d_im2col_with<T: Scalar>(
             }
         }
     }
-    ensure_shape(&mut scratch.prod, oh * ow, oc);
-    let prod = scratch.prod.as_mut().expect("ensured above");
-    matmul_into(
-        scratch.patches.as_ref().expect("ensured above"),
-        scratch.wmat.as_ref().expect("ensured above"),
-        prod,
-    )?;
+    let prod = matmul(&patches, &wmat)?;
     let mut out = Tensor3::zeros(oc, oh, ow);
     for oy in 0..oh {
         for ox in 0..ow {
@@ -460,6 +415,12 @@ mod tests {
         let o = conv2d_direct(&ifm, &w, Conv2dParams::with_padding(1)).unwrap();
         // Center-tap kernel with pad 1 reproduces the input.
         assert_eq!(o.as_slice(), &[1, 2, 3, 4]);
+        // A 5x5 kernel over a padded 1x1 input: every tap but the center
+        // reads padding.
+        let pixel = Tensor3::from_vec(1, 1, 1, vec![7]).unwrap();
+        let w = gen::ramp4::<i32>(1, 1, 5, 5);
+        let o = conv2d_direct(&pixel, &w, Conv2dParams::with_padding(2)).unwrap();
+        assert_eq!(o.as_slice(), &[7 * w.get(0, 0, 2, 2)]);
     }
 
     #[test]
@@ -485,31 +446,6 @@ mod tests {
         let a = conv2d_direct(&ifm, &w, p).unwrap();
         let b = conv2d_im2col(&ifm, &w, p).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn im2col_scratch_reuse_is_bit_identical() {
-        // One scratch across convolutions of different shapes, with dirty
-        // buffers in between, still matches the fresh-allocation path.
-        let mut scratch = Im2colScratch::new();
-        let big_ifm = gen::random3::<i64>(3, 9, 9, 42);
-        let big_w = gen::random4::<i64>(5, 3, 3, 3, 43);
-        let small_ifm = gen::random3::<i64>(2, 6, 6, 44);
-        let small_w = gen::random4::<i64>(4, 2, 3, 3, 45);
-        for _ in 0..3 {
-            let a =
-                conv2d_im2col_with(&big_ifm, &big_w, Conv2dParams::unit(), &mut scratch).unwrap();
-            assert_eq!(
-                a,
-                conv2d_im2col(&big_ifm, &big_w, Conv2dParams::unit()).unwrap()
-            );
-            let b = conv2d_im2col_with(&small_ifm, &small_w, Conv2dParams::unit(), &mut scratch)
-                .unwrap();
-            assert_eq!(
-                b,
-                conv2d_im2col(&small_ifm, &small_w, Conv2dParams::unit()).unwrap()
-            );
-        }
     }
 
     #[test]

@@ -42,9 +42,7 @@ pub mod ops;
 mod scalar;
 mod tensor;
 
-pub use conv::{
-    conv2d_direct, conv2d_grouped, conv2d_im2col, conv2d_im2col_with, Conv2dParams, Im2colScratch,
-};
+pub use conv::{conv2d_direct, conv2d_grouped, conv2d_im2col, Conv2dParams};
 pub use forward::{forward, ExecMode};
 pub use scalar::Scalar;
 pub use tensor::{Tensor2, Tensor3, Tensor4};

@@ -1,15 +1,15 @@
-//! Dense matrix multiplication and crossbar-style column MVMs.
+//! Dense matrix multiplication for the im2col convolution path.
 //!
-//! Used by the im2col convolution path and by the crossbar simulator's
-//! hot loop. Correctness and exactness come first: every kernel here
-//! accumulates each output element in ascending inner-index order with
-//! the same skip-zero rule, so the allocation-free (`*_into`) and
-//! batched variants are bit-identical to the textbook loops — for
-//! floats as well as integers. Within that constraint the inner loops
-//! are cache-blocked: [`matmul_into`] tiles the output columns so the
-//! active output slice stays resident, and [`column_mvm_batch_into`]
-//! reuses each weight row across the whole batch (one read of the
-//! matrix per batch instead of one per input vector).
+//! [`crate::conv2d_im2col`] lowers a convolution to one GEMM, the
+//! independent cross-check of [`crate::conv2d_direct`]. The crossbar
+//! simulator does not run through this module: `pim-sim` keeps only
+//! the programmed cells of each crossbar and runs its own MVM over
+//! them. Correctness and exactness come first: every output element
+//! accumulates in ascending inner-index order with a skip-zero rule, so
+//! the allocation-free [`matmul_into`] is bit-identical to the textbook
+//! triple loop — for floats as well as integers. Within that constraint
+//! the inner loop is cache-blocked: [`matmul_into`] tiles the output
+//! columns so the active output slice stays resident.
 
 use crate::{Result, Scalar, ShapeError, Tensor2};
 
@@ -95,115 +95,6 @@ pub fn matmul_into<T: Scalar>(a: &Tensor2<T>, b: &Tensor2<T>, out: &mut Tensor2<
     Ok(())
 }
 
-/// Computes the matrix-vector product `a · x`.
-///
-/// This is the digital model of one crossbar read: `x` drives the rows, the
-/// result is the per-column accumulated current.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `x.len() != a.rows()` — note the *rows*: the
-/// crossbar convention used throughout this project stores one kernel per
-/// **column**, so the product computed is `aᵀx` expressed as column sums.
-///
-/// # Example
-///
-/// ```
-/// use pim_tensor::{matmul::column_mvm, Tensor2};
-///
-/// // Two columns holding weights (1,3) and (2,4).
-/// let a = Tensor2::from_vec(2, 2, vec![1, 2, 3, 4]).unwrap();
-/// let y = column_mvm(&a, &[10, 100]).unwrap();
-/// assert_eq!(y, vec![310, 420]);
-/// ```
-pub fn column_mvm<T: Scalar>(a: &Tensor2<T>, x: &[T]) -> Result<Vec<T>> {
-    let mut out = Vec::new();
-    column_mvm_into(a, x, &mut out)?;
-    Ok(out)
-}
-
-/// [`column_mvm`] into a caller-provided buffer: `out` is cleared and
-/// resized to `a.cols()`, reusing its allocation — the simulator's
-/// per-MVM hot path allocates nothing.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `x.len() != a.rows()`.
-pub fn column_mvm_into<T: Scalar>(a: &Tensor2<T>, x: &[T], out: &mut Vec<T>) -> Result<()> {
-    if x.len() != a.rows() {
-        return Err(ShapeError::new(format!(
-            "column_mvm expects input of length {}, got {}",
-            a.rows(),
-            x.len()
-        )));
-    }
-    out.clear();
-    out.resize(a.cols(), T::ZERO);
-    for (r, &xr) in x.iter().enumerate() {
-        if xr == T::ZERO {
-            continue;
-        }
-        let row = a.row(r);
-        for (acc, &w) in out.iter_mut().zip(row.iter()) {
-            *acc += xr * w;
-        }
-    }
-    Ok(())
-}
-
-/// A whole batch of column MVMs against one matrix: `inputs` packs
-/// `batch` row-major input vectors of length `a.rows()`, and `out` is
-/// cleared and resized to `batch × a.cols()` results, packed the same
-/// way.
-///
-/// The loop order visits each matrix row once and applies it to every
-/// batch element while it is cache-resident, so the matrix is read from
-/// memory once per *batch* instead of once per *input vector* — the
-/// data-reuse core of the batched simulator. Each output element still
-/// accumulates in ascending row order with [`column_mvm`]'s skip-zero
-/// rule, so every result is bit-identical to `batch` independent
-/// [`column_mvm`] calls.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if `inputs.len() != batch * a.rows()` or
-/// `batch == 0`.
-pub fn column_mvm_batch_into<T: Scalar>(
-    a: &Tensor2<T>,
-    inputs: &[T],
-    batch: usize,
-    out: &mut Vec<T>,
-) -> Result<()> {
-    if batch == 0 {
-        return Err(ShapeError::new("column_mvm batch must be >= 1"));
-    }
-    let rows = a.rows();
-    let cols = a.cols();
-    if inputs.len() != batch * rows {
-        return Err(ShapeError::new(format!(
-            "column_mvm batch of {batch} expects {} packed inputs, got {}",
-            batch * rows,
-            inputs.len()
-        )));
-    }
-    out.clear();
-    out.resize(batch * cols, T::ZERO);
-    for r in 0..rows {
-        let row = a.row(r);
-        for bi in 0..batch {
-            let xr = inputs[bi * rows + r];
-            if xr == T::ZERO {
-                continue;
-            }
-            let acc = &mut out[bi * cols..(bi + 1) * cols];
-            for (slot, &w) in acc.iter_mut().zip(row.iter()) {
-                *slot += xr * w;
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,30 +123,6 @@ mod tests {
         let a: Tensor2<i32> = Tensor2::zeros(2, 3);
         let b: Tensor2<i32> = Tensor2::zeros(2, 3);
         assert!(matmul(&a, &b).is_err());
-    }
-
-    #[test]
-    fn column_mvm_matches_matmul() {
-        let a = Tensor2::from_vec(3, 2, vec![1, 2, 3, 4, 5, 6]).unwrap();
-        let x = vec![7i32, 8, 9];
-        let via_mvm = column_mvm(&a, &x).unwrap();
-        // Compare against xᵀ·a computed with matmul.
-        let xm = Tensor2::from_vec(1, 3, x).unwrap();
-        let prod = matmul(&xm, &a).unwrap();
-        assert_eq!(via_mvm, prod.as_slice());
-    }
-
-    #[test]
-    fn column_mvm_rejects_bad_length() {
-        let a: Tensor2<i32> = Tensor2::zeros(3, 2);
-        assert!(column_mvm(&a, &[1, 2]).is_err());
-    }
-
-    #[test]
-    fn zero_rows_are_skipped_but_counted() {
-        let a = Tensor2::from_vec(2, 2, vec![1, 1, 1, 1]).unwrap();
-        let y = column_mvm(&a, &[0, 5]).unwrap();
-        assert_eq!(y, vec![5, 5]);
     }
 
     #[test]
@@ -306,45 +173,5 @@ mod tests {
             }
         }
         assert_eq!(blocked, naive);
-    }
-
-    #[test]
-    fn column_mvm_into_resizes_and_matches() {
-        let a = Tensor2::from_vec(3, 2, vec![1, 2, 3, 4, 5, 6]).unwrap();
-        let x = [7i32, 8, 9];
-        let mut out = vec![42i32; 17];
-        column_mvm_into(&a, &x, &mut out).unwrap();
-        assert_eq!(out, column_mvm(&a, &x).unwrap());
-        assert!(column_mvm_into(&a, &[1, 2], &mut out).is_err());
-    }
-
-    #[test]
-    fn batched_mvm_equals_independent_mvms() {
-        let a = crate::gen::random2::<i64>(13, 9, 77);
-        let batch = 5;
-        let mut inputs = Vec::new();
-        for bi in 0..batch {
-            inputs.extend(crate::gen::random2::<i64>(1, 13, 100 + bi as u64).into_vec());
-        }
-        let mut packed = Vec::new();
-        column_mvm_batch_into(&a, &inputs, batch, &mut packed).unwrap();
-        assert_eq!(packed.len(), batch * 9);
-        for bi in 0..batch {
-            let single = column_mvm(&a, &inputs[bi * 13..(bi + 1) * 13]).unwrap();
-            assert_eq!(
-                &packed[bi * 9..(bi + 1) * 9],
-                single.as_slice(),
-                "lane {bi}"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_mvm_validates_packing() {
-        let a: Tensor2<i64> = Tensor2::zeros(4, 3);
-        let mut out = Vec::new();
-        assert!(column_mvm_batch_into(&a, &[0; 8], 2, &mut out).is_ok());
-        assert!(column_mvm_batch_into(&a, &[0; 7], 2, &mut out).is_err());
-        assert!(column_mvm_batch_into(&a, &[], 0, &mut out).is_err());
     }
 }
