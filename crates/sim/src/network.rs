@@ -534,18 +534,15 @@ fn check_headroom(network: &Network, mode: ExecMode, limit_bits: f64) -> Result<
     Ok(())
 }
 
-fn simulate_batch_as<T: Scalar + Send + Sync>(
+/// The `batch` input feature maps and the per-layer weight banks a
+/// simulation of a non-empty `network` with `seed` streams and programs.
+fn seeded_data<T: Scalar>(
     network: &Network,
-    plans: &[MappingPlan],
     seed: u64,
-    mode: ExecMode,
     batch: usize,
-    jobs: usize,
-) -> Result<SimulationReport> {
-    let Some(first) = network.layers().first() else {
-        return Err(SimError::new("cannot simulate an empty network"));
-    };
-    let ifms: Vec<Tensor3<T>> = (0..batch)
+) -> (Vec<Tensor3<T>>, Vec<Tensor4<T>>) {
+    let first = &network.layers()[0];
+    let ifms = (0..batch)
         .map(|i| {
             gen::random3::<T>(
                 first.in_channels(),
@@ -555,7 +552,7 @@ fn simulate_batch_as<T: Scalar + Send + Sync>(
             )
         })
         .collect();
-    let weights: Vec<Tensor4<T>> = network
+    let weights = network
         .layers()
         .iter()
         .enumerate()
@@ -569,6 +566,21 @@ fn simulate_batch_as<T: Scalar + Send + Sync>(
             )
         })
         .collect();
+    (ifms, weights)
+}
+
+fn simulate_batch_as<T: Scalar + Send + Sync>(
+    network: &Network,
+    plans: &[MappingPlan],
+    seed: u64,
+    mode: ExecMode,
+    batch: usize,
+    jobs: usize,
+) -> Result<SimulationReport> {
+    if network.is_empty() {
+        return Err(SimError::new("cannot simulate an empty network"));
+    }
+    let (ifms, weights) = seeded_data::<T>(network, seed, batch);
     let executor = NetworkExecutor::new().with_mode(mode);
     let run = executor.execute_batch(network, plans, &ifms, &weights, jobs)?;
     let (elements, mismatches) = verify_batch(network, &ifms, run.ofms(), &weights, mode, jobs)?;
@@ -785,6 +797,40 @@ mod tests {
             let counts =
                 verify_batch(&net, &ifms, &ofms, &weights, ExecMode::Quantized, jobs).unwrap();
             assert_eq!(counts, (5 * per_element, 1), "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn exact_mode_streams_nonzero_data_through_every_stage() {
+        // Quantized mode's requantization drives these networks' deep
+        // stages and outputs to zero, so there the check compares zeros.
+        // Exact mode must carry nonzero data into every stage and out of
+        // the last, or its verdict is vacuous too. Each stage runs alone
+        // on the executor and the reference, fed the previous output.
+        let array = PimArray::new(512, 512).unwrap();
+        for net in zoo::executable() {
+            let plans = plans_for(&net, array, MappingAlgorithm::VwSdk);
+            for seed in [1, 2, 3, 2024] {
+                let (mut ifms, weights) = seeded_data::<i128>(&net, seed, 1);
+                for (i, layer) in net.layers().iter().enumerate() {
+                    let what = format!("{} seed {seed}, input of {}", net.name(), layer.name());
+                    assert!(ifms[0].as_slice().iter().any(|&v| v != 0), "{what}");
+                    let stage = Network::from_stages(
+                        layer.name(),
+                        vec![(layer.clone(), net.ops_after(i).to_vec())],
+                    );
+                    let bank = &weights[i..=i];
+                    let run = NetworkExecutor::new()
+                        .with_mode(ExecMode::Exact)
+                        .execute_batch(&stage, &plans[i..=i], &ifms, bank, 1)
+                        .unwrap();
+                    let reference = forward::forward(&stage, &ifms[0], bank, ExecMode::Exact);
+                    assert_eq!(run.ofms()[0], reference.unwrap(), "{what}");
+                    ifms = run.ofms().to_vec();
+                }
+                let out = ifms[0].as_slice();
+                assert!(out.iter().any(|&v| v != 0), "{} seed {seed}", net.name());
+            }
         }
     }
 

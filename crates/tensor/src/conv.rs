@@ -3,12 +3,17 @@
 //! Two independent implementations are provided so they can cross-check each
 //! other (and, transitively, the PIM crossbar simulator):
 //!
-//! * [`conv2d_direct`] — the textbook seven-loop convolution;
+//! * [`conv2d_direct`] — the direct convolution in a crossbar's loop order:
+//!   each nonzero input element adds its products into a run of output
+//!   channels, and zero inputs are skipped, as a crossbar skips a zero row;
 //! * [`conv2d_im2col`] — lowering to a patch matrix followed by GEMM, which
-//!   is also exactly the "image to column" mapping of the paper's Fig. 2(a).
+//!   is also exactly the "image to column" mapping of the paper's Fig. 2(a),
+//!   and which skips nothing.
 //!
-//! Both support stride, zero padding and dilation; [`conv2d_grouped`] adds
-//! grouped/depthwise convolution for the MobileNet-style extension nets.
+//! Both sum every output's products in the textbook seven-loop's order and
+//! support stride, zero padding and dilation; [`conv2d_grouped`] adds
+//! grouped/depthwise convolution for the MobileNet-style extension nets by
+//! running the direct kernel on each group's channels.
 
 use crate::matmul::matmul;
 use crate::{Result, Scalar, ShapeError, Tensor2, Tensor3, Tensor4};
@@ -120,9 +125,19 @@ fn check_channels<T: Scalar>(input: &Tensor3<T>, weights: &Tensor4<T>) -> Result
     Ok(())
 }
 
-/// Direct (seven-loop) 2-D convolution.
+/// Direct 2-D convolution, in the crossbar's loop order.
 ///
 /// The output has dimensions `(OC, OH, OW)` per [`Conv2dParams::output_dims`].
+///
+/// Each input element drives one kernel tap's run of output channels, the
+/// way it drives one crossbar row's run of columns, and a zero input is
+/// skipped, as the crossbar skips a zero row. Every output still sums its
+/// nonzero products in the textbook seven-loop's ascending `(c, ky, kx)`
+/// order. A skipped zero product changes no integer, nor any float when
+/// the weights are finite (a sum that starts at `+0.0` never becomes
+/// `−0.0`), so the result equals the seven-loop's bit for bit. The kernel
+/// reads the weight bank by coordinates and never a tile layout, so it
+/// stays independent of every mapping it checks.
 ///
 /// # Errors
 ///
@@ -146,42 +161,67 @@ pub fn conv2d_direct<T: Scalar>(
     params: Conv2dParams,
 ) -> Result<Tensor3<T>> {
     check_channels(input, weights)?;
-    let (oc, ic, kh, kw) = weights.dims();
-    let (h, w) = (input.height(), input.width());
-    let (oh, ow) = params.output_dims(h, w, kh, kw)?;
+    conv2d_grouped(input, weights, params, 1)
+}
+
+/// The [`conv2d_direct`] loop over `IC` raw CHW input channels of
+/// `h × w` and `OC` raw OIHW kernels, writing `OC` CHW output channels of
+/// `oh × ow` into `out`.
+fn convolve<T: Scalar>(
+    input: &[T],
+    (h, w): (usize, usize),
+    weights: &[T],
+    (oc, ic, kh, kw): (usize, usize, usize, usize),
+    params: Conv2dParams,
+    (oh, ow): (usize, usize),
+    out: &mut [T],
+) {
+    let taps = ic * kh * kw;
+    let pixels = oh * ow;
     let (sh, sw) = (params.stride_h, params.stride_w);
-    // Each tap (o, c, ky, kx) adds into the outputs whose input pixel is
-    // inside the image; padded pixels read zero and add nothing. Taps run
-    // in ascending (c, ky, kx) order, so every output sums its products
-    // in the textbook loop's order.
-    let mut out = vec![T::ZERO; oc * oh * ow];
-    for (o, plane) in out.chunks_exact_mut(oh * ow).enumerate() {
-        for c in 0..ic {
-            let channel = &input.as_slice()[c * h * w..(c + 1) * h * w];
-            for ky in 0..kh {
-                let dy = ky * params.dilation_h;
-                let ys = in_image(oh, h, sh, params.pad_h, dy);
-                for kx in 0..kw {
-                    let dx = kx * params.dilation_w;
-                    let xs = in_image(ow, w, sw, params.pad_w, dx);
-                    if xs.is_empty() {
-                        continue;
-                    }
-                    let tap = weights.get(o, c, ky, kx);
-                    let x0 = xs.start * sw + dx - params.pad_w;
-                    for oy in ys.clone() {
-                        let iy = oy * sh + dy - params.pad_h;
-                        let pixels = &channel[iy * w + x0..(iy + 1) * w];
-                        let outs = &mut plane[oy * ow + xs.start..oy * ow + xs.end];
-                        for (k, acc) in outs.iter_mut().enumerate() {
-                            *acc += pixels[k * sw] * tap;
+    // The weight bank as [c][ky][kx][o]: a tap's output channels are one
+    // contiguous run, like a crossbar row's columns.
+    let mut bank = vec![T::ZERO; taps * oc];
+    for t in 0..taps {
+        for o in 0..oc {
+            bank[t * oc + o] = weights[o * taps + t];
+        }
+    }
+    // Output pixels as [oy][ox][o], accumulated tap by tap in ascending
+    // (c, ky, kx) order over each tap's in-image outputs; padded pixels
+    // read zero and add nothing.
+    let mut acc = vec![T::ZERO; pixels * oc];
+    for c in 0..ic {
+        let channel = &input[c * h * w..(c + 1) * h * w];
+        for ky in 0..kh {
+            let dy = ky * params.dilation_h;
+            let ys = in_image(oh, h, sh, params.pad_h, dy);
+            for kx in 0..kw {
+                let dx = kx * params.dilation_w;
+                let xs = in_image(ow, w, sw, params.pad_w, dx);
+                let t = (c * kh + ky) * kw + kx;
+                let tap = &bank[t * oc..(t + 1) * oc];
+                for oy in ys.clone() {
+                    let row = &channel[(oy * sh + dy - params.pad_h) * w..];
+                    for ox in xs.clone() {
+                        let x = row[ox * sw + dx - params.pad_w];
+                        if x == T::ZERO {
+                            continue;
+                        }
+                        let p = oy * ow + ox;
+                        for (a, &wt) in acc[p * oc..(p + 1) * oc].iter_mut().zip(tap) {
+                            *a += x * wt;
                         }
                     }
                 }
             }
         }
     }
-    Tensor3::from_vec(oc, oh, ow, out)
+    for p in 0..pixels {
+        for o in 0..oc {
+            out[o * pixels + p] = acc[p * oc + o];
+        }
+    }
 }
 
 /// The output positions `o` along one axis whose input coordinate
@@ -315,38 +355,24 @@ pub fn conv2d_grouped<T: Scalar>(
             "weights expect {wic} in-channels per group, input provides {icg}"
         )));
     }
-    let (oh, ow) = params.output_dims(input.height(), input.width(), kh, kw)?;
-    let mut out = Tensor3::zeros(oc, oh, ow);
+    let (h, w) = (input.height(), input.width());
+    let (oh, ow) = params.output_dims(h, w, kh, kw)?;
+    // In CHW and OIHW a group's input channels, kernels and output
+    // channels are each one contiguous slice.
+    let (gin, gw, gout) = (icg * h * w, ocg * icg * kh * kw, ocg * oh * ow);
+    let mut out = vec![T::ZERO; oc * oh * ow];
     for g in 0..groups {
-        // Slice out the group's input channels.
-        let mut gin = Tensor3::zeros(icg, input.height(), input.width());
-        for c in 0..icg {
-            for y in 0..input.height() {
-                for x in 0..input.width() {
-                    gin.set(c, y, x, input.get(g * icg + c, y, x));
-                }
-            }
-        }
-        let mut gw = Tensor4::zeros(ocg, icg, kh, kw);
-        for o in 0..ocg {
-            for c in 0..icg {
-                for ky in 0..kh {
-                    for kx in 0..kw {
-                        gw.set(o, c, ky, kx, weights.get(g * ocg + o, c, ky, kx));
-                    }
-                }
-            }
-        }
-        let gout = conv2d_direct(&gin, &gw, params)?;
-        for o in 0..ocg {
-            for y in 0..oh {
-                for x in 0..ow {
-                    out.set(g * ocg + o, y, x, gout.get(o, y, x));
-                }
-            }
-        }
+        convolve(
+            &input.as_slice()[g * gin..(g + 1) * gin],
+            (h, w),
+            &weights.as_slice()[g * gw..(g + 1) * gw],
+            (ocg, icg, kh, kw),
+            params,
+            (oh, ow),
+            &mut out[g * gout..(g + 1) * gout],
+        );
     }
-    Ok(out)
+    Tensor3::from_vec(oc, oh, ow, out)
 }
 
 #[cfg(test)]

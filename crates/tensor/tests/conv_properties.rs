@@ -5,8 +5,10 @@
 //! shapes, strides, paddings and dilations. `pim-sim` later leans on this
 //! pair as its ground truth, so the pair itself must be trustworthy.
 
-use pim_tensor::{conv, gen, Conv2dParams};
+use pim_tensor::{conv, gen, Conv2dParams, Tensor3, Tensor4};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 #[derive(Debug, Clone)]
 struct ConvCase {
@@ -69,6 +71,46 @@ fn conv_case() -> impl Strategy<Value = ConvCase> {
                 seed,
             },
         )
+}
+
+/// `len` seeded f64 tenths in [-2, 2]; with `sparse`, about half are
+/// zero, split between +0.0 and −0.0.
+fn tenths(len: usize, seed: u64, sparse: bool) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len)
+        .map(|_| match rng.gen_range(0u32..4) {
+            0 if sparse => 0.0,
+            1 if sparse => -0.0,
+            _ => (f64::from(rng.gen_range(0u32..=40)) - 20.0) / 10.0,
+        })
+        .collect()
+}
+
+/// The textbook seven-loop: every output sums all its products,
+/// padding included, in ascending (c, ky, kx) order.
+fn seven_loop(ifm: &Tensor3<f64>, wts: &Tensor4<f64>, p: Conv2dParams) -> Vec<f64> {
+    let (oc, ic, kh, kw) = wts.dims();
+    let (oh, ow) = p.output_dims(ifm.height(), ifm.width(), kh, kw).unwrap();
+    let mut out = Vec::with_capacity(oc * oh * ow);
+    for o in 0..oc {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut acc = 0.0;
+                for c in 0..ic {
+                    for ky in 0..kh {
+                        for kx in 0..kw {
+                            let iy = (oy * p.stride_h + ky * p.dilation_h) as isize;
+                            let ix = (ox * p.stride_w + kx * p.dilation_w) as isize;
+                            let x = ifm.get_padded(c, iy - p.pad_h as isize, ix - p.pad_w as isize);
+                            acc += x * wts.get(o, c, ky, kx);
+                        }
+                    }
+                }
+                out.push(acc);
+            }
+        }
+    }
+    out
 }
 
 proptest! {
@@ -135,6 +177,23 @@ proptest! {
         let wts = pim_tensor::Tensor4::<i64>::zeros(case.oc, case.ic, case.kh, case.kw);
         if let Ok(out) = conv::conv2d_direct(&ifm, &wts, case.params) {
             prop_assert!(out.as_slice().iter().all(|&v| v == 0));
+        }
+    }
+
+    // `im2col_equals_direct` runs in i64, where no change of accumulation
+    // order can show. Float tenths round differently in another order, so
+    // this pins the direct kernel's zero skip and (c, ky, kx) order bit
+    // for bit against the loop that skips nothing.
+    #[test]
+    fn direct_equals_the_seven_loop_bit_for_bit_in_f64(case in conv_case()) {
+        let data = tenths(case.ic * case.h * case.w, case.seed, true);
+        let ifm = Tensor3::from_vec(case.ic, case.h, case.w, data).unwrap();
+        let taps = case.oc * case.ic * case.kh * case.kw;
+        let data = tenths(taps, case.seed ^ 0x5EED, false);
+        let wts = Tensor4::from_vec(case.oc, case.ic, case.kh, case.kw, data).unwrap();
+        if let Ok(out) = conv::conv2d_direct(&ifm, &wts, case.params) {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(out.as_slice()), bits(&seven_loop(&ifm, &wts, case.params)));
         }
     }
 }
