@@ -54,7 +54,8 @@ fn bench_network_planning(c: &mut Criterion) {
 /// pair across the Fig. 8(b) array sizes, uncached (a fresh sequential
 /// `Planner` per report, as the seed tree did) versus through one warm,
 /// memoized `PlanningEngine`. The cached path must win — every layer
-/// shape resolves to a hash lookup plus a plan rebind.
+/// shape's search resolves to a hash lookup, and the plan is rebuilt
+/// from it.
 fn bench_sweep_cached_vs_uncached(c: &mut Criterion) {
     let networks = [zoo::vgg13(), zoo::resnet18_table1()];
     let arrays: Vec<PimArray> = [128usize, 256, 512, 1024]

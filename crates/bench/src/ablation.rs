@@ -34,7 +34,7 @@ pub fn totals(network: &Network) -> Vec<(MappingAlgorithm, u64)> {
     totals_with(&ablation_engine(), network)
 }
 
-/// [`totals`] through an existing engine (sharing its plan cache).
+/// [`totals`] through an existing engine (sharing its search memo).
 pub fn totals_with(engine: &PlanningEngine, network: &Network) -> Vec<(MappingAlgorithm, u64)> {
     let report = engine
         .plan_network(network, array512())

@@ -554,7 +554,7 @@ pub fn run(options: &ServeBenchOptions) -> Result<ServeBenchReport, String> {
         options.network, options.array
     );
     // One untimed request surfaces config errors (unknown network) and
-    // warms the plan cache before the clock starts.
+    // warms the search memo before the clock starts.
     match post_plan(addr, &body) {
         Some(200) => {}
         Some(status) => {

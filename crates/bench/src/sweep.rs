@@ -29,8 +29,8 @@ pub fn run() -> Vec<SweepCell> {
     run_with(&PlanningEngine::new().with_jobs(0))
 }
 
-/// Runs the sweep through an existing engine (sharing its plan cache —
-/// repeated shapes across networks and re-runs become hash lookups).
+/// Runs the sweep through an existing engine (sharing its search memo —
+/// repeated shapes across networks and re-runs search once).
 pub fn run_with(engine: &PlanningEngine) -> Vec<SweepCell> {
     let networks = zoo::all();
     let arrays: Vec<_> = presets::fig8b_sweep()
@@ -140,14 +140,15 @@ mod tests {
     }
 
     #[test]
-    fn warm_engine_rerun_is_pure_cache_and_identical() {
+    fn warm_engine_rerun_is_pure_memo_and_identical() {
         let engine = PlanningEngine::new().with_jobs(0);
         let cold = run_with(&engine);
-        let misses_after_cold = engine.stats().plan_misses;
+        let after_cold = engine.stats();
         let warm = run_with(&engine);
         assert_eq!(cold, warm);
-        // The second sweep computed nothing new.
-        assert_eq!(engine.stats().plan_misses, misses_after_cold);
-        assert!(engine.stats().plan_hits >= misses_after_cold);
+        // The second sweep searched nothing new.
+        let after_warm = engine.stats();
+        assert_eq!(after_warm.search_misses, after_cold.search_misses);
+        assert!(after_warm.search_hits - after_cold.search_hits >= after_cold.search_misses);
     }
 }

@@ -109,7 +109,7 @@ impl LayerCandidates {
 ///
 /// This is the sequential reference path; the planning engine's
 /// `deploy_network` reaches the same [`optimize_allocation`] through its
-/// shape-keyed plan cache and produces a byte-identical deployment.
+/// shape-keyed search memo and produces a byte-identical deployment.
 /// Either way, each VW-SDK candidate plan routes through the
 /// bound-pruned Algorithm 1 scan, and on the engine path repeated
 /// shapes share one candidate table across the optimizer's nested

@@ -6,11 +6,15 @@
 //! sweeps, array design-space exploration, adaptive-window studies à la
 //! TetrisG-SDK — where the same layer shapes are planned over and over:
 //!
-//! * **Memoization** — plans are cached by the canonical
-//!   `(shape, array, algorithm)` key ([`pim_nets::LayerShape`] carries no
-//!   layer name), and Algorithm 1 searches by `(shape, array, options)`
-//!   in a [`SearchCache`]. VGG-13 and ResNet-18 repeat shapes heavily, so
-//!   a network plan touches far fewer distinct keys than layers.
+//! * **Memoization** — Algorithm 1 picks the parallel window from the
+//!   layer's shape and the array alone, so its searches are memoized by
+//!   `(shape, array, options)` in a [`SearchCache`]
+//!   ([`pim_nets::LayerShape`] carries no layer name). That memo is the
+//!   engine's only cache: every [`MappingPlan`] is built per call for
+//!   the caller's own layer, the variable-window algorithms from the
+//!   memoized search and im2col / SMD / SDK / SDK-opt in closed form.
+//!   VGG-13 and ResNet-18 repeat shapes heavily, so a network plan
+//!   searches far fewer distinct keys than it has layers.
 //! * **Parallelism** — layer planning fans out across
 //!   `std::thread::scope` workers (`jobs` of them; the dependency policy
 //!   stays std-only). Work is claimed from an atomic counter and results
@@ -19,7 +23,7 @@
 //!   interleaving.
 //! * **Batching** — [`plan_networks`](PlanningEngine::plan_networks) and
 //!   [`sweep_arrays`](PlanningEngine::sweep_arrays) plan whole workloads
-//!   through one shared cache, which is what the `vw-sdk-bench` sweep,
+//!   through one shared memo, which is what the `vw-sdk-bench` sweep,
 //!   the ablation driver and the `vwsdk sweep` CLI subcommand consume.
 //!
 //! # Example
@@ -35,8 +39,8 @@
 //! // Table I totals on the 512x512 array, straight from the batch API.
 //! assert_eq!(reports[0].total_cycles(MappingAlgorithm::VwSdk), Some(77_102));
 //! assert_eq!(reports[2].total_cycles(MappingAlgorithm::VwSdk), Some(4_294));
-//! // VGG-13 repeats layer shapes, so the plan cache answered some layers.
-//! assert!(engine.stats().plan_hits > 0);
+//! // VGG-13 repeats layer shapes, so the search memo answered some layers.
+//! assert!(engine.stats().search_hits > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -46,29 +50,20 @@ use pim_arch::PimArray;
 use pim_cost::memo::SearchCache;
 use pim_cost::search::{SearchOptions, SearchResult};
 use pim_mapping::{MappingAlgorithm, MappingPlan};
-use pim_nets::{ConvLayer, LayerShape, Network};
-use std::collections::HashMap;
+use pim_nets::{ConvLayer, Network};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
-
-/// Memo key of one plan: everything [`MappingAlgorithm::plan`] depends
-/// on except the layer's name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct PlanKey {
-    shape: LayerShape,
-    array: PimArray,
-    algorithm: MappingAlgorithm,
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Cache counters of a [`PlanningEngine`] at one point in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
-    /// Plans answered from the cache.
+    /// Always zero: the engine keeps no plan cache. Kept so existing
+    /// callers still compile; not rendered by `Display`.
     pub plan_hits: u64,
-    /// Plans computed (and then cached).
+    /// Always zero (see [`plan_hits`](Self::plan_hits)).
     pub plan_misses: u64,
-    /// Distinct `(shape, array, algorithm)` plans stored.
+    /// Always zero (see [`plan_hits`](Self::plan_hits)).
     pub plan_entries: usize,
     /// Algorithm 1 searches answered from the cache.
     pub search_hits: u64,
@@ -82,36 +77,22 @@ impl fmt::Display for EngineStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "plans: {} hits / {} misses ({} cached); searches: {} hits / {} misses ({} cached)",
-            self.plan_hits,
-            self.plan_misses,
-            self.plan_entries,
-            self.search_hits,
-            self.search_misses,
-            self.search_entries
+            "searches: {} hits / {} misses ({} cached)",
+            self.search_hits, self.search_misses, self.search_entries
         )
     }
 }
 
-/// Parallel, memoizing planner for batch workloads: plans are cached
-/// by `(shape, array, algorithm)`, layer planning fans out across
-/// scoped worker threads, and batch/deployment APIs share one cache.
+/// Parallel, memoizing planner for batch workloads: Algorithm 1
+/// searches are memoized by `(shape, array, options)`, layer planning
+/// fans out across scoped worker threads, and batch/deployment APIs
+/// share one memo.
 #[derive(Debug)]
 pub struct PlanningEngine {
     algorithms: Vec<MappingAlgorithm>,
     /// Worker threads for fan-out; 0 requests one per available core.
     jobs: usize,
-    plans: RwLock<HashMap<PlanKey, MappingPlan>>,
-    /// The Algorithm 1 memo, behind an `Arc` so several engines — the
-    /// serving tier's per-shard instances — can share one table (and
-    /// therefore one single-flight coalescing domain).
-    searches: std::sync::Arc<SearchCache>,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
-    /// Watermarks of `plan_hits` / `plan_misses` already published to
-    /// the process-wide telemetry counters; see `mirror_plan_cache`.
-    mirrored_hits: AtomicU64,
-    mirrored_misses: AtomicU64,
+    searches: SearchCache,
 }
 
 impl Default for PlanningEngine {
@@ -132,24 +113,8 @@ impl PlanningEngine {
         Self {
             algorithms: algorithms.to_vec(),
             jobs: 1,
-            plans: RwLock::new(HashMap::new()),
-            searches: std::sync::Arc::new(SearchCache::new()),
-            plan_hits: AtomicU64::new(0),
-            plan_misses: AtomicU64::new(0),
-            mirrored_hits: AtomicU64::new(0),
-            mirrored_misses: AtomicU64::new(0),
+            searches: SearchCache::new(),
         }
-    }
-
-    /// Replaces this engine's Algorithm 1 memo with a shared one.
-    ///
-    /// The serving tier builds one `Arc<SearchCache>` and hands it to
-    /// every shard's engine: plan caches stay shard-local (lock traffic
-    /// scales out), while the expensive window searches land in — and
-    /// coalesce through — a single process-wide table.
-    pub fn with_search_cache(mut self, searches: std::sync::Arc<SearchCache>) -> Self {
-        self.searches = searches;
-        self
     }
 
     /// Sets the worker-thread count for batch planning. `0` means "one
@@ -180,8 +145,11 @@ impl PlanningEngine {
         requested.min(task_count).max(1)
     }
 
-    /// Plans one layer under one algorithm, answering from the plan
-    /// cache when the layer's shape has been planned before.
+    /// Plans one layer under one algorithm. Search-based algorithms go
+    /// through the shared search memo, so a cold herd of one shape
+    /// across threads (or serving connections) coalesces onto one
+    /// search; the engine's worker budget doubles as the cold search's
+    /// strip budget. Fixed-window algorithms are closed-form.
     ///
     /// # Errors
     ///
@@ -193,45 +161,6 @@ impl PlanningEngine {
         array: PimArray,
         algorithm: MappingAlgorithm,
     ) -> Result<MappingPlan> {
-        let plan = self.plan_uncounted(layer, array, algorithm);
-        self.mirror_plan_cache();
-        plan
-    }
-
-    /// The planning workhorse behind every batch API: identical to
-    /// [`PlanningEngine::plan`] except that it only touches the
-    /// engine's own relaxed counters. Batch entry points call this in
-    /// their hot loops and publish the accumulated cache activity to
-    /// the process-wide telemetry counters once, at the batch boundary
-    /// (`mirror_plan_cache`) — a cached sweep iteration costs two
-    /// atomic adds total, not two per planned layer-algorithm pair.
-    fn plan_uncounted(
-        &self,
-        layer: &ConvLayer,
-        array: PimArray,
-        algorithm: MappingAlgorithm,
-    ) -> Result<MappingPlan> {
-        let key = PlanKey {
-            shape: layer.shape(),
-            array,
-            algorithm,
-        };
-        let cached = self
-            .plans
-            .read()
-            .expect("plan cache lock poisoned")
-            .get(&key)
-            .cloned();
-        if let Some(plan) = cached {
-            self.plan_hits.fetch_add(1, Ordering::Relaxed);
-            // Same shape by key construction, so rebinding cannot fail.
-            return Ok(plan.rebound(layer)?);
-        }
-        // Search-based algorithms route through the shared search memo:
-        // the search dominates planning cost, so a cold plan herd across
-        // threads (or serving shards) coalesces onto one computation.
-        // The engine's worker budget doubles as the intra-search strip
-        // budget — a single huge cold layer can use the idle cores.
         let plan = match algorithm.search_options() {
             Some(options) => {
                 let result = self
@@ -241,40 +170,7 @@ impl PlanningEngine {
             }
             None => algorithm.plan(layer, array)?,
         };
-        self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        self.plans
-            .write()
-            .expect("plan cache lock poisoned")
-            .insert(key, plan.clone());
         Ok(plan)
-    }
-
-    /// Publishes plan-cache activity since the last flush to the
-    /// process-wide `pim_plan_cache_*_total` counters.
-    ///
-    /// A `fetch_max` watermark per family makes concurrent flushes
-    /// race-free: whichever call advances the watermark publishes
-    /// exactly the range it claimed, so events are counted once no
-    /// matter how many batch APIs finish simultaneously. Activity on an
-    /// error path is not lost, only deferred to the next flush.
-    fn mirror_plan_cache(&self) {
-        fn flush(source: &AtomicU64, watermark: &AtomicU64, counter: &pim_telemetry::Counter) {
-            let current = source.load(Ordering::Relaxed);
-            let last = watermark.fetch_max(current, Ordering::Relaxed);
-            if current > last {
-                counter.add(current - last);
-            }
-        }
-        flush(
-            &self.plan_hits,
-            &self.mirrored_hits,
-            plan_cache_counter("hits"),
-        );
-        flush(
-            &self.plan_misses,
-            &self.mirrored_misses,
-            plan_cache_counter("misses"),
-        );
     }
 
     /// Plans one layer under every configured algorithm.
@@ -287,10 +183,9 @@ impl PlanningEngine {
     }
 
     /// Plans one layer under an explicit algorithm set, sharing this
-    /// engine's caches. The request-serving tier uses this: one
+    /// engine's search memo. The request-serving tier uses this: one
     /// process-wide engine answers queries for whatever algorithm subset
-    /// each request names, and every plan still lands in (or comes from)
-    /// the same shape-keyed cache.
+    /// each request names.
     ///
     /// # Errors
     ///
@@ -301,23 +196,9 @@ impl PlanningEngine {
         array: PimArray,
         algorithms: &[MappingAlgorithm],
     ) -> Result<LayerComparison> {
-        let comparison = self.compare_layer(layer, array, algorithms);
-        self.mirror_plan_cache();
-        comparison
-    }
-
-    /// [`PlanningEngine::plan_layer_with`] minus the telemetry flush —
-    /// the per-task body batch APIs fan out over (they flush once at
-    /// the batch boundary instead).
-    fn compare_layer(
-        &self,
-        layer: &ConvLayer,
-        array: PimArray,
-        algorithms: &[MappingAlgorithm],
-    ) -> Result<LayerComparison> {
         let mut plans = Vec::with_capacity(algorithms.len());
         for &algorithm in algorithms {
-            plans.push(self.plan_uncounted(layer, array, algorithm)?);
+            plans.push(self.plan(layer, array, algorithm)?);
         }
         Ok(LayerComparison::from_parts(layer.clone(), plans))
     }
@@ -343,9 +224,8 @@ impl PlanningEngine {
             layers = tasks.len()
         );
         let planned = self.parallel_map(&tasks, |&layer| {
-            self.compare_layer(layer, array, algorithms)
+            self.plan_layer_with(layer, array, algorithms)
         });
-        self.mirror_plan_cache();
         let mut layers = Vec::with_capacity(network.len());
         for comparison in planned {
             layers.push(comparison?);
@@ -369,7 +249,7 @@ impl PlanningEngine {
         Ok(reports.pop().expect("one network times one array"))
     }
 
-    /// Plans several networks on one array through the shared cache.
+    /// Plans several networks on one array through the shared memo.
     ///
     /// Reports come back in `networks` order.
     ///
@@ -414,9 +294,8 @@ impl PlanningEngine {
             tasks = tasks.len()
         );
         let planned = self.parallel_map(&tasks, |&(layer, array)| {
-            self.compare_layer(layer, array, &self.algorithms)
+            self.plan_layer_with(layer, array, &self.algorithms)
         });
-        self.mirror_plan_cache();
 
         let mut results = planned.into_iter();
         let mut reports = Vec::with_capacity(networks.len() * arrays.len());
@@ -457,12 +336,11 @@ impl PlanningEngine {
     /// Deploys a network onto a chip with an explicit candidate
     /// algorithm set (see [`PlanningEngine::deploy_network`]).
     ///
-    /// Candidate plans come from the engine's shape-keyed cache —
-    /// repeated shapes and repeated deployments are planned once — and
-    /// fresh `(layer, algorithm)` plans fan out across the engine's
-    /// workers. The resulting deployment is byte-identical to the
-    /// sequential [`pim_chip::optimize::deploy_mixed`] path for the
-    /// same inputs.
+    /// Candidate plans search through the engine's shape-keyed memo —
+    /// repeated shapes and repeated deployments search once — and
+    /// `(layer, algorithm)` plans fan out across the engine's workers.
+    /// The resulting deployment is byte-identical to the sequential
+    /// [`pim_chip::optimize::deploy_mixed`] path for the same inputs.
     ///
     /// # Errors
     ///
@@ -488,9 +366,8 @@ impl PlanningEngine {
             algorithms = algorithms.len()
         );
         let planned = self.parallel_map(&tasks, |&(layer, algorithm)| {
-            self.plan_uncounted(layer, chip.array(), algorithm)
+            self.plan(layer, chip.array(), algorithm)
         });
-        self.mirror_plan_cache();
         let mut results = planned.into_iter();
         let mut candidates = Vec::with_capacity(network.len());
         for _ in 0..network.len() {
@@ -505,8 +382,8 @@ impl PlanningEngine {
     }
 
     /// Simulates a network end to end: every layer is planned with
-    /// `algorithm` on `array` *through the engine's shape-keyed cache*
-    /// (repeated shapes and repeated simulations plan once), the
+    /// `algorithm` on `array` *through the engine's search memo*
+    /// (repeated shapes and repeated simulations search once), the
     /// deployment's crossbars are programmed **once**, and `batch`
     /// deterministic seed-derived input feature maps stream through the
     /// programmed pipeline with up to `jobs` worker threads (`0` = all
@@ -545,10 +422,7 @@ impl PlanningEngine {
             layers = tasks.len(),
             batch = batch
         );
-        let planned = self.parallel_map(&tasks, |&layer| {
-            self.plan_uncounted(layer, array, algorithm)
-        });
-        self.mirror_plan_cache();
+        let planned = self.parallel_map(&tasks, |&layer| self.plan(layer, array, algorithm));
         let mut plans = Vec::with_capacity(network.len());
         for plan in planned {
             plans.push(plan?);
@@ -571,16 +445,23 @@ impl PlanningEngine {
     }
 
     /// Candidate-search effort already spent on a layer/array pair:
-    /// `(evaluated, pruned)` summed over the memoized results of this
-    /// engine's search-based algorithms. Purely a peek — nothing is
+    /// `(evaluated, pruned)` summed over the memoized results of the
+    /// search-based algorithms among `algorithms` — pass the report's
+    /// own [`NetworkReport::algorithms`], so the answer does not depend
+    /// on what else the engine has planned. Purely a peek — nothing is
     /// computed or counted — so reporting paths (`vwsdk sweep --format
     /// json`) can explain their own cost without perturbing it. Both
     /// numbers are zero when no search has run for the pair.
-    pub fn search_effort(&self, layer: &ConvLayer, array: PimArray) -> (u64, u64) {
+    pub fn search_effort(
+        &self,
+        layer: &ConvLayer,
+        array: PimArray,
+        algorithms: &[MappingAlgorithm],
+    ) -> (u64, u64) {
         let mut seen: Vec<SearchOptions> = Vec::new();
         let mut evaluated = 0u64;
         let mut pruned = 0u64;
-        for algorithm in &self.algorithms {
+        for algorithm in algorithms {
             let Some(options) = algorithm.search_options() else {
                 continue;
             };
@@ -596,51 +477,29 @@ impl PlanningEngine {
         (evaluated, pruned)
     }
 
-    /// The engine's search cache, for sharing with other consumers.
-    pub fn search_cache(&self) -> &SearchCache {
-        &self.searches
-    }
-
-    /// A cloned handle to the search memo, for building further engines
-    /// over the same table (see
-    /// [`with_search_cache`](Self::with_search_cache)).
-    pub fn shared_search_cache(&self) -> std::sync::Arc<SearchCache> {
-        std::sync::Arc::clone(&self.searches)
-    }
-
-    /// Bounds cache memory: when either cache holds more than
-    /// `max_entries`, it is cleared wholesale (counters are kept).
-    /// Returns `true` if anything was dropped.
+    /// Bounds memory: when the search memo holds more than
+    /// `max_entries` results, it is cleared wholesale (counters are
+    /// kept). Returns `true` if anything was dropped.
     ///
-    /// Plans and searches are pure functions of their keys, so clearing
-    /// only costs recomputation — which is what lets a long-running
-    /// service plan arbitrary user-supplied shapes forever without
-    /// unbounded growth.
+    /// Searches are pure functions of their keys, so clearing only
+    /// costs recomputation — which is what lets a long-running service
+    /// plan arbitrary user-supplied shapes forever without unbounded
+    /// growth.
     pub fn shed_caches_over(&self, max_entries: usize) -> bool {
-        let mut shed = false;
-        {
-            let mut plans = self.plans.write().expect("plan cache lock poisoned");
-            if plans.len() > max_entries {
-                plans.clear();
-                shed = true;
-            }
-        }
         if self.searches.len() > max_entries {
             self.searches.clear();
-            shed = true;
+            return true;
         }
-        shed
+        false
     }
 
     /// Current cache counters.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
-            plan_hits: self.plan_hits.load(Ordering::Relaxed),
-            plan_misses: self.plan_misses.load(Ordering::Relaxed),
-            plan_entries: self.plans.read().expect("plan cache lock poisoned").len(),
             search_hits: self.searches.hits(),
             search_misses: self.searches.misses(),
             search_entries: self.searches.len(),
+            ..EngineStats::default()
         }
     }
 
@@ -686,30 +545,6 @@ impl PlanningEngine {
     }
 }
 
-/// Process-wide plan-cache counters: every engine reports into the
-/// same `pim_plan_cache_*_total` families, mirroring the per-engine
-/// [`EngineStats`] counters onto the metrics endpoint at batch
-/// boundaries (see `mirror_plan_cache`). Handles are registered once
-/// and kept in a static so a flush costs atomic ops, not a registry
-/// lookup.
-fn plan_cache_counter(event: &str) -> &'static pim_telemetry::Counter {
-    static HANDLES: std::sync::OnceLock<[pim_telemetry::Counter; 2]> = std::sync::OnceLock::new();
-    let [hits, misses] = HANDLES.get_or_init(|| {
-        ["pim_plan_cache_hits_total", "pim_plan_cache_misses_total"].map(|name| {
-            pim_telemetry::global().counter(
-                name,
-                "Shape-keyed plan cache events, aggregated over all engines in the process.",
-                &[],
-            )
-        })
-    });
-    if event == "hits" {
-        hits
-    } else {
-        misses
-    }
-}
-
 impl From<pim_nets::NetError> for VwSdkError {
     fn from(err: pim_nets::NetError) -> Self {
         Self::new(err.to_string())
@@ -739,29 +574,39 @@ mod tests {
     }
 
     #[test]
-    fn repeated_shapes_hit_the_plan_cache() {
+    fn repeated_shapes_hit_the_search_memo() {
         let engine = PlanningEngine::new();
         let report = engine.plan_network(&zoo::vgg13(), arr(512, 512)).unwrap();
         assert_eq!(report.layers().len(), 10);
         let stats = engine.stats();
-        // VGG-13's 10 layers cover 9 distinct shapes (conv9 == conv10).
-        assert_eq!(stats.plan_misses, 9 * 3);
-        assert_eq!(stats.plan_hits, 3);
-        assert_eq!(stats.plan_entries, 27);
+        // VGG-13's 10 layers cover 9 distinct shapes (conv9 == conv10);
+        // of the paper trio only VW-SDK searches.
+        assert_eq!(stats.search_misses, 9);
+        assert_eq!(stats.search_hits, 1);
+        assert_eq!(stats.search_entries, 9);
+        assert_eq!(
+            (stats.plan_hits, stats.plan_misses, stats.plan_entries),
+            (0, 0, 0)
+        );
     }
 
     #[test]
-    fn second_run_is_all_hits() {
+    fn second_run_is_all_search_hits() {
         let engine = PlanningEngine::new();
         let first = engine
             .plan_network(&zoo::resnet18_table1(), arr(512, 512))
             .unwrap();
-        let misses_after_first = engine.stats().plan_misses;
+        let after_first = engine.stats();
         let second = engine
             .plan_network(&zoo::resnet18_table1(), arr(512, 512))
             .unwrap();
         assert_eq!(first, second);
-        assert_eq!(engine.stats().plan_misses, misses_after_first);
+        let after_second = engine.stats();
+        assert_eq!(after_second.search_misses, after_first.search_misses);
+        assert_eq!(
+            after_second.search_hits - after_first.search_hits,
+            zoo::resnet18_table1().len() as u64
+        );
     }
 
     #[test]
@@ -831,9 +676,12 @@ mod tests {
         let engine = PlanningEngine::new();
         let layer = ConvLayer::square("c", 56, 3, 128, 256).unwrap();
         // Nothing searched yet: the peek sees nothing and counts nothing.
-        assert_eq!(engine.search_effort(&layer, arr(512, 512)), (0, 0));
+        assert_eq!(
+            engine.search_effort(&layer, arr(512, 512), engine.algorithms()),
+            (0, 0)
+        );
         engine.plan_layer(&layer, arr(512, 512)).unwrap();
-        let (evaluated, pruned) = engine.search_effort(&layer, arr(512, 512));
+        let (evaluated, pruned) = engine.search_effort(&layer, arr(512, 512), engine.algorithms());
         assert!(evaluated > 0 && pruned > 0, "{evaluated}/{pruned}");
         let direct = engine.search(&layer, arr(512, 512), SearchOptions::pruned());
         assert_eq!(evaluated, direct.evaluated() as u64);
@@ -855,12 +703,12 @@ mod tests {
         let engine = PlanningEngine::new();
         engine.plan_network(&zoo::tiny(), arr(64, 64)).unwrap();
         let text = engine.stats().to_string();
-        assert!(text.contains("plans:"), "{text}");
-        assert!(text.contains("searches:"), "{text}");
+        assert!(text.starts_with("searches:"), "{text}");
+        assert!(!text.contains("plans"), "{text}");
     }
 
     #[test]
-    fn per_call_algorithm_sets_share_one_cache() {
+    fn per_call_algorithm_sets_share_one_memo() {
         let engine = PlanningEngine::with_algorithms(&MappingAlgorithm::all());
         let trio = MappingAlgorithm::paper_trio();
         let report = engine
@@ -874,8 +722,8 @@ mod tests {
         );
         assert_eq!(report.algorithms(), &trio);
         // A second call under the full algorithm set reuses every
-        // trio plan already cached.
-        let misses_before = engine.stats().plan_misses;
+        // VW-SDK search already memoized.
+        let before = engine.stats();
         let full = engine
             .plan_network_with(
                 &zoo::resnet18_table1(),
@@ -885,9 +733,9 @@ mod tests {
             .unwrap();
         assert_eq!(full.total_cycles(MappingAlgorithm::VwSdk), Some(4_294));
         let stats = engine.stats();
-        assert!(stats.plan_hits > 0);
-        // Only the non-trio algorithms can miss on the second pass.
-        assert!(stats.plan_misses - misses_before <= 4 * 5);
+        assert_eq!(stats.search_hits - before.search_hits, 5);
+        // Only the two ablation searches can miss on the second pass.
+        assert_eq!(stats.search_misses - before.search_misses, 2 * 5);
     }
 
     #[test]
@@ -909,9 +757,9 @@ mod tests {
         let engine = PlanningEngine::new();
         let first = engine.plan_network(&zoo::vgg13(), arr(512, 512)).unwrap();
         assert!(!engine.shed_caches_over(1_000)); // under the cap: kept
-        assert!(engine.stats().plan_entries > 0);
+        assert_eq!(engine.stats().search_entries, 9);
         assert!(engine.shed_caches_over(0)); // over the cap: cleared
-        assert_eq!(engine.stats().plan_entries, 0);
+        assert_eq!(engine.stats().search_entries, 0);
         let second = engine.plan_network(&zoo::vgg13(), arr(512, 512)).unwrap();
         assert_eq!(first, second);
     }
@@ -931,15 +779,17 @@ mod tests {
     }
 
     #[test]
-    fn repeated_deployments_hit_the_plan_cache() {
+    fn repeated_deployments_hit_the_search_memo() {
         let chip = pim_chip::ChipConfig::new(64, arr(512, 512), 2_000).expect("valid chip config");
         let engine = PlanningEngine::new();
         let first = engine.deploy_network(&zoo::vgg13(), &chip).unwrap();
-        let misses = engine.stats().plan_misses;
+        let before = engine.stats();
         let second = engine.deploy_network(&zoo::vgg13(), &chip).unwrap();
         assert_eq!(first, second);
-        assert_eq!(engine.stats().plan_misses, misses);
-        assert!(engine.stats().plan_hits > 0);
+        let after = engine.stats();
+        assert_eq!(after.search_misses, before.search_misses);
+        assert_eq!(after.search_entries, before.search_entries);
+        assert_eq!(after.search_hits - before.search_hits, 10);
     }
 
     #[test]
@@ -975,17 +825,18 @@ mod tests {
     }
 
     #[test]
-    fn simulate_network_is_bit_exact_and_feeds_the_cache() {
+    fn simulate_network_is_bit_exact_and_feeds_the_memo() {
         let engine = PlanningEngine::new();
         let report = simulate_one(&engine, &zoo::tiny(), arr(64, 64), 42).unwrap();
         assert!(report.is_fully_consistent(), "{report:?}");
         assert_eq!(report.stages.len(), 2);
-        // A second simulation re-plans nothing.
-        let misses = engine.stats().plan_misses;
+        // A second simulation searches nothing.
+        let before = engine.stats();
         let again = simulate_one(&engine, &zoo::tiny(), arr(64, 64), 42).unwrap();
         assert_eq!(report, again);
-        assert_eq!(engine.stats().plan_misses, misses);
-        assert!(engine.stats().plan_hits > 0);
+        let after = engine.stats();
+        assert_eq!(after.search_misses, before.search_misses);
+        assert_eq!(after.search_hits - before.search_hits, 2);
     }
 
     #[test]

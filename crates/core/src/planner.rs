@@ -102,7 +102,7 @@ pub struct LayerComparison {
 
 impl LayerComparison {
     /// Assembles a comparison from pre-computed plans (the planning
-    /// engine builds comparisons out of cached plans).
+    /// engine builds comparisons out of memo-backed plans).
     pub(crate) fn from_parts(layer: ConvLayer, plans: Vec<MappingPlan>) -> Self {
         Self { layer, plans }
     }

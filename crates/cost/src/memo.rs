@@ -26,7 +26,7 @@
 //!
 //! [`SearchCache`] is thread-safe (`RwLock` + atomic counters) and is
 //! shared by reference across the planning engine's worker threads —
-//! and, behind an `Arc`, across the serving tier's shards.
+//! and, through the serving tier's one engine, by every connection.
 //!
 //! # Example
 //!
@@ -194,7 +194,8 @@ impl SearchCache {
     /// search returns identical results and counters for every worker
     /// count, so a result computed at one `jobs` setting serves them
     /// all. Pruned searches additionally reuse the shape's
-    /// [`CandidateTable`] across array geometries.
+    /// [`CandidateTable`] across array geometries; only the leader of a
+    /// cold key fetches it, so a hit costs one read lock.
     pub fn optimal_window_with_jobs(
         &self,
         layer: &ConvLayer,
@@ -207,12 +208,8 @@ impl SearchCache {
             array,
             options,
         };
-        let table = if options.pruned {
-            Some(self.table_for(layer))
-        } else {
-            None
-        };
         self.get_or_compute(key, &|| {
+            let table = options.pruned.then(|| self.table_for(layer));
             search::optimal_window_with_table(layer, array, options, table.as_deref(), jobs)
         })
     }
@@ -445,8 +442,8 @@ impl SearchCache {
 /// endpoint sees aggregate search-cache behaviour regardless of how
 /// many engines a process holds.
 /// Handles are registered once and kept in a static: the hit path runs
-/// on every cached plan, so it must cost one atomic add, not a registry
-/// lookup.
+/// on every warm plan of a search-based algorithm, so it must cost one
+/// atomic add, not a registry lookup.
 fn telemetry_counter(event: &str) -> &'static pim_telemetry::Counter {
     static HANDLES: std::sync::OnceLock<[pim_telemetry::Counter; 3]> = std::sync::OnceLock::new();
     let [hits, misses, evictions] = HANDLES.get_or_init(|| {

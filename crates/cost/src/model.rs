@@ -313,13 +313,26 @@ pub fn sdk_cost(layer: &ConvLayer, array: PimArray) -> SdkCost {
 /// Unconstrained square-window search: minimizes eq. (1) cycles over all
 /// square duplications (ablation baseline "SDK-opt", not in the paper).
 /// Ties keep the smaller `d`.
+///
+/// The scan stops once `AR(d)·G·OW·OH·OC_g ≥ best·cols`. That is
+/// lossless: every window has `NPW·NWP ≥ OW·OH` and
+/// `AC ≥ NWP·OC_g/cols`, so `cycles(d)·cols ≥ AR(d)·G·OW·OH·OC_g`, and
+/// `AR` never falls as `d` grows — no larger window can beat `best`.
 pub fn sdk_min_cycles(layer: &ConvLayer, array: PimArray) -> SdkCost {
+    let (oh, ow) = layer.output_dims();
+    let outputs = [ow, oh, layer.out_channels_per_group(), layer.groups()]
+        .iter()
+        .map(|&n| n as u128)
+        .product::<u128>();
     let mut best =
         sdk_cost_for(layer, array, 1).expect("d=1 window equals the kernel and always fits");
     let mut d = 2;
     while let Some(candidate) = sdk_cost_for(layer, array, d) {
         if candidate.cycles < best.cycles {
             best = candidate;
+        }
+        if candidate.ar_cycles as u128 * outputs >= best.cycles as u128 * array.cols() as u128 {
+            break;
         }
         d += 1;
     }

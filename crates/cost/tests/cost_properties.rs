@@ -16,6 +16,34 @@ fn layer_strategy() -> impl Strategy<Value = ConvLayer> {
     })
 }
 
+/// Layers of every supported kind: rectangular inputs and kernels,
+/// stride, padding, dilation and channel groups.
+fn general_layer_strategy() -> impl Strategy<Value = ConvLayer> {
+    (
+        (1usize..8, 1usize..8),
+        (0usize..48, 0usize..48),
+        1usize..4,
+        0usize..3,
+        1usize..3,
+        (1usize..5, 1usize..96, 1usize..96),
+    )
+        .prop_map(
+            |((kh, kw), (extra_h, extra_w), stride, padding, dilation, (groups, icg, ocg))| {
+                let effective = |k: usize| (k - 1) * dilation + 1;
+                ConvLayer::builder("prop")
+                    .input(effective(kh) + extra_h, effective(kw) + extra_w)
+                    .kernel(kh, kw)
+                    .stride(stride)
+                    .padding(padding)
+                    .dilation(dilation)
+                    .channels(groups * icg, groups * ocg)
+                    .groups(groups)
+                    .build()
+                    .expect("valid by construction")
+            },
+        )
+}
+
 fn array_strategy() -> impl Strategy<Value = PimArray> {
     (
         prop_oneof![Just(64usize), Just(128), Just(256), Just(512), 16usize..600],
@@ -135,6 +163,24 @@ proptest! {
         prop_assert!(pruned.evaluated() <= full.evaluated());
         prop_assert_eq!(pruned.evaluated() + pruned.pruned(), full.evaluated());
         prop_assert!(pruned.feasible() <= full.feasible());
+    }
+
+    /// SDK-opt's early stop is lossless: it picks the same duplication
+    /// as scanning every `d` until the window leaves the input.
+    #[test]
+    fn sdk_min_cycles_equals_the_full_scan(
+        layer in general_layer_strategy(),
+        array in array_strategy(),
+    ) {
+        let mut full = model::sdk_cost_for(&layer, array, 1).expect("d=1 always fits");
+        let mut d = 2;
+        while let Some(candidate) = model::sdk_cost_for(&layer, array, d) {
+            if candidate.cycles < full.cycles {
+                full = candidate;
+            }
+            d += 1;
+        }
+        prop_assert_eq!(model::sdk_min_cycles(&layer, array), full);
     }
 
     /// The kernel-sized "parallel window" evaluated through the VW

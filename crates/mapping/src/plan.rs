@@ -263,35 +263,6 @@ impl MappingPlan {
         )
     }
 
-    /// Returns a copy of this plan re-attributed to `layer`, which must
-    /// have the same shape (the name may differ).
-    ///
-    /// Every field of a plan except the embedded layer is a pure function
-    /// of the layer's *shape*, the array and the algorithm, so a plan
-    /// computed for one layer transfers verbatim to any equally shaped
-    /// layer. This is what lets the planning engine memoize plans by
-    /// [`pim_nets::LayerShape`] and still hand back plans that are
-    /// indistinguishable from planning each layer directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MappingError`] if `layer`'s shape differs from the
-    /// planned layer's shape.
-    pub fn rebound(&self, layer: &ConvLayer) -> Result<MappingPlan> {
-        if !self.layer.same_shape(layer) {
-            return Err(MappingError::new(format!(
-                "cannot rebind plan of {:?} ({:?}) to {:?} ({:?}): shapes differ",
-                self.layer.name(),
-                self.layer.shape(),
-                layer.name(),
-                layer.shape()
-            )));
-        }
-        let mut plan = self.clone();
-        plan.layer = layer.clone();
-        Ok(plan)
-    }
-
     /// Ensures the plan's layer is executable by the layout generator.
     ///
     /// # Errors
@@ -605,28 +576,6 @@ mod tests {
         let p = MappingAlgorithm::VwSdk.plan(&dw, arr(512, 512)).unwrap();
         assert!(p.cycles() > 0);
         assert!(p.check_layout_supported().is_err());
-    }
-
-    #[test]
-    fn rebound_equals_direct_planning() {
-        let a = arr(512, 512);
-        for alg in MappingAlgorithm::all() {
-            let original = alg.plan(&layer(14, 3, 256, 256), a).unwrap();
-            let renamed = ConvLayer::square("other-name", 14, 3, 256, 256).unwrap();
-            let rebound = original.rebound(&renamed).unwrap();
-            assert_eq!(rebound, alg.plan(&renamed, a).unwrap());
-            assert_eq!(rebound.layer().name(), "other-name");
-        }
-    }
-
-    #[test]
-    fn rebound_rejects_different_shapes() {
-        let plan = MappingAlgorithm::VwSdk
-            .plan(&layer(14, 3, 256, 256), arr(512, 512))
-            .unwrap();
-        let other = layer(14, 3, 256, 512);
-        let err = plan.rebound(&other).unwrap_err();
-        assert!(err.to_string().contains("shapes differ"));
     }
 
     #[test]

@@ -159,8 +159,9 @@ pub fn report_summary_json(report: &NetworkReport) -> JsonValue {
 /// wire format and the CLI's file format cannot drift apart. Each
 /// report summary additionally carries a `"search"` array with the
 /// per-layer candidate counts (`evaluated`/`pruned`) the engine's
-/// memoized window searches actually spent, so sweep output explains
-/// its own planning cost.
+/// memoized window searches spent on that report's own algorithms, so
+/// sweep output explains its own planning cost whatever else the
+/// engine has planned.
 pub fn sweep_json(
     reports: &[NetworkReport],
     stats: &EngineStats,
@@ -175,8 +176,11 @@ pub fn sweep_json(
                     members.push((
                         "search".to_string(),
                         JsonValue::array(report.layers().iter().map(|cmp| {
-                            let (evaluated, pruned) =
-                                engine.search_effort(cmp.layer(), report.array());
+                            let (evaluated, pruned) = engine.search_effort(
+                                cmp.layer(),
+                                report.array(),
+                                report.algorithms(),
+                            );
                             JsonValue::object([
                                 ("layer", JsonValue::from(cmp.layer().name())),
                                 ("evaluated", evaluated.into()),
@@ -294,9 +298,6 @@ pub fn simulation_json(report: &pim_sim::SimulationReport) -> JsonValue {
 /// Cache counters as JSON (the service's cache-hit stats).
 pub fn stats_json(stats: &EngineStats) -> JsonValue {
     JsonValue::object([
-        ("plan_hits", stats.plan_hits.into()),
-        ("plan_misses", stats.plan_misses.into()),
-        ("plan_entries", stats.plan_entries.into()),
         ("search_hits", stats.search_hits.into()),
         ("search_misses", stats.search_misses.into()),
         ("search_entries", stats.search_entries.into()),

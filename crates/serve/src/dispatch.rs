@@ -60,7 +60,8 @@ fn log_escape(text: &str) -> String {
 }
 
 /// Answers one request outcome: parse failures become their carried
-/// 4xx, routed requests run their handler on `shard`'s engine. Every
+/// 4xx, routed requests run their handler on the state's one engine
+/// (handlers ignore `shard`, the connection's event-loop shard). Every
 /// path — success, client error, handler panic — renders a complete
 /// response; the connection is only ever dropped by the I/O layer.
 ///

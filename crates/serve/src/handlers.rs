@@ -230,14 +230,17 @@ fn network_field(body: &JsonValue) -> Result<Network, HandlerError> {
 
 /// `POST /v1/plan` — body: `{"network": NAME | "spec": {...},
 /// "array"?: "RxC" | {"rows","cols"}, "algorithms"?: [LABEL, ...]}`.
-pub fn plan(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonValue, HandlerError> {
+///
+/// Every handler takes the calling connection's shard index and
+/// ignores it: all shards share the state's one engine.
+pub fn plan(state: &ServerState, _shard: usize, body: &[u8]) -> Result<JsonValue, HandlerError> {
     let body = parse_body(body)?;
     check_known_fields(&body, &["network", "spec", "array", "algorithms"])?;
     let network = network_field(&body)?;
     let array = array_field(&body)?;
     let algorithms = algorithms_field(&body)?;
     let report = state
-        .engine_at(shard)
+        .engine()
         .plan_network_with(&network, array, &algorithms)
         .map_err(|e| unprocessable(e.to_string()))?;
     state.trim_caches();
@@ -251,7 +254,7 @@ pub fn plan(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonValue,
 /// `POST /v1/sweep` — body: `{"networks"?: [NAME, ...] | "all",
 /// "specs"?: [{...}, ...], "arrays"?: ["RxC", ...], "algorithms"?}`.
 /// Defaults: the whole zoo × the paper's Fig. 8(b) array sizes.
-pub fn sweep(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonValue, HandlerError> {
+pub fn sweep(state: &ServerState, _shard: usize, body: &[u8]) -> Result<JsonValue, HandlerError> {
     let body = parse_body(body)?;
     check_known_fields(&body, &["networks", "specs", "arrays", "algorithms"])?;
 
@@ -308,18 +311,14 @@ pub fn sweep(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonValue
         for &array in &arrays {
             reports.push(
                 state
-                    .engine_at(shard)
+                    .engine()
                     .plan_network_with(network, array, &algorithms)
                     .map_err(|e| unprocessable(e.to_string()))?,
             );
         }
     }
     state.trim_caches();
-    Ok(api::sweep_json(
-        &reports,
-        &state.stats(),
-        state.engine_at(shard),
-    ))
+    Ok(api::sweep_json(&reports, &state.stats(), state.engine()))
 }
 
 /// `POST /v1/deploy` — body: `{"network": NAME | "spec": {...},
@@ -331,7 +330,7 @@ pub fn sweep(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonValue
 /// The response is [`api::deployment_json`] exactly — no appended cache
 /// member — so `vwsdk deploy --format json` and this endpoint answer
 /// identical JSON for the same question.
-pub fn deploy(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonValue, HandlerError> {
+pub fn deploy(state: &ServerState, _shard: usize, body: &[u8]) -> Result<JsonValue, HandlerError> {
     let body = parse_body(body)?;
     check_known_fields(
         &body,
@@ -367,7 +366,7 @@ pub fn deploy(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonValu
     let chip =
         ChipConfig::new(n_arrays, array, reprogram).map_err(|e| unprocessable(e.to_string()))?;
     let deployment = state
-        .engine_at(shard)
+        .engine()
         .deploy_network_with(&network, &chip, &algorithms)
         .map_err(|e| unprocessable(e.to_string()))?;
     state.trim_caches();
@@ -383,7 +382,7 @@ pub fn deploy(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonValu
 /// Defaults: VW-SDK plans on the paper's 512×512 array, seed 2024,
 /// quantized mode, batch 1.
 ///
-/// Plans every layer through the shared engine cache, programs the
+/// Plans every layer through the shared search memo, programs the
 /// plans once, streams `batch` deterministic seed-derived inputs
 /// through the deployment end to end on the functional simulator, and
 /// answers the per-stage executed-vs-predicted report (counters summed
@@ -394,7 +393,11 @@ pub fn deploy(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonValu
 /// The response is [`api::simulation_json`] exactly — no appended cache
 /// member — so `vwsdk simulate --format json` and this endpoint answer
 /// identical JSON for the same question.
-pub fn simulate(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonValue, HandlerError> {
+pub fn simulate(
+    state: &ServerState,
+    _shard: usize,
+    body: &[u8],
+) -> Result<JsonValue, HandlerError> {
     let body = parse_body(body)?;
     check_known_fields(
         &body,
@@ -469,7 +472,7 @@ pub fn simulate(state: &ServerState, shard: usize, body: &[u8]) -> Result<JsonVa
     // Stream workers stay at 1: the connection pool is the server's
     // parallelism budget, one core per in-flight request.
     let report = state
-        .engine_at(shard)
+        .engine()
         .simulate_network_batch_with(&network, array, algorithm, seed, mode, batch as usize, 1)
         .map_err(|e| unprocessable(e.to_string()))?;
     state.trim_caches();
@@ -984,13 +987,52 @@ mod tests {
     }
 
     #[test]
-    fn repeated_plans_hit_the_shared_cache() {
+    fn repeated_plans_hit_the_shared_memo() {
         let s = state();
         plan(&s, 0, br#"{"network": "resnet18"}"#).unwrap();
-        let first = s.engine().stats();
-        plan(&s, 0, br#"{"network": "resnet18"}"#).unwrap();
-        let second = s.engine().stats();
-        assert_eq!(first.plan_misses, second.plan_misses);
-        assert!(second.plan_hits > first.plan_hits);
+        let first = s.stats();
+        plan(&s, 1, br#"{"network": "resnet18"}"#).unwrap();
+        let second = s.stats();
+        assert_eq!(first.search_misses, second.search_misses);
+        assert_eq!(second.search_hits - first.search_hits, 5);
+    }
+
+    /// Per-layer `evaluated` counts of a sweep response's reports.
+    fn sweep_effort(response: &JsonValue) -> Vec<u64> {
+        let reports = response.get("reports").and_then(JsonValue::as_array);
+        reports
+            .into_iter()
+            .flatten()
+            .flat_map(|r| r.get("search").and_then(JsonValue::as_array).unwrap())
+            .map(|l| l.get("evaluated").and_then(JsonValue::as_u64).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn sweep_search_effort_does_not_depend_on_earlier_requests() {
+        let s = state();
+        let body = br#"{"networks": ["tiny"], "arrays": ["256x256"]}"#;
+        let first = sweep(&s, 0, body).unwrap();
+        assert_eq!(sweep_effort(&first), [35, 15]);
+        // A plan under an ablation algorithm memoizes a second search
+        // for the same layers; the trio sweep must not count it.
+        plan(
+            &s,
+            0,
+            br#"{"network": "tiny", "array": "256x256", "algorithms": ["VW-SDK (square)"]}"#,
+        )
+        .unwrap();
+        let again = sweep(&s, 0, body).unwrap();
+        assert_eq!(sweep_effort(&again), [35, 15]);
+        // The same reports `vwsdk sweep --format json` prints.
+        let engine = vw_sdk::PlanningEngine::new();
+        let reports = engine
+            .sweep_arrays(&[zoo::tiny()], &[PimArray::new(256, 256).unwrap()])
+            .unwrap();
+        let cli = api::sweep_json(&reports, &engine.stats(), &engine);
+        assert_eq!(
+            again.get("reports").map(JsonValue::render),
+            cli.get("reports").map(JsonValue::render)
+        );
     }
 }

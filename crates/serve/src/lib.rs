@@ -8,9 +8,9 @@
 //! offline dependency policy): an incremental HTTP/1.1 parser
 //! ([`http`]), a sharded non-blocking event loop (`event_loop`, over
 //! [`pim_netpoll`]), a fixed worker pool ([`pool`]), a closed route
-//! table ([`router`]) and pure JSON handlers ([`handlers`]) over
-//! per-shard [`PlanningEngine`](vw_sdk::PlanningEngine)s that share
-//! one single-flight search memo.
+//! table ([`router`]) and pure JSON handlers ([`handlers`]) over one
+//! [`PlanningEngine`](vw_sdk::PlanningEngine), whose single-flight
+//! search memo is the process's only planning cache.
 //!
 //! # The API
 //!
@@ -93,9 +93,9 @@ use std::time::Duration;
 pub struct ServeConfig {
     /// Handler worker threads (`0` = one per available core).
     pub jobs: usize,
-    /// Event-loop shards, each with its own planning engine over the
-    /// shared search memo (`0` = auto: enough for the machine, capped
-    /// at 4 — shards are I/O threads, not compute).
+    /// Event-loop shards: I/O threads that all hand requests to the one
+    /// planning engine (`0` = auto: enough for the machine, capped at
+    /// 4 — shards are I/O threads, not compute).
     pub shards: usize,
     /// Idle, per-request read, and response-write deadline. Handler
     /// execution gets a separate generous fixed grace.

@@ -2,24 +2,22 @@
 
 use pim_mapping::MappingAlgorithm;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use vw_sdk::{EngineStats, PlanningEngine};
 
 /// State shared (behind an `Arc`) across the server's shard and worker
-/// threads: one [`PlanningEngine`] **per shard** — connections are
-/// pinned to a shard, so its plan cache sees related traffic without
-/// cross-shard lock contention — all feeding one shared Algorithm 1
-/// search memo, which is therefore a single single-flight coalescing
-/// domain: identical cold shapes landing on different shards still
-/// trigger exactly one search.
+/// threads: one [`PlanningEngine`] whose Algorithm 1 search memo is
+/// the process's single single-flight coalescing domain — identical
+/// cold shapes arriving on any connection trigger exactly one search.
+/// Shards are only I/O threads; they share everything here.
 ///
-/// Each engine is configured with *every* implemented algorithm and
+/// The engine is configured with *every* implemented algorithm and
 /// plans inline (`jobs = 1`): parallelism comes from serving many
 /// connections at once, and inline planning keeps each response's
 /// bytes independent of worker scheduling.
 #[derive(Debug)]
 pub struct ServerState {
-    engines: Vec<PlanningEngine>,
+    engine: PlanningEngine,
+    shards: usize,
     requests: AtomicU64,
     pool_size: usize,
     access_log: AtomicBool,
@@ -27,23 +25,17 @@ pub struct ServerState {
 
 impl ServerState {
     /// State for a server with `pool_size` connection workers and one
-    /// planning shard (the embedded-server default).
+    /// event-loop shard (the embedded-server default).
     pub fn new(pool_size: usize) -> Self {
         Self::with_shards(pool_size, 1)
     }
 
-    /// State with `shards` planning engines over one shared search
-    /// memo. Both arguments are clamped to ≥ 1.
+    /// State for a server whose event loop runs `shards` I/O threads,
+    /// as reported by `/healthz`. Both arguments are clamped to ≥ 1.
     pub fn with_shards(pool_size: usize, shards: usize) -> Self {
-        let searches = Arc::new(pim_cost::memo::SearchCache::new());
-        let engines = (0..shards.max(1))
-            .map(|_| {
-                PlanningEngine::with_algorithms(&MappingAlgorithm::all())
-                    .with_search_cache(Arc::clone(&searches))
-            })
-            .collect();
         Self {
-            engines,
+            engine: PlanningEngine::with_algorithms(&MappingAlgorithm::all()),
+            shards: shards.max(1),
             requests: AtomicU64::new(0),
             pool_size: pool_size.max(1),
             access_log: AtomicBool::new(false),
@@ -62,40 +54,19 @@ impl ServerState {
         self.access_log.load(Ordering::Relaxed)
     }
 
-    /// The first shard's planning engine (the whole engine when the
-    /// server is unsharded).
+    /// The planning engine every request runs on.
     pub fn engine(&self) -> &PlanningEngine {
-        &self.engines[0]
+        &self.engine
     }
 
-    /// The planning engine serving `shard` (indices wrap, so any
-    /// non-negative shard number is valid).
-    pub fn engine_at(&self, shard: usize) -> &PlanningEngine {
-        &self.engines[shard % self.engines.len()]
-    }
-
-    /// Number of planning shards.
+    /// Number of event-loop shards.
     pub fn shards(&self) -> usize {
-        self.engines.len()
+        self.shards
     }
 
-    /// Cache counters aggregated across every shard. Plan counters sum;
-    /// search counters are read once — the search memo is shared, so
-    /// every engine reports the same table.
+    /// The engine's cache counters.
     pub fn stats(&self) -> EngineStats {
-        let mut total = EngineStats::default();
-        for (index, engine) in self.engines.iter().enumerate() {
-            let stats = engine.stats();
-            total.plan_hits += stats.plan_hits;
-            total.plan_misses += stats.plan_misses;
-            total.plan_entries += stats.plan_entries;
-            if index == 0 {
-                total.search_hits = stats.search_hits;
-                total.search_misses = stats.search_misses;
-                total.search_entries = stats.search_entries;
-            }
-        }
-        total
+        self.engine.stats()
     }
 
     /// Connection workers serving this state.
@@ -113,16 +84,14 @@ impl ServerState {
         self.requests.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Caps every engine's cache footprint. Called after every planning
+    /// Caps the engine's cache footprint. Called after every planning
     /// request: clients may iterate over arbitrarily many distinct
     /// shapes, and an unbounded memo table would grow until OOM.
     pub fn trim_caches(&self) {
         /// Generous for real workloads (the whole zoo × the Fig. 8(b)
-        /// sweep stores < 1k plans) while bounding hostile traffic.
+        /// sweep stores < 1k searches) while bounding hostile traffic.
         const MAX_CACHE_ENTRIES: usize = 65_536;
-        for engine in &self.engines {
-            engine.shed_caches_over(MAX_CACHE_ENTRIES);
-        }
+        self.engine.shed_caches_over(MAX_CACHE_ENTRIES);
     }
 }
 
@@ -145,36 +114,7 @@ mod tests {
         let state = ServerState::new(4);
         assert_eq!(state.engine().algorithms().len(), 7);
         assert_eq!(state.engine().jobs(), 1);
-    }
-
-    #[test]
-    fn shards_share_one_search_memo() {
-        let state = ServerState::with_shards(2, 3);
-        assert_eq!(state.shards(), 3);
-        let layer = pim_nets::ConvLayer::square("l", 8, 3, 2, 2).unwrap();
-        let array = pim_arch::PimArray::new(64, 64).unwrap();
-        state
-            .engine_at(0)
-            .plan(&layer, array, pim_mapping::MappingAlgorithm::VwSdk)
-            .unwrap();
-        let after_first = state.stats();
-        assert_eq!(after_first.search_misses, 1);
-        // The same shape on another shard re-plans (plan caches are
-        // per-shard) but never re-searches: the memo is shared.
-        state
-            .engine_at(1)
-            .plan(&layer, array, pim_mapping::MappingAlgorithm::VwSdk)
-            .unwrap();
-        let after_second = state.stats();
-        assert_eq!(after_second.search_misses, 1);
-        assert!(after_second.search_hits > after_first.search_hits);
-        assert_eq!(after_second.plan_misses, 2);
-    }
-
-    #[test]
-    fn engine_at_wraps_shard_indices() {
-        let state = ServerState::with_shards(1, 2);
-        assert!(std::ptr::eq(state.engine_at(0), state.engine_at(2)));
-        assert!(std::ptr::eq(state.engine_at(1), state.engine_at(3)));
+        assert_eq!(ServerState::with_shards(2, 3).shards(), 3);
+        assert_eq!(ServerState::with_shards(2, 0).shards(), 1);
     }
 }

@@ -97,9 +97,9 @@ fn concurrent_plans_are_byte_identical_to_the_sequential_planner() {
         }
     });
 
-    // The repeats hit the shared plan cache.
-    let stats = handle.state().engine().stats();
-    assert!(stats.plan_hits > 0, "no cache hits after 24 requests");
+    // The repeats hit the shared search memo.
+    let stats = handle.state().stats();
+    assert!(stats.search_hits > 0, "no memo hits after 24 requests");
     handle.shutdown();
 }
 

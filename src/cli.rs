@@ -22,8 +22,9 @@
 //! ```
 //!
 //! `plan` and `layer` run through one process-wide, shape-memoizing
-//! [`PlanningEngine`] — the same cache path the `vwsdk serve` daemon
-//! uses — so repeated shapes are planned once no matter the entry point.
+//! [`PlanningEngine`] — the same search memo path the `vwsdk serve`
+//! daemon uses — so repeated shapes are searched once no matter the
+//! entry point.
 
 use pim_arch::{presets, PimArray};
 use pim_mapping::MappingAlgorithm;
@@ -895,7 +896,7 @@ fn load_spec_network(path: &str) -> std::result::Result<Network, CliError> {
 }
 
 /// The process-wide planning engine: `plan`, `layer` and the serve
-/// daemon's in-process siblings all share this one shape-keyed cache,
+/// daemon's in-process siblings all share this one shape-keyed memo,
 /// configured with every implemented algorithm so any subset can be
 /// answered per call.
 fn shared_engine() -> &'static PlanningEngine {
