@@ -22,7 +22,9 @@ fn bench_batched_execution(c: &mut Criterion) {
         array: PimArray::new(96, 64).expect("positive dimensions"),
         ..SimBenchOptions::default()
     };
-    let prepared = PreparedSim::<i64>::new(&options, *BATCHES.last().expect("non-empty"))
+    // `i32` is the width `simulate` picks for lenet5 in quantized mode
+    // (`pim_sim::ScalarWidth::for_network`).
+    let prepared = PreparedSim::<i32>::new(&options, *BATCHES.last().expect("non-empty"))
         .expect("lenet5 prepares");
 
     let mut group = c.benchmark_group("batch_sim");

@@ -15,7 +15,7 @@
 use pim_arch::PimArray;
 use pim_mapping::{MappingAlgorithm, MappingPlan};
 use pim_nets::{zoo, Network};
-use pim_sim::{ExecMode, NetworkExecutor};
+use pim_sim::{ExecMode, NetworkExecutor, ScalarWidth};
 use pim_tensor::{gen, Scalar, Tensor3, Tensor4};
 use std::time::Instant;
 
@@ -218,8 +218,7 @@ impl<T: Scalar + Send + Sync> PreparedSim<T> {
     /// Returns a message when the network is unknown or a layer cannot
     /// be planned.
     pub fn new(options: &SimBenchOptions, max_batch: usize) -> Result<Self, String> {
-        let network = zoo::by_name(&options.network)
-            .ok_or_else(|| format!("unknown zoo network {:?}", options.network))?;
+        let network = zoo_network(&options.network)?;
         let plans = network
             .layers()
             .iter()
@@ -305,10 +304,17 @@ pub fn run(options: &SimBenchOptions) -> Result<SimBenchReport, String> {
     if options.batches.windows(2).any(|w| w[1] <= w[0]) {
         return Err("batch sweep must be strictly ascending".to_string());
     }
-    match options.mode {
-        ExecMode::Exact => run_as::<i128>(options),
-        ExecMode::Quantized => run_as::<i64>(options),
+    // The width `simulate` runs the same network and mode in.
+    let network = zoo_network(&options.network)?;
+    match ScalarWidth::for_network(&network, options.mode).map_err(|e| e.to_string())? {
+        ScalarWidth::I32 => run_as::<i32>(options),
+        ScalarWidth::I64 => run_as::<i64>(options),
+        ScalarWidth::I128 => run_as::<i128>(options),
     }
+}
+
+fn zoo_network(name: &str) -> Result<Network, String> {
+    zoo::by_name(name).ok_or_else(|| format!("unknown zoo network {name:?}"))
 }
 
 fn run_as<T: Scalar + Send + Sync>(options: &SimBenchOptions) -> Result<SimBenchReport, String> {

@@ -6,7 +6,7 @@
 //! correct: the [`NetworkExecutor`] takes a [`Network`] together with
 //! its per-layer [`MappingPlan`]s, programs each stage's tiles into
 //! crossbars once, executes the stage on each streamed feature map,
-//! applies the stage's digital [`InterOp`](pim_nets::InterOp)s (ReLU,
+//! applies the stage's digital [`InterOp`]s (ReLU,
 //! pooling), and hands the result to the next stage — exactly the data
 //! flow of a pipelined PIM chip processing a stream of images. A chip
 //! [`Deployment`] runs through [`simulate_deployment_batch`], which
@@ -29,7 +29,7 @@ use crate::{Result, SimError};
 use pim_arch::energy::EnergyModel;
 use pim_chip::allocate::Deployment;
 use pim_mapping::{MappingAlgorithm, MappingPlan};
-use pim_nets::Network;
+use pim_nets::{InterOp, Network};
 use pim_tensor::forward::{self, ExecMode};
 use pim_tensor::{gen, ops, Scalar, Tensor3, Tensor4};
 use std::num::NonZeroUsize;
@@ -440,17 +440,17 @@ fn ifm_seed(seed: u64, element: usize) -> u64 {
 /// pass on the same workers and batch shards. Batch element 0 uses
 /// `seed` itself.
 ///
-/// The scalar domain follows the mode: [`ExecMode::Quantized`] runs in
-/// `i64` (the inter-stage requantization bounds magnitudes at any
-/// depth), [`ExecMode::Exact`] runs in `i128` (headroom for the
-/// executable zoo networks' unbounded exact growth). Both are exact
-/// integer arithmetic, so "matches" means bit-exact.
+/// The scalar domain is [`ScalarWidth::for_network`]: the narrowest of
+/// `i32` / `i64` / `i128` that provably holds every value the network
+/// computes in `mode`. Integer arithmetic that never overflows gives
+/// the same values at any width, so the report does not depend on the
+/// choice, and "matches" means bit-exact.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] under the same conditions as
-/// [`NetworkExecutor::execute_batch`], for an empty network, or when
-/// `batch == 0`.
+/// [`NetworkExecutor::execute_batch`] and [`ScalarWidth::for_network`],
+/// for an empty network, or when `batch == 0`.
 pub fn simulate_network_batch(
     network: &Network,
     plans: &[MappingPlan],
@@ -462,15 +462,10 @@ pub fn simulate_network_batch(
     if batch == 0 {
         return Err(SimError::new("batch must be at least 1"));
     }
-    match mode {
-        ExecMode::Exact => {
-            check_headroom(network, mode, 120.0)?;
-            simulate_batch_as::<i128>(network, plans, seed, mode, batch, jobs)
-        }
-        ExecMode::Quantized => {
-            check_headroom(network, mode, 60.0)?;
-            simulate_batch_as::<i64>(network, plans, seed, mode, batch, jobs)
-        }
+    match ScalarWidth::for_network(network, mode)? {
+        ScalarWidth::I32 => simulate_batch_as::<i32>(network, plans, seed, mode, batch, jobs),
+        ScalarWidth::I64 => simulate_batch_as::<i64>(network, plans, seed, mode, batch, jobs),
+        ScalarWidth::I128 => simulate_batch_as::<i128>(network, plans, seed, mode, batch, jobs),
     }
 }
 
@@ -499,39 +494,89 @@ pub fn simulate_deployment_batch(
     simulate_network_batch(network, &plans, seed, mode, batch, jobs)
 }
 
-/// Rejects simulations whose worst-case activation magnitudes could
-/// exceed the scalar domain's headroom — in release builds integer
-/// overflow wraps *identically* on the executor and reference sides,
-/// which would report "bit-exact" over garbage values.
-///
-/// The bound is conservative and tracked in log₂ domain: generated
-/// inputs and weights satisfy `|v| ≤ 8` (2³), each convolution
-/// multiplies the bound by `terms · 8` where `terms = (IC/g)·Kh·Kw`,
-/// pooling and ReLU never increase it, and the quantized mode's
-/// requantization resets it to 127 (2⁷) after every stage.
-fn check_headroom(network: &Network, mode: ExecMode, limit_bits: f64) -> Result<()> {
-    let mut log2_bound = 3.0;
-    for layer in network.layers() {
-        let terms = (layer.in_channels_per_group() * layer.kernel_h() * layer.kernel_w()) as f64;
-        log2_bound += terms.log2() + 3.0;
-        if log2_bound > limit_bits {
-            return Err(SimError::new(format!(
-                "worst-case activations at layer {:?} need ~2^{:.0} headroom, over the \
-                 {limit_bits:.0}-bit budget of {mode} mode{}",
-                layer.name(),
-                log2_bound,
-                if mode == ExecMode::Exact {
-                    "; use quantized mode"
-                } else {
-                    ""
-                }
-            )));
-        }
-        if mode == ExecMode::Quantized {
-            log2_bound = 7.0;
+/// The integer width a simulation runs in. Each width has a headroom
+/// budget: the largest worst-case log₂ magnitude it accepts. `i32` and
+/// `i64` keep 3 bits below their 31 / 63 value bits, `i128` keeps 7.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ScalarWidth {
+    /// `i32`, for worst-case magnitudes up to 2²⁸.
+    I32,
+    /// `i64`, for worst-case magnitudes up to 2⁶⁰.
+    I64,
+    /// `i128`, for worst-case magnitudes up to 2¹²⁰.
+    I128,
+}
+
+impl ScalarWidth {
+    /// The largest worst-case log₂ magnitude this width runs exactly.
+    fn budget_bits(self) -> u32 {
+        match self {
+            Self::I32 => 28,
+            Self::I64 => 60,
+            Self::I128 => 120,
         }
     }
-    Ok(())
+
+    /// The narrowest width whose budget holds the worst-case magnitude
+    /// of every value a simulation of `network` in `mode` computes.
+    ///
+    /// The bound is conservative and tracked in log₂ domain. Generated
+    /// inputs and weights satisfy `|v| ≤` [`gen::MAGNITUDE`] (2³). Each
+    /// convolution multiplies the bound by `terms · 2³`, where
+    /// `terms = (IC/g)·Kh·Kw`; every partial sum the crossbar or the
+    /// reference accumulates stays under it too. An average pool's
+    /// window sum multiplies it by `k²` before the divide, and the bound
+    /// after the pool is the bound before it. Max pooling and ReLU never
+    /// increase it, and the quantized mode's requantization resets it
+    /// to 127 (< 2⁷) after every stage. In exact mode, inputs and
+    /// weights that all equal [`gen::MAGNITUDE`] reach the bound exactly
+    /// on a chain of unpadded convolutions.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] naming the first layer whose bound exceeds
+    /// the `i128` budget: in release builds integer overflow wraps
+    /// *identically* on the executor and reference sides, which would
+    /// report "bit-exact" over garbage values.
+    pub fn for_network(network: &Network, mode: ExecMode) -> Result<Self> {
+        let magnitude_bits = f64::from(gen::MAGNITUDE).log2();
+        let limit_bits = Self::I128.budget_bits();
+        let (mut bound, mut peak) = (magnitude_bits, magnitude_bits);
+        for (i, layer) in network.layers().iter().enumerate() {
+            let terms = layer.in_channels_per_group() * layer.kernel_h() * layer.kernel_w();
+            bound += (terms as f64).log2() + magnitude_bits;
+            let pool_sum = network
+                .ops_after(i)
+                .iter()
+                .filter_map(|op| match op {
+                    InterOp::AvgPool { kernel, .. } => Some(((kernel * kernel) as f64).log2()),
+                    _ => None,
+                })
+                .fold(0.0, f64::max);
+            let stage_peak = bound + pool_sum;
+            if stage_peak > f64::from(limit_bits) {
+                return Err(SimError::new(format!(
+                    "worst-case activations at layer {:?} need ~2^{:.0} headroom, over the \
+                     {limit_bits}-bit budget of {mode} mode{}",
+                    layer.name(),
+                    stage_peak,
+                    if mode == ExecMode::Exact {
+                        "; use quantized mode"
+                    } else {
+                        ""
+                    }
+                )));
+            }
+            peak = peak.max(stage_peak);
+            if mode == ExecMode::Quantized {
+                bound = 7.0;
+            }
+        }
+        Ok([Self::I32, Self::I64, Self::I128]
+            .into_iter()
+            .find(|width| peak <= f64::from(width.budget_bits()))
+            .expect("the peak is within the widest budget"))
+    }
 }
 
 /// The `batch` input feature maps and the per-layer weight banks a
@@ -638,7 +683,7 @@ fn verify_batch<T: Scalar + Send + Sync>(
 mod tests {
     use super::*;
     use pim_arch::PimArray;
-    use pim_nets::zoo;
+    use pim_nets::{zoo, ConvLayer};
 
     fn plans_for(network: &Network, array: PimArray, alg: MappingAlgorithm) -> Vec<MappingPlan> {
         network
@@ -843,9 +888,153 @@ mod tests {
         assert!(err.to_string().contains("batch"), "{err}");
     }
 
+    /// An unpadded 1×1 convolution chain on a `side`×`side` input whose
+    /// worst-case bound is exactly `bits`: each stage adds
+    /// log₂(MAGNITUDE) + log₂(IC) bits, with IC a power of two ≤ 512.
+    fn chain_with_bound(bits: u32, side: usize) -> Network {
+        let magnitude_bits = gen::MAGNITUDE.ilog2();
+        let rest = bits - magnitude_bits;
+        let stages = rest.div_ceil(magnitude_bits + 9);
+        let mut spare = rest - stages * magnitude_bits;
+        let channels: Vec<usize> = (0..stages)
+            .map(|_| {
+                let k = spare.min(9);
+                spare -= k;
+                1 << k
+            })
+            .collect();
+        let mut net = Network::new(format!("chain-{bits}"));
+        for (i, &ic) in channels.iter().enumerate() {
+            let oc = channels.get(i + 1).copied().unwrap_or(2);
+            net.push(ConvLayer::square(format!("c{i}"), side, 1, ic, oc).unwrap());
+        }
+        net
+    }
+
+    /// Executor and reference outputs of `net` in exact mode on
+    /// all-`MAGNITUDE` inputs and weights, widened to `i128`.
+    fn extreme_run<T: Scalar + Send + Sync + Into<i128>>(
+        net: &Network,
+        plans: &[MappingPlan],
+    ) -> (Vec<i128>, Vec<i128>) {
+        let top = T::from_u16(gen::MAGNITUDE);
+        let first = &net.layers()[0];
+        let (c, h, w) = (first.in_channels(), first.input_h(), first.input_w());
+        let ifm = Tensor3::from_vec(c, h, w, vec![top; c * h * w]).unwrap();
+        let weights: Vec<Tensor4<T>> = net
+            .layers()
+            .iter()
+            .map(|l| {
+                let dims = (l.out_channels(), l.in_channels_per_group());
+                let len = dims.0 * dims.1 * l.kernel_h() * l.kernel_w();
+                Tensor4::from_vec(dims.0, dims.1, l.kernel_h(), l.kernel_w(), vec![top; len])
+                    .unwrap()
+            })
+            .collect();
+        let run = NetworkExecutor::new()
+            .with_mode(ExecMode::Exact)
+            .execute_batch(net, plans, std::slice::from_ref(&ifm), &weights, 1)
+            .unwrap();
+        let reference = forward::forward(net, &ifm, &weights, ExecMode::Exact).unwrap();
+        let widen = |t: &Tensor3<T>| t.as_slice().iter().map(|&v| v.into()).collect();
+        (widen(&run.ofms()[0]), widen(&reference))
+    }
+
+    #[test]
+    fn worst_case_data_at_each_budget_edge_is_exact_at_the_chosen_width() {
+        // Overflow checks are on in test builds, so a budget set looser
+        // than its width holds panics here.
+        let array = PimArray::new(512, 512).unwrap();
+        for (width, next) in [
+            (ScalarWidth::I32, ScalarWidth::I64),
+            (ScalarWidth::I64, ScalarWidth::I128),
+        ] {
+            let bits = width.budget_bits();
+            let net = chain_with_bound(bits, 2);
+            assert_eq!(ScalarWidth::for_network(&net, ExecMode::Exact), Ok(width));
+            let over = chain_with_bound(bits + 1, 2);
+            assert_eq!(ScalarWidth::for_network(&over, ExecMode::Exact), Ok(next));
+            let plans = plans_for(&net, array, MappingAlgorithm::VwSdk);
+            let wide = extreme_run::<i128>(&net, &plans);
+            // All-MAGNITUDE data reaches the bound exactly.
+            assert!(wide.0.iter().all(|&v| v == 1 << bits), "{width:?}");
+            assert_eq!(wide.0, wide.1, "{width:?}");
+            let narrow = match width {
+                ScalarWidth::I32 => extreme_run::<i32>(&net, &plans),
+                _ => extreme_run::<i64>(&net, &plans),
+            };
+            assert_eq!(narrow, wide, "{width:?}");
+        }
+    }
+
+    #[test]
+    fn exact_mode_refuses_an_average_pool_sum_over_the_widest_budget() {
+        // The convolutions stay 2 bits under the i128 budget; the 3x3
+        // pool's window sum adds log2(9) ≈ 3.17 bits before its divide.
+        let chain = chain_with_bound(ScalarWidth::I128.budget_bits() - 2, 3);
+        assert_eq!(
+            ScalarWidth::for_network(&chain, ExecMode::Exact),
+            Ok(ScalarWidth::I128)
+        );
+        let (last, body) = chain.layers().split_last().unwrap();
+        let mut net = Network::new("pooled");
+        for layer in body {
+            net.push(layer.clone());
+        }
+        net.push_stage(last.clone(), vec![InterOp::avg_pool(3)]);
+        let array = PimArray::new(512, 512).unwrap();
+        let plans = plans_for(&net, array, MappingAlgorithm::Im2col);
+        let err = simulate_network_batch(&net, &plans, 1, ExecMode::Exact, 1, 1).unwrap_err();
+        assert!(err.to_string().contains("quantized"), "{err}");
+        // Quantized mode, which the error suggests, runs it in i32.
+        assert_eq!(
+            ScalarWidth::for_network(&net, ExecMode::Quantized),
+            Ok(ScalarWidth::I32)
+        );
+    }
+
+    #[test]
+    fn the_chosen_width_never_changes_a_report_byte() {
+        use ScalarWidth::{I128, I32, I64};
+        // (network, quantized width, exact width)
+        let cases = [
+            (zoo::lenet5(), I32, I32),
+            (zoo::dilated_context(), I32, I64),
+            (zoo::tiny(), I32, I32),
+            (zoo::vgg13_sim(), I32, I128),
+            (zoo::resnet18_sim(), I32, I64),
+        ];
+        let executable = zoo::executable();
+        assert_eq!(
+            cases.iter().map(|c| c.0.name()).collect::<Vec<_>>(),
+            executable.iter().map(Network::name).collect::<Vec<_>>()
+        );
+        let array = PimArray::new(512, 512).unwrap();
+        for (net, quantized, exact) in &cases {
+            let plans = plans_for(net, array, MappingAlgorithm::VwSdk);
+            for (mode, width) in [(ExecMode::Quantized, *quantized), (ExecMode::Exact, *exact)] {
+                assert_eq!(
+                    ScalarWidth::for_network(net, mode),
+                    Ok(width),
+                    "{} {mode}",
+                    net.name()
+                );
+                for seed in [1, 2024] {
+                    let chosen = simulate_network_batch(net, &plans, seed, mode, 3, 2).unwrap();
+                    let wide = simulate_batch_as::<i128>(net, &plans, seed, mode, 3, 2).unwrap();
+                    assert!(
+                        chosen.is_fully_consistent(),
+                        "{} {mode} seed {seed}",
+                        net.name()
+                    );
+                    assert_eq!(chosen, wide, "{} {mode} seed {seed}", net.name());
+                }
+            }
+        }
+    }
+
     #[test]
     fn exact_mode_rejects_networks_over_the_integer_headroom() {
-        use pim_nets::ConvLayer;
         // 20 chained 256-channel 1x1 stages: each multiplies the
         // worst-case magnitude by 256·8 = 2^11, blowing past i128
         // around stage 11 — in release builds the overflow would wrap

@@ -16,13 +16,18 @@
 //! picks the policy:
 //!
 //! * [`ExecMode::Exact`] — no inter-stage rescaling. Every value is the
-//!   mathematically exact convolution chain; use `i128` tensors for
-//!   headroom (the executable zoo networks stay within `i128` range).
+//!   mathematically exact convolution chain, so the integer width must
+//!   hold its growth (the executable zoo networks need up to `i128`).
 //! * [`ExecMode::Quantized`] — after each stage's operators, apply the
 //!   int8-style [`Scalar::requant8`] squash (divide by 2⁷, saturate to
 //!   `[-127, 127]`). Values stay bounded at any depth, and because the
 //!   executor applies the identical function, integer comparisons remain
 //!   exact equalities.
+//!
+//! `pim_sim::ScalarWidth::for_network` bounds every value a network
+//! computes in either mode and picks the narrowest of `i32` / `i64` /
+//! `i128` that holds it; arithmetic that never overflows gives the same
+//! values at any width.
 
 use crate::ops::{avg_pool2d, max_pool2d, relu, requant8};
 use crate::{

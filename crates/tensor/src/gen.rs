@@ -12,8 +12,9 @@ use crate::{Scalar, Tensor2, Tensor3, Tensor4};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Small signed magnitude used by the random generators.
-const MAGNITUDE: u16 = 8;
+/// The largest magnitude the random generators produce: every value
+/// lies in `[-MAGNITUDE, MAGNITUDE]`.
+pub const MAGNITUDE: u16 = 8;
 
 fn next_value<T: Scalar>(rng: &mut StdRng) -> T {
     // Sample in [-MAGNITUDE, MAGNITUDE], excluding nothing; zero included so
