@@ -5,9 +5,9 @@
 //! of the zoo crossed with a set of array geometries — searched cold
 //! (no memoized results). The baseline runs the exhaustive sequential
 //! scan exactly as the paper writes it; the contender runs the
-//! bound-pruned, strip-parallel scan through a fresh [`SearchCache`],
-//! so per-shape candidate tables are reused across array geometries the
-//! way `vwsdk sweep` and the chip deploy optimizer reuse them. Both
+//! bound-pruned scan through a fresh [`SearchCache`], so per-shape
+//! candidate tables are reused across array geometries the way
+//! `vwsdk sweep` and the chip deploy optimizer reuse them. Both
 //! passes search the same task list, and every task's outcome is
 //! compared field-by-field: pruning is only a win if it is lossless.
 //!
@@ -268,9 +268,7 @@ fn pruned_pass(tasks: &[(ConvLayer, PimArray)], workers: usize) -> Vec<Arc<Searc
     if workers <= 1 {
         return tasks
             .iter()
-            .map(|(layer, array)| {
-                cache.optimal_window_with_jobs(layer, *array, SearchOptions::pruned(), 1)
-            })
+            .map(|(layer, array)| cache.optimal_window_with(layer, *array, SearchOptions::pruned()))
             .collect();
     }
     let cursor = AtomicUsize::new(0);
@@ -283,8 +281,7 @@ fn pruned_pass(tasks: &[(ConvLayer, PimArray)], workers: usize) -> Vec<Arc<Searc
                 let Some((layer, array)) = tasks.get(index) else {
                     break;
                 };
-                let result =
-                    cache.optimal_window_with_jobs(layer, *array, SearchOptions::pruned(), 1);
+                let result = cache.optimal_window_with(layer, *array, SearchOptions::pruned());
                 *slots[index].lock().expect("result slot poisoned") = Some(result);
             });
         }

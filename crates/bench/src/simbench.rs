@@ -9,8 +9,8 @@
 //! construction) happen once per deployment while programmed rows are
 //! re-read once per *batch* MVM instead of once per input.
 //!
-//! Consumed by two frontends: the `batch_sim` criterion bench and the
-//! `vwsdk bench sim --emit BENCH_sim.json` emitter that CI tracks.
+//! Consumed by the `vwsdk bench sim --emit BENCH_sim.json` emitter that
+//! CI tracks and by the `batch_throughput` example.
 
 use pim_arch::PimArray;
 use pim_mapping::{MappingAlgorithm, MappingPlan};
@@ -198,8 +198,7 @@ impl SimBenchReport {
 
 /// A network with plans, weights and a pool of input feature maps,
 /// ready to execute at any batch size up to the pool — setup is done
-/// once, outside the timed region. Also the workload behind the
-/// `batch_sim` criterion bench.
+/// once, outside the timed region.
 pub struct PreparedSim<T> {
     network: Network,
     plans: Vec<MappingPlan>,

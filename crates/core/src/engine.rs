@@ -48,12 +48,12 @@ use crate::planner::{LayerComparison, NetworkReport};
 use crate::{Result, VwSdkError};
 use pim_arch::PimArray;
 use pim_cost::memo::SearchCache;
-use pim_cost::search::{SearchOptions, SearchResult};
+use pim_cost::search::{self, SearchOptions, SearchResult};
 use pim_mapping::{MappingAlgorithm, MappingPlan};
 use pim_nets::{ConvLayer, Network};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Cache counters of a [`PlanningEngine`] at one point in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -148,8 +148,7 @@ impl PlanningEngine {
     /// Plans one layer under one algorithm. Search-based algorithms go
     /// through the shared search memo, so a cold herd of one shape
     /// across threads (or serving connections) coalesces onto one
-    /// search; the engine's worker budget doubles as the cold search's
-    /// strip budget. Fixed-window algorithms are closed-form.
+    /// search. Fixed-window algorithms are closed-form.
     ///
     /// # Errors
     ///
@@ -163,9 +162,7 @@ impl PlanningEngine {
     ) -> Result<MappingPlan> {
         let plan = match algorithm.search_options() {
             Some(options) => {
-                let result = self
-                    .searches
-                    .optimal_window_with_jobs(layer, array, options, self.jobs);
+                let result = self.searches.optimal_window_with(layer, array, options);
                 algorithm.plan_with_search(layer, array, &result)?
             }
             None => algorithm.plan(layer, array)?,
@@ -432,26 +429,25 @@ impl PlanningEngine {
     }
 
     /// Cached Algorithm 1 search (see [`SearchCache`]). The result is
-    /// shared, not cloned — traces can be large. Cold pruned searches
-    /// use the engine's worker budget for their strip-parallel scan.
+    /// shared, not cloned — traces can be large.
     pub fn search(
         &self,
         layer: &ConvLayer,
         array: PimArray,
         options: SearchOptions,
-    ) -> std::sync::Arc<SearchResult> {
-        self.searches
-            .optimal_window_with_jobs(layer, array, options, self.jobs)
+    ) -> Arc<SearchResult> {
+        self.searches.optimal_window_with(layer, array, options)
     }
 
-    /// Candidate-search effort already spent on a layer/array pair:
-    /// `(evaluated, pruned)` summed over the memoized results of the
-    /// search-based algorithms among `algorithms` — pass the report's
-    /// own [`NetworkReport::algorithms`], so the answer does not depend
-    /// on what else the engine has planned. Purely a peek — nothing is
-    /// computed or counted — so reporting paths (`vwsdk sweep --format
-    /// json`) can explain their own cost without perturbing it. Both
-    /// numbers are zero when no search has run for the pair.
+    /// Candidate-search effort of a layer/array pair: `(evaluated,
+    /// pruned)` summed over the searches of the search-based algorithms
+    /// among `algorithms` — pass the report's own
+    /// [`NetworkReport::algorithms`], so the answer does not depend on
+    /// what else the engine has planned. Results are peeked from the
+    /// memo; one it no longer holds (a trim dropped it) is searched again
+    /// outside the memo, so the answer does not depend on trims either.
+    /// Nothing is inserted or counted, so reporting paths (`vwsdk sweep
+    /// --format json`) can explain their own cost without perturbing it.
     pub fn search_effort(
         &self,
         layer: &ConvLayer,
@@ -469,10 +465,12 @@ impl PlanningEngine {
                 continue;
             }
             seen.push(options);
-            if let Some(result) = self.searches.peek(layer, array, options) {
-                evaluated += result.evaluated() as u64;
-                pruned += result.pruned() as u64;
-            }
+            let result = self
+                .searches
+                .peek(layer, array, options)
+                .unwrap_or_else(|| Arc::new(search::optimal_window_with(layer, array, options)));
+            evaluated += result.evaluated() as u64;
+            pruned += result.pruned() as u64;
         }
         (evaluated, pruned)
     }
@@ -675,27 +673,17 @@ mod tests {
     fn search_effort_reports_memoized_candidate_counts() {
         let engine = PlanningEngine::new();
         let layer = ConvLayer::square("c", 56, 3, 128, 256).unwrap();
-        // Nothing searched yet: the peek sees nothing and counts nothing.
-        assert_eq!(
-            engine.search_effort(&layer, arr(512, 512), engine.algorithms()),
-            (0, 0)
-        );
+        // Nothing searched yet: the effort is searched outside the memo,
+        // so nothing is stored or counted.
+        let cold = engine.search_effort(&layer, arr(512, 512), engine.algorithms());
+        assert_eq!(engine.stats(), EngineStats::default());
         engine.plan_layer(&layer, arr(512, 512)).unwrap();
         let (evaluated, pruned) = engine.search_effort(&layer, arr(512, 512), engine.algorithms());
         assert!(evaluated > 0 && pruned > 0, "{evaluated}/{pruned}");
+        assert_eq!(cold, (evaluated, pruned));
         let direct = engine.search(&layer, arr(512, 512), SearchOptions::pruned());
         assert_eq!(evaluated, direct.evaluated() as u64);
         assert_eq!(pruned, direct.pruned() as u64);
-    }
-
-    #[test]
-    fn worker_budget_does_not_change_search_results() {
-        let layer = ConvLayer::square("c", 224, 3, 3, 64).unwrap();
-        let sequential = PlanningEngine::new().with_jobs(1);
-        let parallel = PlanningEngine::new().with_jobs(0);
-        let a = sequential.search(&layer, arr(512, 512), SearchOptions::pruned());
-        let b = parallel.search(&layer, arr(512, 512), SearchOptions::pruned());
-        assert_eq!(a.as_ref(), b.as_ref());
     }
 
     #[test]

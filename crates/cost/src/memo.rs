@@ -178,30 +178,14 @@ impl SearchCache {
     ///
     /// Results are shared behind an [`Arc`] — a `SearchResult` can carry
     /// a full candidate trace, so hits hand out a reference instead of
-    /// deep-cloning it.
+    /// deep-cloning it. Pruned searches reuse the shape's
+    /// [`CandidateTable`] across array geometries; only the leader of a
+    /// cold key fetches it, so a hit costs one read lock.
     pub fn optimal_window_with(
         &self,
         layer: &ConvLayer,
         array: PimArray,
         options: SearchOptions,
-    ) -> Arc<SearchResult> {
-        self.optimal_window_with_jobs(layer, array, options, 1)
-    }
-
-    /// [`optimal_window_with`](Self::optimal_window_with) with a worker
-    /// budget for the cold pruned search (`jobs = 0` means one worker
-    /// per core). `jobs` is *not* part of the memo key: the strip-based
-    /// search returns identical results and counters for every worker
-    /// count, so a result computed at one `jobs` setting serves them
-    /// all. Pruned searches additionally reuse the shape's
-    /// [`CandidateTable`] across array geometries; only the leader of a
-    /// cold key fetches it, so a hit costs one read lock.
-    pub fn optimal_window_with_jobs(
-        &self,
-        layer: &ConvLayer,
-        array: PimArray,
-        options: SearchOptions,
-        jobs: usize,
     ) -> Arc<SearchResult> {
         let key = SearchKey {
             shape: layer.shape(),
@@ -210,7 +194,7 @@ impl SearchCache {
         };
         self.get_or_compute(key, &|| {
             let table = options.pruned.then(|| self.table_for(layer));
-            search::optimal_window_with_table(layer, array, options, table.as_deref(), jobs)
+            search::optimal_window_with_table(layer, array, options, table.as_deref())
         })
     }
 
@@ -599,14 +583,14 @@ mod tests {
     fn candidate_table_is_shared_across_array_geometries() {
         let cache = SearchCache::new();
         let layer = ConvLayer::square("c", 56, 3, 128, 256).unwrap();
-        let first = cache.optimal_window_with_jobs(&layer, arr(), SearchOptions::pruned(), 1);
+        let first = cache.optimal_window_with(&layer, arr(), SearchOptions::pruned());
         let table = cache.table_for(&layer);
         assert!(!table.is_empty(), "pruned search must populate the table");
         let grown = table.len();
         // Re-searching the same shape on another geometry reuses the
         // same table object and gives the same answer as a direct search.
         let other = PimArray::new(256, 256).unwrap();
-        let second = cache.optimal_window_with_jobs(&layer, other, SearchOptions::pruned(), 2);
+        let second = cache.optimal_window_with(&layer, other, SearchOptions::pruned());
         assert!(Arc::ptr_eq(&table, &cache.table_for(&layer)));
         assert_eq!(cache.table_shapes(), 1);
         assert!(table.len() >= grown);

@@ -18,21 +18,11 @@
 //! randomized sweep. Skipped candidates are counted in
 //! [`SearchResult::pruned`] so `evaluated + pruned` always equals the
 //! full candidate count of the exhaustive scan.
-//!
-//! Large pruned searches additionally split the height range into a
-//! fixed number of strips (a pure function of the layer/array pair, so
-//! results and counters never depend on the worker count) that scoped
-//! threads scan concurrently; each strip starts from the im2col
-//! incumbent and the merge keeps the first strip — in scan order —
-//! attaining the global minimum, which is exactly the candidate the
-//! sequential scan would have kept.
 
 use crate::model::{self, Im2colCost, VwCost};
 use crate::window::{CandidateTable, Candidates, CycleLowerBound, ParallelWindow};
 use pim_arch::PimArray;
 use pim_nets::ConvLayer;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Configuration of the window search.
 ///
@@ -194,36 +184,32 @@ pub fn optimal_window(layer: &ConvLayer, array: PimArray) -> SearchResult {
     optimal_window_with(layer, array, SearchOptions::paper())
 }
 
-/// Runs Algorithm 1 with explicit [`SearchOptions`] (sequential, no
-/// candidate-table reuse — see [`optimal_window_with_table`]).
+/// Runs Algorithm 1 with explicit [`SearchOptions`] (no candidate-table
+/// reuse — see [`optimal_window_with_table`]).
 pub fn optimal_window_with(
     layer: &ConvLayer,
     array: PimArray,
     options: SearchOptions,
 ) -> SearchResult {
-    optimal_window_with_table(layer, array, options, None, 1)
+    optimal_window_with_table(layer, array, options, None)
 }
 
 /// Runs Algorithm 1 with an optional memoized [`CandidateTable`] (reused
-/// across array geometries by `memo::SearchCache`) and a worker budget
-/// for the strip-parallel pruned scan.
+/// across array geometries by `memo::SearchCache`).
 ///
-/// `jobs = 0` means "one worker per available core"; the table and the
-/// worker count only apply to the pruned scan — the exhaustive scan is
+/// The table only applies to the pruned scan — the exhaustive scan is
 /// deliberately kept as the plain sequential reference loop. Results
 /// *and* the `evaluated`/`pruned`/`feasible` counters are independent of
-/// both `table` and `jobs` (strips are a pure function of the
-/// layer/array/options triple), so memoized results stay deterministic.
+/// `table`, so memoized results stay deterministic.
 pub fn optimal_window_with_table(
     layer: &ConvLayer,
     array: PimArray,
     options: SearchOptions,
     table: Option<&CandidateTable>,
-    jobs: usize,
 ) -> SearchResult {
     let im2col = model::im2col_cost(layer, array);
     if options.pruned {
-        pruned_search(layer, array, options, table, jobs, im2col)
+        pruned_search(layer, array, options, table, im2col)
     } else {
         exhaustive_search(layer, array, options, im2col)
     }
@@ -281,15 +267,6 @@ fn exhaustive_search(
     }
 }
 
-/// Row-scan work (area-feasible candidates) below which a pruned search
-/// stays single-strip; one strip per further `STRIP_GRAIN` candidates.
-const STRIP_GRAIN: usize = 2048;
-
-/// Upper bound on strips per search. Strips are fixed per
-/// layer/array/options — NOT per worker count — so counters stay
-/// deterministic; this caps the (tiny) merge overhead.
-const MAX_STRIPS: usize = 8;
-
 /// First candidate width of scan row `h`: Algorithm 1 never emits the
 /// kernel-sized window, so the first row starts one column later.
 fn row_start(eff_kw: usize, eff_kh: usize, h: usize) -> usize {
@@ -300,77 +277,25 @@ fn row_start(eff_kw: usize, eff_kh: usize, h: usize) -> usize {
     }
 }
 
-/// Partial result of scanning one contiguous range of candidate heights.
-struct StripOutcome {
-    best: Option<VwCost>,
-    evaluated: usize,
-    pruned: usize,
-    feasible: usize,
-    trace: Vec<VwCost>,
-}
-
-/// Splits the candidate height range into contiguous strips of roughly
-/// equal *area-feasible* work. Deterministic in the layer/array/options
-/// triple; `collect_trace` forces one strip so the trace stays in scan
-/// order.
-fn plan_strips(layer: &ConvLayer, array: PimArray, options: SearchOptions) -> Vec<(usize, usize)> {
-    let eff_kw = layer.effective_kernel_w();
-    let eff_kh = layer.effective_kernel_h();
-    let padded_w = layer.input_w() + 2 * layer.padding();
-    let padded_h = layer.input_h() + 2 * layer.padding();
-    if eff_kh > padded_h {
-        return Vec::new();
-    }
-    let rows_cap = array.rows();
-    // Area-feasible candidates in row `h`: widths up to ⌊rows/h⌋.
-    let est = |h: usize| -> usize {
-        let start = row_start(eff_kw, eff_kh, h);
-        let cap = (rows_cap / h).min(padded_w);
-        if cap < start {
-            0
-        } else {
-            cap - start + 1
-        }
-    };
-    let total: usize = (eff_kh..=padded_h).map(est).sum();
-    let strip_count = if options.collect_trace {
-        1
-    } else {
-        (total / STRIP_GRAIN).clamp(1, MAX_STRIPS)
-    };
-    let target = total.div_ceil(strip_count).max(1);
-    let mut strips = Vec::with_capacity(strip_count);
-    let mut start_h = eff_kh;
-    let mut acc = 0usize;
-    for h in eff_kh..=padded_h {
-        acc += est(h);
-        if acc >= target && strips.len() + 1 < strip_count && h < padded_h {
-            strips.push((start_h, h));
-            start_h = h + 1;
-            acc = 0;
-        }
-    }
-    strips.push((start_h, padded_h));
-    strips
-}
-
-/// Scans rows `first_h ..= last_h` of the candidate space with the
-/// incumbent initialized to im2col — exactly the sequential Algorithm 1
-/// restricted to those rows, behind the capacity bound. Every skipped
+/// The bound-pruned scan: Algorithm 1's scan order with the incumbent
+/// initialized to im2col, behind the capacity bound. Every skipped
 /// candidate is counted arithmetically so `evaluated + pruned` covers
-/// the strip's full candidate rectangle.
-fn scan_strip(
+/// the full candidate rectangle. Byte-identical outcome to
+/// [`exhaustive_search`]: pruning only skips candidates whose cost
+/// provably cannot go *below* the incumbent, and the strict-improvement
+/// update ignores non-improvements anyway.
+fn pruned_search(
     layer: &ConvLayer,
     array: PimArray,
     options: SearchOptions,
     table: Option<&CandidateTable>,
-    bound: &CycleLowerBound,
-    im2col_cycles: u64,
-    (first_h, last_h): (usize, usize),
-) -> StripOutcome {
+    im2col: Im2colCost,
+) -> SearchResult {
+    let bound = CycleLowerBound::new(layer, array);
     let eff_kw = layer.effective_kernel_w();
     let eff_kh = layer.effective_kernel_h();
     let padded_w = layer.input_w() + 2 * layer.padding();
+    let padded_h = layer.input_h() + 2 * layer.padding();
     let rows_cap = array.rows();
     let cols_cap = array.cols();
     let ic = layer.in_channels_per_group();
@@ -383,15 +308,13 @@ fn scan_strip(
         }
     };
 
-    let mut out = StripOutcome {
-        best: None,
-        evaluated: 0,
-        pruned: 0,
-        feasible: 0,
-        trace: Vec::new(),
-    };
-    let mut best_cycles = im2col_cycles;
-    for h in first_h..=last_h {
+    let mut best: Option<VwCost> = None;
+    let mut best_cycles = im2col.cycles;
+    let mut evaluated = 0;
+    let mut pruned = 0;
+    let mut feasible = 0;
+    let mut trace = Vec::new();
+    for h in eff_kh..=padded_h {
         let start_w = row_start(eff_kw, eff_kh, h);
         if start_w > padded_w {
             continue;
@@ -401,7 +324,7 @@ fn scan_strip(
         // area alone overflows the rows) the whole remainder is dead.
         let min_area = eff_kw * h;
         if min_area > rows_cap || bound.at(min_area) >= best_cycles {
-            out.pruned += (h..=last_h).map(row_len).sum::<usize>();
+            pruned += (h..=padded_h).map(row_len).sum::<usize>();
             break;
         }
         let cap_w = (rows_cap / h).min(padded_w);
@@ -410,7 +333,7 @@ fn scan_strip(
             // Within a row the area grows with the width, so both cuts
             // end the row, pruning the tail arithmetically.
             if w * h > rows_cap || bound.at(w * h) >= best_cycles {
-                out.pruned += padded_w - w + 1;
+                pruned += padded_w - w + 1;
                 break;
             }
             let cost = if let Some(geoms) = &geoms {
@@ -418,10 +341,10 @@ fn scan_strip(
                 // NWP also grows with the width: once it exceeds the
                 // columns (OCt = 0) the rest of the row is infeasible.
                 if geom.windows_in_pw > cols_cap {
-                    out.pruned += padded_w - w + 1;
+                    pruned += padded_w - w + 1;
                     break;
                 }
-                out.evaluated += 1;
+                evaluated += 1;
                 if options.square_only && w != h {
                     continue;
                 }
@@ -430,10 +353,10 @@ fn scan_strip(
                 let wpp_w = model::windows_per_pw_axis(w, eff_kw, layer.stride());
                 let wpp_h = model::windows_per_pw_axis(h, eff_kh, layer.stride());
                 if wpp_w * wpp_h > cols_cap {
-                    out.pruned += padded_w - w + 1;
+                    pruned += padded_w - w + 1;
                     break;
                 }
-                out.evaluated += 1;
+                evaluated += 1;
                 if options.square_only && w != h {
                     continue;
                 }
@@ -446,92 +369,13 @@ fn scan_strip(
             if options.full_channels_only && cost.tiled_ic < ic {
                 continue;
             }
-            out.feasible += 1;
+            feasible += 1;
             if options.collect_trace {
-                out.trace.push(cost);
+                trace.push(cost);
             }
             if cost.cycles < best_cycles {
                 best_cycles = cost.cycles;
-                out.best = Some(cost);
-            }
-        }
-    }
-    out
-}
-
-/// The bound-pruned, strip-parallel scan. Byte-identical outcome to
-/// [`exhaustive_search`]: each strip's recorded best is its first
-/// in-strip attainer of the strip minimum (pruning only skips candidates
-/// whose cost provably cannot go *below* the incumbent, and the
-/// strict-improvement update ignores non-improvements anyway), and the
-/// merge keeps the earliest strip attaining the global minimum — which
-/// therefore contains the global first attainer in scan order.
-fn pruned_search(
-    layer: &ConvLayer,
-    array: PimArray,
-    options: SearchOptions,
-    table: Option<&CandidateTable>,
-    jobs: usize,
-    im2col: Im2colCost,
-) -> SearchResult {
-    let bound = CycleLowerBound::new(layer, array);
-    let strips = plan_strips(layer, array, options);
-    let workers = if jobs == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        jobs
-    }
-    .min(strips.len());
-
-    let outcomes: Vec<StripOutcome> = if workers <= 1 {
-        strips
-            .iter()
-            .map(|&range| scan_strip(layer, array, options, table, &bound, im2col.cycles, range))
-            .collect()
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<StripOutcome>>> =
-            strips.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&range) = strips.get(i) else { break };
-                    let outcome =
-                        scan_strip(layer, array, options, table, &bound, im2col.cycles, range);
-                    *slots[i].lock().expect("strip slot poisoned") = Some(outcome);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("strip slot poisoned")
-                    .expect("every strip was scanned")
-            })
-            .collect()
-    };
-
-    let m_star = outcomes
-        .iter()
-        .filter_map(|o| o.best.map(|b| b.cycles))
-        .min();
-    let mut best: Option<VwCost> = None;
-    let mut evaluated = 0;
-    let mut pruned = 0;
-    let mut feasible = 0;
-    let mut trace = Vec::new();
-    for outcome in outcomes {
-        evaluated += outcome.evaluated;
-        pruned += outcome.pruned;
-        feasible += outcome.feasible;
-        trace.extend(outcome.trace);
-        if best.is_none() {
-            if let (Some(m), Some(b)) = (m_star, outcome.best) {
-                if b.cycles == m {
-                    best = Some(b);
-                }
+                best = Some(cost);
             }
         }
     }
@@ -677,21 +521,26 @@ mod tests {
     }
 
     #[test]
-    fn pruned_results_and_counters_are_table_and_jobs_independent() {
+    fn pruned_results_and_counters_are_table_independent() {
         let l = layer(224, 3, 3, 64);
         let a = arr(512, 512);
         let table = CandidateTable::for_layer(&l);
         let base = optimal_window_with(&l, a, SearchOptions::pruned());
         assert!(base.pruned() > 0);
-        for jobs in [0, 1, 2, 5, 16] {
-            for table in [None, Some(&table)] {
-                let r = optimal_window_with_table(&l, a, SearchOptions::pruned(), table, jobs);
-                assert_eq!(r.best(), base.best());
-                assert_eq!(r.evaluated(), base.evaluated());
-                assert_eq!(r.pruned(), base.pruned());
-                assert_eq!(r.feasible(), base.feasible());
-            }
-        }
+        let r = optimal_window_with_table(&l, a, SearchOptions::pruned(), Some(&table));
+        assert_eq!(r, base);
+    }
+
+    #[test]
+    fn one_scan_prunes_later_rows_against_earlier_rows() {
+        // A 224x224 3x3x64x64 layer on a 2048x2048 array: every later
+        // row is pruned against the best window of the rows before it.
+        let l = layer(224, 3, 64, 64);
+        let full = optimal_window_with(&l, arr(2048, 2048), SearchOptions::paper());
+        let r = optimal_window_with(&l, arr(2048, 2048), SearchOptions::pruned());
+        assert_eq!((r.evaluated(), r.pruned()), (102, 49_181));
+        assert_eq!(r.evaluated() + r.pruned(), full.evaluated());
+        assert_eq!(r.best(), full.best());
     }
 
     #[test]
@@ -712,28 +561,5 @@ mod tests {
         // Scan order: heights never decrease along the trace.
         let heights: Vec<usize> = r.trace().iter().map(|c| c.window.height()).collect();
         assert!(heights.windows(2).all(|p| p[0] <= p[1]));
-    }
-
-    #[test]
-    fn strips_cover_the_height_range_exactly_once() {
-        let l = layer(224, 3, 3, 64);
-        let strips = plan_strips(&l, arr(512, 512), SearchOptions::pruned());
-        assert!(!strips.is_empty());
-        assert!(strips.len() <= MAX_STRIPS);
-        assert_eq!(strips.first().unwrap().0, 3);
-        assert_eq!(strips.last().unwrap().1, 224);
-        for pair in strips.windows(2) {
-            assert_eq!(pair[0].1 + 1, pair[1].0);
-        }
-        // Trace collection forces a single strip (ordered trace).
-        let traced = plan_strips(
-            &l,
-            arr(512, 512),
-            SearchOptions {
-                collect_trace: true,
-                ..SearchOptions::pruned()
-            },
-        );
-        assert_eq!(traced.len(), 1);
     }
 }

@@ -317,8 +317,11 @@ pub fn sweep(state: &ServerState, _shard: usize, body: &[u8]) -> Result<JsonValu
             );
         }
     }
+    // Render before trimming, so this request's own search records are
+    // still in the memo.
+    let response = api::sweep_json(&reports, &state.stats(), state.engine());
     state.trim_caches();
-    Ok(api::sweep_json(&reports, &state.stats(), state.engine()))
+    Ok(response)
 }
 
 /// `POST /v1/deploy` — body: `{"network": NAME | "spec": {...},
@@ -1034,5 +1037,20 @@ mod tests {
             again.get("reports").map(JsonValue::render),
             cli.get("reports").map(JsonValue::render)
         );
+    }
+
+    #[test]
+    fn sweep_search_effort_survives_a_trimmed_memo() {
+        let engine = vw_sdk::PlanningEngine::new();
+        let reports = engine
+            .sweep_arrays(&[zoo::tiny()], &[PimArray::new(256, 256).unwrap()])
+            .unwrap();
+        // A trim between planning and rendering, from this request or a
+        // concurrent one, empties the memo.
+        assert!(engine.shed_caches_over(0));
+        let stats = engine.stats();
+        let response = api::sweep_json(&reports, &stats, &engine);
+        assert_eq!(sweep_effort(&response), [35, 15]);
+        assert_eq!(engine.stats(), stats, "reporting must not touch the memo");
     }
 }

@@ -20,7 +20,7 @@
 //! into structured 4xx responses instead of dropped connections.
 
 use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead};
 use std::time::Instant;
 
 /// Upper bound on one header or request line, bytes.
@@ -378,29 +378,6 @@ pub fn render_text_response(status: u16, body: &str, close: bool) -> Vec<u8> {
     )
 }
 
-/// Writes one `application/json` response and flushes. Always closes
-/// the exchange (`Connection: close`).
-///
-/// # Errors
-///
-/// Propagates I/O failures (the caller just drops the connection).
-pub fn write_json_response(writer: &mut impl Write, status: u16, body: &str) -> io::Result<()> {
-    writer.write_all(&render_json_response(status, body, true))?;
-    writer.flush()
-}
-
-/// Writes one plain-text response (the Prometheus exposition
-/// content-type, version 0.0.4) and flushes. Always closes the
-/// exchange (`Connection: close`).
-///
-/// # Errors
-///
-/// Propagates I/O failures (the caller just drops the connection).
-pub fn write_text_response(writer: &mut impl Write, status: u16, body: &str) -> io::Result<()> {
-    writer.write_all(&render_text_response(status, body, true))?;
-    writer.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,9 +536,7 @@ mod tests {
 
     #[test]
     fn responses_have_framing_headers() {
-        let mut out = Vec::new();
-        write_json_response(&mut out, 200, "{\"ok\":true}").unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(render_json_response(200, "{\"ok\":true}", true)).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-length: 11\r\n"));
         assert!(text.contains("connection: close\r\n"));
@@ -577,9 +552,7 @@ mod tests {
 
     #[test]
     fn text_responses_carry_the_prometheus_content_type() {
-        let mut out = Vec::new();
-        write_text_response(&mut out, 200, "a_total 1\n").unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(render_text_response(200, "a_total 1\n", true)).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-type: text/plain; version=0.0.4; charset=utf-8\r\n"));
         assert!(text.contains("content-length: 10\r\n"));

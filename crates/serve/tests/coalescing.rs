@@ -1,8 +1,8 @@
 //! Single-flight coalescing through the serving tier, end to end.
 //!
-//! N client threads fire the same **cold** plan query at once. The
-//! per-shard plan caches are all cold and the shards race into the one
-//! shared search memo — single-flight must collapse the burst into
+//! N client threads fire the same **cold** plan query at once. Their
+//! handlers, spread over the event-loop shards, race into the server's
+//! one search memo — single-flight must collapse the burst into
 //! **exactly one** window search (`search_misses` advances by 1, total)
 //! while every client still receives a byte-identical 200 plan.
 //!

@@ -5,21 +5,7 @@ use crate::programmed::ProgrammedStage;
 use crate::Result;
 use pim_arch::energy::EnergyModel;
 use pim_mapping::MappingPlan;
-use pim_nets::ConvLayer;
-use pim_tensor::{Conv2dParams, Scalar, Tensor3, Tensor4};
-
-/// Converts a layer's hyper-parameters into the reference-convolution
-/// parameter block (used to cross-check engine output).
-pub fn layer_params(layer: &ConvLayer) -> Conv2dParams {
-    Conv2dParams {
-        stride_h: layer.stride(),
-        stride_w: layer.stride(),
-        pad_h: layer.padding(),
-        pad_w: layer.padding(),
-        dilation_h: layer.dilation(),
-        dilation_w: layer.dilation(),
-    }
-}
+use pim_tensor::{Scalar, Tensor3, Tensor4};
 
 /// The result of simulating one layer: the output feature map plus
 /// execution statistics.
@@ -99,6 +85,8 @@ mod tests {
     use super::*;
     use pim_arch::PimArray;
     use pim_mapping::MappingAlgorithm;
+    use pim_nets::ConvLayer;
+    use pim_tensor::forward::conv_params;
     use pim_tensor::{conv2d_direct, gen};
 
     fn arr(r: usize, c: usize) -> PimArray {
@@ -116,7 +104,7 @@ mod tests {
             seed ^ 0x5a5a,
         );
         let run = Engine::new().run(plan, &ifm, &weights).unwrap();
-        let reference = conv2d_direct(&ifm, &weights, layer_params(layer)).unwrap();
+        let reference = conv2d_direct(&ifm, &weights, conv_params(layer)).unwrap();
         assert_eq!(run.ofm(), &reference, "{} mismatch", plan.algorithm());
         assert_eq!(
             run.stats().computing_cycles,
@@ -222,7 +210,7 @@ mod tests {
         let ifm = gen::random3::<f64>(2, 8, 8, 5);
         let weights = gen::random4::<f64>(3, 2, 3, 3, 6);
         let run = Engine::new().run(&plan, &ifm, &weights).unwrap();
-        let reference = conv2d_direct(&ifm, &weights, layer_params(&l)).unwrap();
+        let reference = conv2d_direct(&ifm, &weights, conv_params(&l)).unwrap();
         for (a, b) in run.ofm().as_slice().iter().zip(reference.as_slice()) {
             assert!((a - b).abs() < 1e-9);
         }

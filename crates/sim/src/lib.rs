@@ -42,9 +42,9 @@
 //! let ifm = gen::random3::<i64>(2, 8, 8, 1);
 //! let weights = gen::random4::<i64>(3, 2, 3, 3, 2);
 //! let run = Engine::new().run(&plan, &ifm, &weights)?;
-//! let reference = pim_tensor::conv2d_direct(&ifm, &weights, layer_params(&layer))?;
+//! let reference = pim_tensor::conv2d_direct(&ifm, &weights, conv_params(&layer))?;
 //! assert_eq!(run.ofm(), &reference);
-//! # use pim_sim::layer_params;
+//! # use pim_tensor::forward::conv_params;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -59,7 +59,7 @@ pub mod programmed;
 pub mod verify;
 
 pub use crossbar::Crossbar;
-pub use engine::{layer_params, Engine, SimRun};
+pub use engine::{Engine, SimRun};
 pub use metrics::RunStats;
 pub use network::{
     simulate_deployment_batch, simulate_network_batch, BatchRun, NetworkExecutor, ScalarWidth,

@@ -1,9 +1,10 @@
 //! End-to-end verification of mapping plans against the reference
 //! convolution.
 
-use crate::engine::{layer_params, Engine};
+use crate::engine::Engine;
 use crate::Result;
 use pim_mapping::MappingPlan;
+use pim_tensor::forward::conv_params;
 use pim_tensor::{conv2d_direct, conv2d_grouped, gen};
 
 /// Outcome of verifying one plan with generated data.
@@ -49,9 +50,9 @@ pub fn verify_plan(plan: &MappingPlan, seed: u64) -> Result<VerifyReport> {
     );
     let run = Engine::new().run(plan, &ifm, &weights)?;
     let reference = if layer.groups() > 1 {
-        conv2d_grouped(&ifm, &weights, layer_params(layer), layer.groups())?
+        conv2d_grouped(&ifm, &weights, conv_params(layer), layer.groups())?
     } else {
-        conv2d_direct(&ifm, &weights, layer_params(layer))?
+        conv2d_direct(&ifm, &weights, conv_params(layer))?
     };
     let mismatches = run
         .ofm()

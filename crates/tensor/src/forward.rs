@@ -74,8 +74,7 @@ impl std::fmt::Display for ExecMode {
 
 /// The convolution parameter block of a layer descriptor — the single
 /// place layer hyper-parameters turn into [`Conv2dParams`], shared by
-/// the reference kernels and (via `pim_sim::layer_params`) the
-/// simulator.
+/// the reference kernels and the simulator.
 pub fn conv_params(layer: &ConvLayer) -> Conv2dParams {
     Conv2dParams {
         stride_h: layer.stride(),

@@ -1,9 +1,10 @@
-//! Losslessness property: the bound-pruned, strip-parallel Algorithm-1
-//! search is byte-identical to the exhaustive paper-form scan — same
-//! winning candidate with the same full cost record, same im2col
-//! fallback, same reported window and tie-breaks — across the full zoo
-//! on the paper's array pair, under every `SearchOptions` variant, and
-//! over a proptest sweep of random layers and arrays.
+//! Losslessness property: the bound-pruned Algorithm-1 search is
+//! byte-identical to the exhaustive paper-form scan — same winning
+//! candidate with the same full cost record, same im2col fallback, same
+//! reported window and tie-breaks — across the full zoo on the paper's
+//! array pair (and VGG-13 on an oversized array), under every
+//! `SearchOptions` variant, and over a proptest sweep of random layers
+//! and arrays.
 //!
 //! This is the safety net under the pruned cold path: the bound may
 //! only ever change *how many* candidates are evaluated (and every
@@ -77,21 +78,25 @@ fn assert_equivalent(
 
 /// Full zoo × the paper's array pair × every search-space variant:
 /// pruned outcomes and the plans built from them are byte-identical to
-/// the exhaustive ones.
+/// the exhaustive ones. VGG-13's layers also run on a 2048x2048 array,
+/// where the scan's later rows prune against the best window of its
+/// earlier rows.
 #[test]
 fn zoo_outcomes_and_plans_are_byte_identical_under_pruning() {
     let arrays = [
         PimArray::new(512, 512).expect("positive"),
         PimArray::new(512, 256).expect("positive"),
     ];
+    let oversized = PimArray::new(2048, 2048).expect("positive");
     let variants = [
         MappingAlgorithm::VwSdk,
         MappingAlgorithm::VwSdkSquare,
         MappingAlgorithm::VwSdkFullChannel,
     ];
     for network in zoo::all() {
+        let is_vgg13 = network.name() == zoo::vgg13().name();
         for layer in network.layers() {
-            for &array in &arrays {
+            for array in arrays.into_iter().chain(is_vgg13.then_some(oversized)) {
                 for (exhaustive_options, pruned_options) in option_pairs() {
                     let exhaustive = search::optimal_window_with(layer, array, exhaustive_options);
                     let pruned = search::optimal_window_with(layer, array, pruned_options);
@@ -126,9 +131,9 @@ fn zoo_outcomes_and_plans_are_byte_identical_under_pruning() {
     }
 }
 
-/// The shared candidate table and the strip budget are pure
-/// accelerators: any worker count, with or without the memo's table,
-/// returns identical results and identical counters.
+/// The shared candidate table is a pure accelerator: with or without
+/// the memo's table, the scan returns identical results and identical
+/// counters.
 #[test]
 fn worker_count_and_candidate_table_do_not_change_results() {
     let arrays = [
@@ -140,20 +145,17 @@ fn worker_count_and_candidate_table_do_not_change_results() {
             let table = CandidateTable::for_layer(layer);
             for &array in &arrays {
                 let baseline = search::optimal_window_with(layer, array, SearchOptions::pruned());
-                for jobs in [0, 1, 3, 8] {
-                    let sharded = search::optimal_window_with_table(
-                        layer,
-                        array,
-                        SearchOptions::pruned(),
-                        Some(&table),
-                        jobs,
-                    );
-                    assert_eq!(baseline.best(), sharded.best());
-                    assert_eq!(baseline.im2col(), sharded.im2col());
-                    assert_eq!(baseline.evaluated(), sharded.evaluated());
-                    assert_eq!(baseline.pruned(), sharded.pruned());
-                    assert_eq!(baseline.feasible(), sharded.feasible());
-                }
+                let tabled = search::optimal_window_with_table(
+                    layer,
+                    array,
+                    SearchOptions::pruned(),
+                    Some(&table),
+                );
+                assert_eq!(baseline.best(), tabled.best());
+                assert_eq!(baseline.im2col(), tabled.im2col());
+                assert_eq!(baseline.evaluated(), tabled.evaluated());
+                assert_eq!(baseline.pruned(), tabled.pruned());
+                assert_eq!(baseline.feasible(), tabled.feasible());
             }
         }
     }
@@ -172,7 +174,7 @@ fn search_cache_with_shared_tables_matches_direct_search() {
     ];
     for layer in zoo::vgg13().layers() {
         for &array in &arrays {
-            let cached = cache.optimal_window_with_jobs(layer, array, SearchOptions::pruned(), 4);
+            let cached = cache.optimal_window_with(layer, array, SearchOptions::pruned());
             let direct = search::optimal_window_with(layer, array, SearchOptions::pruned());
             assert_eq!(cached.best(), direct.best());
             assert_eq!(cached.evaluated(), direct.evaluated());
@@ -209,19 +211,18 @@ proptest! {
     fn random_layers_are_searched_identically(
         layer in layer_strategy(),
         array in array_strategy(),
-        jobs in 1usize..6,
     ) {
         for (exhaustive_options, pruned_options) in option_pairs() {
             let exhaustive = search::optimal_window_with(&layer, array, exhaustive_options);
             let pruned = search::optimal_window_with(&layer, array, pruned_options);
             assert_equivalent(&layer, array, &exhaustive, &pruned);
-            // Strip-sharded execution changes nothing either.
+            // Scanning through the candidate table changes nothing either.
             let table = CandidateTable::for_layer(&layer);
-            let sharded = search::optimal_window_with_table(
-                &layer, array, pruned_options, Some(&table), jobs);
-            prop_assert_eq!(pruned.best(), sharded.best());
-            prop_assert_eq!(pruned.evaluated(), sharded.evaluated());
-            prop_assert_eq!(pruned.pruned(), sharded.pruned());
+            let tabled = search::optimal_window_with_table(
+                &layer, array, pruned_options, Some(&table));
+            prop_assert_eq!(pruned.best(), tabled.best());
+            prop_assert_eq!(pruned.evaluated(), tabled.evaluated());
+            prop_assert_eq!(pruned.pruned(), tabled.pruned());
         }
     }
 }
