@@ -3,10 +3,10 @@
 //!
 //! This is the per-request pipeline the event loop's worker jobs run:
 //! route, handle, render — plus the telemetry counters, the latency
-//! histogram and the optional access-log line the old blocking tier
-//! recorded. Pure with respect to the socket: the caller owns all I/O,
-//! so the same function serves worker threads (planning endpoints),
-//! the event loop itself (parse errors, timeouts) and unit tests.
+//! histogram and the optional access-log line. Pure with respect to the
+//! socket: the caller owns all I/O, so the same function serves worker
+//! threads (planning endpoints), the event loop itself (parse errors,
+//! timeouts) and unit tests.
 
 use crate::state::ServerState;
 use crate::{api, handlers, http, router};
@@ -194,8 +194,18 @@ pub fn respond(
 mod tests {
     use super::*;
 
+    /// Parses `raw` as the event loop does when the client then closes:
+    /// a request still incomplete is answered 400.
     fn parse(raw: &str) -> Result<http::Request, http::HttpError> {
-        http::read_request(&mut std::io::BufReader::new(raw.as_bytes()), None)
+        let mut parser = http::RequestParser::new();
+        parser.feed(raw.as_bytes());
+        match parser.poll()? {
+            http::ParseStatus::Ready(request) => Ok(request),
+            http::ParseStatus::NeedMore => Err(http::HttpError {
+                status: 400,
+                message: "connection closed mid-request".into(),
+            }),
+        }
     }
 
     #[test]

@@ -20,8 +20,6 @@
 //! into structured 4xx responses instead of dropped connections.
 
 use std::fmt;
-use std::io::{self, BufRead};
-use std::time::Instant;
 
 /// Upper bound on one header or request line, bytes.
 const MAX_LINE: usize = 8 * 1024;
@@ -280,53 +278,6 @@ fn parse_complete(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpError> {
     Ok(Some((request, cursor)))
 }
 
-/// Fails with `408` once `deadline` has passed — the whole-request
-/// bound that per-read socket timeouts cannot give (a drip-feeding
-/// client resets those with every byte).
-fn check_deadline(deadline: Option<Instant>) -> Result<(), HttpError> {
-    if deadline.is_some_and(|d| Instant::now() > d) {
-        return Err(HttpError::new(408, "request took too long to arrive"));
-    }
-    Ok(())
-}
-
-/// Reads and validates one request from the stream (the blocking
-/// convenience over [`RequestParser`]).
-///
-/// `deadline`, when given, bounds the **entire** request: however
-/// slowly the client drips bytes, parsing fails with `408` once the
-/// instant passes.
-///
-/// # Errors
-///
-/// Returns [`HttpError`] carrying the 4xx/5xx status the connection
-/// should be answered with. EOF before a complete request is `400`
-/// ("empty request" if nothing arrived at all).
-pub fn read_request(
-    reader: &mut impl BufRead,
-    deadline: Option<Instant>,
-) -> Result<Request, HttpError> {
-    let mut parser = RequestParser::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        check_deadline(deadline)?;
-        if let ParseStatus::Ready(request) = parser.poll()? {
-            return Ok(request);
-        }
-        match reader.read(&mut chunk) {
-            Ok(0) => {
-                if parser.is_empty() {
-                    return Err(HttpError::new(400, "empty request"));
-                }
-                return Err(HttpError::new(400, "connection closed mid-request"));
-            }
-            Ok(n) => parser.feed(&chunk[..n]),
-            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(HttpError::new(400, format!("read failed: {e}"))),
-        }
-    }
-}
-
 /// Standard reason phrase for the status codes the service emits.
 pub fn reason_phrase(status: u16) -> &'static str {
     match status {
@@ -381,10 +332,16 @@ pub fn render_text_response(status: u16, body: &str, close: bool) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// Parses `raw` as the event loop does when the client then closes:
+    /// a request still incomplete is answered 400.
     fn parse(raw: &str) -> Result<Request, HttpError> {
-        read_request(&mut BufReader::new(raw.as_bytes()), None)
+        let mut parser = RequestParser::new();
+        parser.feed(raw.as_bytes());
+        match parser.poll()? {
+            ParseStatus::Ready(request) => Ok(request),
+            ParseStatus::NeedMore => Err(HttpError::new(400, "connection closed mid-request")),
+        }
     }
 
     #[test]
@@ -522,16 +479,6 @@ mod tests {
         assert!(old.wants_close());
         let old_keep = parse("GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").unwrap();
         assert!(!old_keep.wants_close());
-    }
-
-    #[test]
-    fn an_expired_deadline_times_the_request_out() {
-        let past = Some(Instant::now() - std::time::Duration::from_secs(1));
-        let err =
-            read_request(&mut BufReader::new(&b"GET / HTTP/1.1\r\n\r\n"[..]), past).unwrap_err();
-        assert_eq!(err.status, 408);
-        let future = Some(Instant::now() + std::time::Duration::from_secs(60));
-        assert!(read_request(&mut BufReader::new(&b"GET / HTTP/1.1\r\n\r\n"[..]), future).is_ok());
     }
 
     #[test]

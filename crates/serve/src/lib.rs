@@ -21,7 +21,7 @@
 //! | `POST /v1/plan` | `{"network"\|"spec", "array"?, "algorithms"?}` | per-layer windows, cycles, speedups, cache stats |
 //! | `POST /v1/sweep` | `{"networks"?, "specs"?, "arrays"?, "algorithms"?}` | summary per (network, array) pair |
 //! | `POST /v1/deploy` | `{"network"\|"spec", "array"?, "arrays"?, "reprogram"?, "algorithms"?}` | bottleneck-optimal chip deployment: per-layer algorithm/array split, pipeline timing, energy |
-//! | `POST /v1/simulate` | `{"network"\|"spec", "array"?, "algorithm"?, "seed"?, "mode"?}` | end-to-end functional simulation: per-stage executed vs. predicted cycles, MACs, conversions, bit-exactness verdict |
+//! | `POST /v1/simulate` | `{"network"\|"spec", "array"?, "algorithm"?, "seed"?, "mode"?, "batch"?}` | end-to-end functional simulation: per-stage executed vs. predicted cycles, MACs, conversions, bit-exactness verdict |
 //! | `GET /v1/metrics` | — | the process telemetry registry: Prometheus text (default) or `?format=json` |
 //!
 //! # The protocol

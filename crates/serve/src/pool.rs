@@ -69,16 +69,6 @@ impl ThreadPool {
         self.workers.len()
     }
 
-    /// Queues a job, blocking while the queue is full; it runs on the
-    /// first free worker.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.sender
-            .as_ref()
-            .expect("pool sender lives until drop")
-            .send(Box::new(job))
-            .expect("pool workers outlive the sender");
-    }
-
     /// Queues a job without blocking.
     ///
     /// # Errors
@@ -122,9 +112,10 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..100 {
             let counter = Arc::clone(&counter);
-            pool.execute(move || {
+            pool.try_execute(move || {
                 counter.fetch_add(1, Ordering::SeqCst);
-            });
+            })
+            .unwrap();
         }
         drop(pool); // joins: every job observed
         assert_eq!(counter.load(Ordering::SeqCst), 100);
@@ -136,9 +127,10 @@ mod tests {
         assert_eq!(pool.size(), 1);
         let done = Arc::new(AtomicUsize::new(0));
         let d = Arc::clone(&done);
-        pool.execute(move || {
+        pool.try_execute(move || {
             d.store(7, Ordering::SeqCst);
-        });
+        })
+        .unwrap();
         drop(pool);
         assert_eq!(done.load(Ordering::SeqCst), 7);
     }
@@ -174,12 +166,13 @@ mod tests {
     #[test]
     fn a_panicking_job_does_not_kill_the_pool_owner() {
         let pool = ThreadPool::new(2);
-        pool.execute(|| panic!("job panic"));
+        pool.try_execute(|| panic!("job panic")).unwrap();
         let done = Arc::new(AtomicUsize::new(0));
         let d = Arc::clone(&done);
-        pool.execute(move || {
+        pool.try_execute(move || {
             d.store(1, Ordering::SeqCst);
-        });
+        })
+        .unwrap();
         drop(pool);
         assert_eq!(done.load(Ordering::SeqCst), 1);
     }

@@ -1,29 +1,29 @@
-//! Reference 2-D convolution kernels.
+//! The reference 2-D convolution.
 //!
-//! Two independent implementations are provided so they can cross-check each
-//! other (and, transitively, the PIM crossbar simulator):
+//! One kernel checks every mapping the crossbar simulator runs. It works
+//! in a crossbar's loop order: each nonzero input element adds its
+//! products into a run of output channels, and a zero input is skipped,
+//! as a crossbar skips a zero row. Every output still sums its products
+//! in the textbook seven-loop's order. Stride, zero padding and dilation
+//! are supported.
 //!
-//! * [`conv2d_direct`] — the direct convolution in a crossbar's loop order:
-//!   each nonzero input element adds its products into a run of output
-//!   channels, and zero inputs are skipped, as a crossbar skips a zero row;
-//! * [`conv2d_im2col`] — lowering to a patch matrix followed by GEMM, which
-//!   is also exactly the "image to column" mapping of the paper's Fig. 2(a),
-//!   and which skips nothing.
+//! * [`conv2d_grouped`] runs the kernel on each group's contiguous
+//!   channels, for the grouped and depthwise layers of the
+//!   MobileNet-style extension nets;
+//! * [`conv2d_direct`] is the dense case: the channel check plus
+//!   `conv2d_grouped(.., 1)`.
 //!
-//! Both sum every output's products in the textbook seven-loop's order and
-//! support stride, zero padding and dilation; [`conv2d_grouped`] adds
-//! grouped/depthwise convolution for the MobileNet-style extension nets by
-//! running the direct kernel on each group's channels.
+//! `tests/conv_properties.rs` checks both against an independent
+//! seven-loop, exactly in `i64` and bit for bit in `f64`.
 
-use crate::matmul::matmul;
-use crate::{Result, Scalar, ShapeError, Tensor2, Tensor3, Tensor4};
+use crate::{Result, Scalar, ShapeError, Tensor3, Tensor4};
 
 /// Hyper-parameters of a 2-D convolution: stride, zero padding and dilation.
 ///
 /// The VW-SDK paper evaluates unit-stride, unpadded convolutions (its window
 /// arithmetic counts `I − K + 1` positions per axis); [`Conv2dParams::unit`]
 /// is that configuration. The generalized fields exist for the extension
-/// experiments and are honoured by every kernel in this module.
+/// experiments and are honoured by the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Conv2dParams {
     /// Vertical stride (≥ 1).
@@ -241,87 +241,6 @@ fn in_image(
     lo..hi.max(lo)
 }
 
-/// Lowers the input into the im2col patch matrix.
-///
-/// Row `r` of the result holds one flattened receptive field (channel-major,
-/// then kernel-row-major) for output position `r` (row-major over `OH×OW`);
-/// column order matches the weight flattening used by [`conv2d_im2col`].
-/// This matrix *is* the sequence of input vectors that the paper's im2col
-/// mapping drives into the crossbar rows, one row per computing cycle.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] if the kernel does not fit the padded input.
-pub fn im2col_matrix<T: Scalar>(
-    input: &Tensor3<T>,
-    kh: usize,
-    kw: usize,
-    params: Conv2dParams,
-) -> Result<Tensor2<T>> {
-    let (oh, ow) = params.output_dims(input.height(), input.width(), kh, kw)?;
-    let ic = input.channels();
-    let mut m = Tensor2::zeros(oh * ow, ic * kh * kw);
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let r = oy * ow + ox;
-            let base_y = (oy * params.stride_h) as isize - params.pad_h as isize;
-            let base_x = (ox * params.stride_w) as isize - params.pad_w as isize;
-            let mut col = 0;
-            for c in 0..ic {
-                for ky in 0..kh {
-                    for kx in 0..kw {
-                        let iy = base_y + (ky * params.dilation_h) as isize;
-                        let ix = base_x + (kx * params.dilation_w) as isize;
-                        m.set(r, col, input.get_padded(c, iy, ix));
-                        col += 1;
-                    }
-                }
-            }
-        }
-    }
-    Ok(m)
-}
-
-/// im2col + GEMM convolution; numerically identical to [`conv2d_direct`]
-/// (bit-exact for integer scalars).
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] under the same conditions as [`conv2d_direct`].
-pub fn conv2d_im2col<T: Scalar>(
-    input: &Tensor3<T>,
-    weights: &Tensor4<T>,
-    params: Conv2dParams,
-) -> Result<Tensor3<T>> {
-    check_channels(input, weights)?;
-    let (oc, ic, kh, kw) = weights.dims();
-    let (oh, ow) = params.output_dims(input.height(), input.width(), kh, kw)?;
-    let patches = im2col_matrix(input, kh, kw, params)?;
-    // Weight matrix: one kernel per column (the crossbar orientation).
-    let mut wmat = Tensor2::zeros(ic * kh * kw, oc);
-    for o in 0..oc {
-        let mut row = 0;
-        for c in 0..ic {
-            for ky in 0..kh {
-                for kx in 0..kw {
-                    wmat.set(row, o, weights.get(o, c, ky, kx));
-                    row += 1;
-                }
-            }
-        }
-    }
-    let prod = matmul(&patches, &wmat)?;
-    let mut out = Tensor3::zeros(oc, oh, ow);
-    for oy in 0..oh {
-        for ox in 0..ow {
-            for o in 0..oc {
-                out.set(o, oy, ox, prod.get(oy * ow + ox, o));
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Grouped convolution: input and output channels are split into `groups`
 /// contiguous blocks convolved independently (depthwise when
 /// `groups == IC == OC`).
@@ -450,38 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn im2col_matches_direct_unit() {
-        let ifm = gen::random3::<i64>(3, 9, 9, 42);
-        let w = gen::random4::<i64>(5, 3, 3, 3, 43);
-        let a = conv2d_direct(&ifm, &w, Conv2dParams::unit()).unwrap();
-        let b = conv2d_im2col(&ifm, &w, Conv2dParams::unit()).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn im2col_matches_direct_strided_padded() {
-        let p = Conv2dParams {
-            stride_h: 2,
-            stride_w: 3,
-            pad_h: 1,
-            pad_w: 2,
-            ..Conv2dParams::unit()
-        };
-        let ifm = gen::random3::<i64>(2, 11, 13, 7);
-        let w = gen::random4::<i64>(4, 2, 3, 5, 8);
-        let a = conv2d_direct(&ifm, &w, p).unwrap();
-        let b = conv2d_im2col(&ifm, &w, p).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn im2col_matrix_shape() {
-        let ifm = gen::ramp3::<i32>(4, 6, 6);
-        let m = im2col_matrix(&ifm, 3, 3, Conv2dParams::unit()).unwrap();
-        assert_eq!(m.dims(), (16, 36));
-    }
-
-    #[test]
     fn grouped_equals_dense_when_one_group() {
         let ifm = gen::random3::<i64>(4, 6, 6, 11);
         let w = gen::random4::<i64>(6, 4, 3, 3, 12);
@@ -529,6 +416,5 @@ mod tests {
         let ifm = gen::ramp3::<i32>(3, 5, 5);
         let w = gen::ramp4::<i32>(2, 4, 3, 3);
         assert!(conv2d_direct(&ifm, &w, Conv2dParams::unit()).is_err());
-        assert!(conv2d_im2col(&ifm, &w, Conv2dParams::unit()).is_err());
     }
 }

@@ -8,7 +8,7 @@
 //! Values are kept small (|v| ≤ 8) so that integer accumulations stay far
 //! from overflow and float accumulations stay exact.
 
-use crate::{Scalar, Tensor2, Tensor3, Tensor4};
+use crate::{Scalar, Tensor3, Tensor4};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,15 +27,6 @@ fn next_value<T: Scalar>(rng: &mut StdRng) -> T {
     }
 }
 
-/// A `rows × cols` matrix with the deterministic ramp `0, 1, 2, …` (values
-/// taken modulo 251 to stay small).
-pub fn ramp2<T: Scalar>(rows: usize, cols: usize) -> Tensor2<T> {
-    let data = (0..rows * cols)
-        .map(|i| T::from_u16((i % 251) as u16))
-        .collect();
-    Tensor2::from_vec(rows, cols, data).expect("ramp2 length is consistent by construction")
-}
-
 /// A `c × h × w` feature map with the deterministic ramp pattern.
 pub fn ramp3<T: Scalar>(c: usize, h: usize, w: usize) -> Tensor3<T> {
     let data = (0..c * h * w)
@@ -50,13 +41,6 @@ pub fn ramp4<T: Scalar>(oc: usize, ic: usize, kh: usize, kw: usize) -> Tensor4<T
         .map(|i| T::from_u16((i % 251) as u16))
         .collect();
     Tensor4::from_vec(oc, ic, kh, kw, data).expect("ramp4 length is consistent by construction")
-}
-
-/// A seeded pseudo-random `rows × cols` matrix with values in [-8, 8].
-pub fn random2<T: Scalar>(rows: usize, cols: usize, seed: u64) -> Tensor2<T> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let data = (0..rows * cols).map(|_| next_value(&mut rng)).collect();
-    Tensor2::from_vec(rows, cols, data).expect("random2 length is consistent by construction")
 }
 
 /// A seeded pseudo-random `c × h × w` feature map with values in [-8, 8].
@@ -90,7 +74,7 @@ mod tests {
 
     #[test]
     fn ramp_values_wrap_below_251() {
-        let t = ramp2::<i32>(26, 10);
+        let t = ramp3::<i32>(2, 13, 10);
         assert!(t.as_slice().iter().all(|&v| (0..251).contains(&v)));
     }
 

@@ -1,19 +1,19 @@
-//! Dense tensors and reference convolution kernels for the VW-SDK reproduction.
+//! Dense tensors and the reference convolution for the VW-SDK reproduction.
 //!
 //! The VW-SDK paper maps convolutional layers onto processing-in-memory (PIM)
 //! crossbars. To *verify* that a mapping computes the correct convolution —
 //! not just that its cycle count is low — the functional simulator in
 //! `pim-sim` needs a trusted reference. This crate provides that reference:
 //!
-//! * [`Tensor2`], [`Tensor3`], [`Tensor4`] — minimal row-major dense tensors
-//!   (matrix, `C×H×W` feature map, `OC×IC×KH×KW` weight bank);
-//! * [`conv`] — direct and im2col-based 2-D convolution with stride, padding
-//!   and dilation, plus grouped/depthwise variants;
+//! * [`Tensor3`], [`Tensor4`] — minimal row-major dense tensors (`C×H×W`
+//!   feature map, `OC×IC×KH×KW` weight bank);
+//! * [`conv`] — the one reference 2-D convolution, with stride, padding
+//!   and dilation, dense ([`conv2d_direct`]) or grouped/depthwise
+//!   ([`conv2d_grouped`]);
 //! * [`ops`] — the digital inter-stage operators (ReLU, max/avg pooling,
 //!   int8-style requantization);
 //! * [`mod@forward`] — the network-scale reference pass chaining convolutions
 //!   through a [`pim_nets::Network`]'s inter-layer operators;
-//! * [`matmul`] — the naive GEMM used by the im2col path;
 //! * [`gen`] — deterministic pseudo-random tensor generators.
 //!
 //! Everything is generic over a small [`Scalar`] trait so tests can run in
@@ -37,15 +37,14 @@
 pub mod conv;
 pub mod forward;
 pub mod gen;
-pub mod matmul;
 pub mod ops;
 mod scalar;
 mod tensor;
 
-pub use conv::{conv2d_direct, conv2d_grouped, conv2d_im2col, Conv2dParams};
+pub use conv::{conv2d_direct, conv2d_grouped, Conv2dParams};
 pub use forward::{forward, ExecMode};
 pub use scalar::Scalar;
-pub use tensor::{Tensor2, Tensor3, Tensor4};
+pub use tensor::{Tensor3, Tensor4};
 
 use std::error::Error;
 use std::fmt;

@@ -1,143 +1,12 @@
 //! Minimal row-major dense tensor types.
 //!
-//! The crate intentionally avoids a general N-dimensional array: the
-//! reproduction only ever needs a matrix ([`Tensor2`]), a `C×H×W` feature
-//! map ([`Tensor3`]) and an `OC×IC×KH×KW` weight bank ([`Tensor4`]). Fixed
-//! arities keep indexing explicit and make shape errors impossible to
-//! express, not merely checked.
+//! The crate intentionally avoids a general N-dimensional array: a
+//! convolution only ever needs a `C×H×W` feature map ([`Tensor3`]) and an
+//! `OC×IC×KH×KW` weight bank ([`Tensor4`]). Fixed arities keep indexing
+//! explicit and make shape errors impossible to express, not merely
+//! checked.
 
 use crate::{Result, Scalar, ShapeError};
-
-/// A dense row-major matrix with `rows × cols` elements.
-///
-/// # Example
-///
-/// ```
-/// use pim_tensor::Tensor2;
-///
-/// let mut m: Tensor2<i32> = Tensor2::zeros(2, 3);
-/// m.set(1, 2, 7);
-/// assert_eq!(m.get(1, 2), 7);
-/// assert_eq!(m.dims(), (2, 3));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Tensor2<T> {
-    rows: usize,
-    cols: usize,
-    data: Vec<T>,
-}
-
-impl<T: Scalar> Tensor2<T> {
-    /// Creates a `rows × cols` matrix filled with zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![T::ZERO; rows * cols],
-        }
-    }
-
-    /// Creates a matrix from a row-major element vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(ShapeError::new(format!(
-                "Tensor2 expects {rows}x{cols}={} elements, got {}",
-                rows * cols,
-                data.len()
-            )));
-        }
-        Ok(Self { rows, cols, data })
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// `(rows, cols)` pair.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Returns the element at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    #[inline]
-    pub fn get(&self, row: usize, col: usize) -> T {
-        assert!(row < self.rows && col < self.cols, "Tensor2 index OOB");
-        self.data[row * self.cols + col]
-    }
-
-    /// Writes the element at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    #[inline]
-    pub fn set(&mut self, row: usize, col: usize, value: T) {
-        assert!(row < self.rows && col < self.cols, "Tensor2 index OOB");
-        self.data[row * self.cols + col] = value;
-    }
-
-    /// Adds `value` to the element at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    #[inline]
-    pub fn add_assign_at(&mut self, row: usize, col: usize, value: T) {
-        assert!(row < self.rows && col < self.cols, "Tensor2 index OOB");
-        self.data[row * self.cols + col] += value;
-    }
-
-    /// Immutable view of the backing row-major storage.
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
-    /// One full row as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= rows`.
-    pub fn row(&self, row: usize) -> &[T] {
-        assert!(row < self.rows, "Tensor2 row OOB");
-        &self.data[row * self.cols..(row + 1) * self.cols]
-    }
-
-    /// One full row as a mutable slice (the blocked kernels in
-    /// [`crate::matmul`] accumulate into rows without per-element
-    /// bounds checks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= rows`.
-    pub fn row_mut(&mut self, row: usize) -> &mut [T] {
-        assert!(row < self.rows, "Tensor2 row OOB");
-        &mut self.data[row * self.cols..(row + 1) * self.cols]
-    }
-
-    /// Resets every element to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(T::ZERO);
-    }
-
-    /// Consumes the matrix, returning the backing vector.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-}
 
 /// A dense `channels × height × width` tensor (a feature map).
 ///
@@ -424,42 +293,6 @@ impl<T: Scalar> Tensor4<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tensor2_round_trip() {
-        let mut m: Tensor2<i32> = Tensor2::zeros(3, 4);
-        for r in 0..3 {
-            for c in 0..4 {
-                m.set(r, c, (r * 4 + c) as i32);
-            }
-        }
-        assert_eq!(m.get(2, 3), 11);
-        assert_eq!(m.row(1), &[4, 5, 6, 7]);
-        assert_eq!(m.clone().into_vec().len(), 12);
-        assert_eq!(m.dims(), (3, 4));
-    }
-
-    #[test]
-    fn tensor2_from_vec_validates_len() {
-        assert!(Tensor2::<i32>::from_vec(2, 2, vec![1, 2, 3]).is_err());
-        let m = Tensor2::from_vec(2, 2, vec![1, 2, 3, 4]).unwrap();
-        assert_eq!(m.get(1, 0), 3);
-    }
-
-    #[test]
-    fn tensor2_add_assign_accumulates() {
-        let mut m: Tensor2<i64> = Tensor2::zeros(1, 1);
-        m.add_assign_at(0, 0, 3);
-        m.add_assign_at(0, 0, 4);
-        assert_eq!(m.get(0, 0), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "Tensor2 index OOB")]
-    fn tensor2_oob_get_panics() {
-        let m: Tensor2<i32> = Tensor2::zeros(2, 2);
-        let _ = m.get(2, 0);
-    }
 
     #[test]
     fn tensor3_layout_is_channel_major() {
