@@ -303,9 +303,12 @@ pub fn run(options: &SimBenchOptions) -> Result<SimBenchReport, String> {
     if options.batches.windows(2).any(|w| w[1] <= w[0]) {
         return Err("batch sweep must be strictly ascending".to_string());
     }
-    // The width `simulate` runs the same network and mode in.
+    // `simulate` runs each stage in its own width from
+    // `ScalarWidth::for_stages`; one `execute_batch` call runs every
+    // stage in the widest of them.
     let network = zoo_network(&options.network)?;
-    match ScalarWidth::for_network(&network, options.mode).map_err(|e| e.to_string())? {
+    let widths = ScalarWidth::for_stages(&network, options.mode).map_err(|e| e.to_string())?;
+    match widths.into_iter().max().unwrap_or(ScalarWidth::I32) {
         ScalarWidth::I32 => run_as::<i32>(options),
         ScalarWidth::I64 => run_as::<i64>(options),
         ScalarWidth::I128 => run_as::<i128>(options),

@@ -43,8 +43,8 @@ const DEFAULT_REPROGRAM_CYCLES: u64 = 2_000;
 /// CLI's default, so default CLI and default wire requests agree).
 const DEFAULT_SIM_SEED: u64 = 2_024;
 /// Largest network (in total MACs) a simulate request may name. Unlike
-/// planning, functional simulation really executes every MAC in
-/// software, so cost is linear in this number; 2²⁸ (~268 M) covers the
+/// planning, functional simulation computes in software, skipping only
+/// zero inputs, so cost is linear in this number; 2²⁸ (~268 M) covers the
 /// executable zoo with two orders of magnitude to spare while bounding
 /// a hostile request to seconds, not hours.
 const MAX_SIM_MACS: u64 = 1 << 28;

@@ -10,12 +10,14 @@ use pim_tensor::{Scalar, Tensor4};
 /// outputs, and one [`Crossbar::mvm`] — the per-column accumulation of
 /// `input × conductance` — is one computing cycle.
 ///
-/// Only programmed cells are stored, as one (column, weight) list per
-/// row; every other cell holds conductance zero and is never visited.
-/// Window-parallel layouts leave most of a tile unprogrammed (VW-SDK
-/// programs 22 % and 25 % of the cells of its 512×512 tiles on
-/// `vgg13-sim` and `resnet18-sim`), so an MVM costs its programmed
-/// cells, not `rows × cols`.
+/// Only programmed cells are stored. Each row keeps them as runs of
+/// consecutive programmed columns, with each run's weights contiguous,
+/// so an MVM adds `x × w[..len]` into `len` adjacent columns at once —
+/// a dense loop the compiler vectorizes. Every other cell holds
+/// conductance zero and is never visited. Window-parallel layouts
+/// leave most of a tile unprogrammed (VW-SDK programs 22 % and 25 % of
+/// the cells of its 512×512 tiles on `vgg13-sim` and `resnet18-sim`),
+/// so an MVM costs its programmed cells, not `rows × cols`.
 ///
 /// # Example
 ///
@@ -37,11 +39,22 @@ use pim_tensor::{Scalar, Tensor4};
 pub struct Crossbar<T> {
     rows: usize,
     cols: usize,
-    /// Row `r`'s cells are entries `row_start[r]..row_start[r + 1]` of
-    /// `col` and `weight`; `row_start` has `rows + 1` entries.
+    /// Row `r`'s runs are entries `row_start[r]..row_start[r + 1]` of
+    /// `runs`, in ascending column order; `row_start` has `rows + 1`
+    /// entries.
     row_start: Vec<usize>,
-    col: Vec<usize>,
+    runs: Vec<ColumnRun>,
+    /// Every run's weights, back to back in run order.
     weight: Vec<T>,
+}
+
+/// `len` consecutive programmed columns from `col`, holding the weights
+/// `weight[start..start + len]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ColumnRun {
+    col: usize,
+    start: usize,
+    len: usize,
 }
 
 impl<T: Scalar> Crossbar<T> {
@@ -49,9 +62,9 @@ impl<T: Scalar> Crossbar<T> {
     /// fetching weight values from the weight bank. When the list
     /// writes one cell twice, the later write wins.
     ///
-    /// Layouts list their cells column by column, so a counting pass
-    /// sizes each row's list and a second pass fills the lists in cell
-    /// order.
+    /// A counting pass sizes each row and a fill pass lists its cells;
+    /// each row is then cut into runs of consecutive columns. The cells
+    /// may come in any order.
     ///
     /// # Errors
     ///
@@ -63,9 +76,20 @@ impl<T: Scalar> Crossbar<T> {
         cells: &[CellAssignment],
         weights: &Tensor4<T>,
     ) -> Result<Self> {
+        Self::program_from(rows, cols, cells.iter().copied(), weights)
+    }
+
+    /// [`Crossbar::program`] from cells a clonable iterator lists, read
+    /// twice.
+    pub(crate) fn program_from(
+        rows: usize,
+        cols: usize,
+        cells: impl Iterator<Item = CellAssignment> + Clone,
+        weights: &Tensor4<T>,
+    ) -> Result<Self> {
         let (oc, ic, kh, kw) = weights.dims();
         let mut row_start = vec![0usize; rows + 1];
-        for cell in cells {
+        for cell in cells.clone() {
             if cell.row >= rows || cell.col >= cols {
                 return Err(SimError::new(format!(
                     "cell ({}, {}) outside {rows}x{cols} crossbar",
@@ -85,8 +109,8 @@ impl<T: Scalar> Crossbar<T> {
             row_start[r + 1] += row_start[r];
         }
         let mut next = row_start[..rows].to_vec();
-        let mut col = vec![0; cells.len()];
-        let mut weight = vec![T::ZERO; cells.len()];
+        let mut col = vec![0; row_start[rows]];
+        let mut weight = vec![T::ZERO; row_start[rows]];
         for cell in cells {
             let slot = next[cell.row];
             next[cell.row] += 1;
@@ -94,36 +118,45 @@ impl<T: Scalar> Crossbar<T> {
             let w = cell.weight;
             weight[slot] = weights.get(w.oc, w.ic, w.ky, w.kx);
         }
-        // Compact each row so it lists a column once: the first
-        // occurrence keeps its place and takes the last write's weight.
-        // `seen[c]` is where column `c` last landed; positions below the
-        // row's start belong to earlier rows.
-        let mut seen = vec![usize::MAX; cols];
+        // Cut each row into runs. The row's cells go into a dense row
+        // buffer, so a later write of a cell replaces an earlier one, and
+        // into a bitmap whose set bits, read in ascending order, give the
+        // row's columns sorted. The weights compact in place: a row never
+        // keeps more cells than it listed.
+        let mut present = vec![0u64; cols.div_ceil(64)];
+        let mut dense = vec![T::ZERO; cols];
+        let mut runs: Vec<ColumnRun> = Vec::new();
         let mut kept = 0;
         for r in 0..rows {
-            let (lo, hi) = (row_start[r], row_start[r + 1]);
-            row_start[r] = kept;
-            for i in lo..hi {
-                let c = col[i];
-                let s = seen[c];
-                if s >= row_start[r] && s < kept {
-                    weight[s] = weight[i];
-                } else {
-                    seen[c] = kept;
-                    col[kept] = c;
-                    weight[kept] = weight[i];
+            for i in row_start[r]..row_start[r + 1] {
+                present[col[i] / 64] |= 1 << (col[i] % 64);
+                dense[col[i]] = weight[i];
+            }
+            row_start[r] = runs.len();
+            for (word_index, word) in present.iter_mut().enumerate() {
+                while *word != 0 {
+                    let c = word_index * 64 + word.trailing_zeros() as usize;
+                    *word &= *word - 1;
+                    match runs[row_start[r]..].last_mut() {
+                        Some(run) if c == run.col + run.len => run.len += 1,
+                        _ => runs.push(ColumnRun {
+                            col: c,
+                            start: kept,
+                            len: 1,
+                        }),
+                    }
+                    weight[kept] = dense[c];
                     kept += 1;
                 }
             }
         }
-        row_start[rows] = kept;
-        col.truncate(kept);
+        row_start[rows] = runs.len();
         weight.truncate(kept);
         Ok(Self {
             rows,
             cols,
             row_start,
-            col,
+            runs,
             weight,
         })
     }
@@ -140,7 +173,13 @@ impl<T: Scalar> Crossbar<T> {
 
     /// Number of distinct programmed cells.
     pub fn programmed_cells(&self) -> usize {
-        self.col.len()
+        self.weight.len()
+    }
+
+    /// The number of column runs row `row` stores.
+    #[cfg(test)]
+    pub(crate) fn runs_in_row(&self, row: usize) -> usize {
+        self.row_start[row + 1] - self.row_start[row]
     }
 
     /// One analog matrix-vector multiply: drives `input` into the rows and
@@ -161,11 +200,12 @@ impl<T: Scalar> Crossbar<T> {
     /// (`inputs[bi * rows + r]`), and `out` is cleared and resized to
     /// `batch` column accumulations (`out[bi * cols + c]`).
     ///
-    /// Rows are visited in ascending order and each row's cells are read
+    /// Rows are visited in ascending order and each row's runs are read
     /// once per batch instead of once per input vector. A zero input
-    /// skips its row. Every column therefore accumulates its programmed
-    /// products in ascending row order, so each element's result is
-    /// bit-identical to a one-element batch.
+    /// skips its row; a nonzero input `x` adds `x × w[..len]` into
+    /// `out[c..c + len]` once per run. Every column therefore
+    /// accumulates its programmed products in ascending row order, so
+    /// each element's result is bit-identical to a one-element batch.
     ///
     /// # Errors
     ///
@@ -186,16 +226,18 @@ impl<T: Scalar> Crossbar<T> {
         out.clear();
         out.resize(batch * cols, T::ZERO);
         for r in 0..rows {
-            let span = self.row_start[r]..self.row_start[r + 1];
-            let (row_col, row_weight) = (&self.col[span.clone()], &self.weight[span]);
+            let runs = &self.runs[self.row_start[r]..self.row_start[r + 1]];
             for bi in 0..batch {
                 let x = inputs[bi * rows + r];
                 if x == T::ZERO {
                     continue;
                 }
                 let acc = &mut out[bi * cols..(bi + 1) * cols];
-                for (&c, &w) in row_col.iter().zip(row_weight) {
-                    acc[c] += x * w;
+                for run in runs {
+                    let w = &self.weight[run.start..run.start + run.len];
+                    for (a, &w) in acc[run.col..run.col + run.len].iter_mut().zip(w) {
+                        *a += x * w;
+                    }
                 }
             }
         }

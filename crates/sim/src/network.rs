@@ -203,6 +203,21 @@ impl NetworkExecutor {
         weights: &[Tensor4<T>],
         jobs: usize,
     ) -> Result<BatchRun<T>> {
+        let run = self.execute_unrecorded(network, plans, ifms, weights, jobs)?;
+        record_sim_telemetry(&run.stages, run.batch() as u64);
+        Ok(run)
+    }
+
+    /// [`Self::execute_batch`] without the telemetry record, for a
+    /// simulation that records its stages once for all its segments.
+    fn execute_unrecorded<T: Scalar + Send + Sync>(
+        &self,
+        network: &Network,
+        plans: &[MappingPlan],
+        ifms: &[Tensor3<T>],
+        weights: &[Tensor4<T>],
+        jobs: usize,
+    ) -> Result<BatchRun<T>> {
         self.check_execution_inputs(network, plans, weights.len())?;
         let batch = ifms.len();
         if batch == 0 {
@@ -255,7 +270,6 @@ impl NetworkExecutor {
                 }
             })
             .collect::<Vec<_>>();
-        record_sim_telemetry(&stages, b);
         Ok(BatchRun { ofms, stages })
     }
 
@@ -390,10 +404,11 @@ impl SimulationReport {
     }
 }
 
-/// Records one finished execution into the process-wide telemetry
-/// registry: crossbar arrays programmed, input feature maps streamed,
-/// and MACs simulated. The counters aggregate over every executor in
-/// the process, so the metrics endpoint sees total simulator work.
+/// Records one finished execution or simulation into the process-wide
+/// telemetry registry: crossbar arrays programmed, input feature maps
+/// streamed, and the stages' MAC counts. The counters aggregate over
+/// every executor in the process, so the metrics endpoint sees total
+/// simulator work.
 fn record_sim_telemetry(stages: &[StageExecution], batch_elements: u64) {
     let registry = pim_telemetry::global();
     registry
@@ -440,16 +455,17 @@ fn ifm_seed(seed: u64, element: usize) -> u64 {
 /// pass on the same workers and batch shards. Batch element 0 uses
 /// `seed` itself.
 ///
-/// The scalar domain is [`ScalarWidth::for_network`]: the narrowest of
-/// `i32` / `i64` / `i128` that provably holds every value the network
-/// computes in `mode`. Integer arithmetic that never overflows gives
-/// the same values at any width, so the report does not depend on the
-/// choice, and "matches" means bit-exact.
+/// Stage `i` runs in `ScalarWidth::for_stages(network, mode)[i]`: the
+/// narrowest of `i32` / `i64` / `i128` that provably holds every value
+/// the stage computes in `mode`, never narrower than the stage before.
+/// Integer arithmetic that never overflows gives the same values at any
+/// width, so the report does not depend on the widths, and "matches"
+/// means bit-exact.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] under the same conditions as
-/// [`NetworkExecutor::execute_batch`] and [`ScalarWidth::for_network`],
+/// [`NetworkExecutor::execute_batch`] and [`ScalarWidth::for_stages`],
 /// for an empty network, or when `batch == 0`.
 pub fn simulate_network_batch(
     network: &Network,
@@ -462,11 +478,8 @@ pub fn simulate_network_batch(
     if batch == 0 {
         return Err(SimError::new("batch must be at least 1"));
     }
-    match ScalarWidth::for_network(network, mode)? {
-        ScalarWidth::I32 => simulate_batch_as::<i32>(network, plans, seed, mode, batch, jobs),
-        ScalarWidth::I64 => simulate_batch_as::<i64>(network, plans, seed, mode, batch, jobs),
-        ScalarWidth::I128 => simulate_batch_as::<i128>(network, plans, seed, mode, batch, jobs),
-    }
+    let widths = ScalarWidth::for_stages(network, mode)?;
+    simulate_at(network, plans, seed, mode, batch, jobs, &widths)
 }
 
 /// Simulates a chip [`Deployment`] end to end (see
@@ -494,10 +507,11 @@ pub fn simulate_deployment_batch(
     simulate_network_batch(network, &plans, seed, mode, batch, jobs)
 }
 
-/// The integer width a simulation runs in. Each width has a headroom
-/// budget: the largest worst-case log₂ magnitude it accepts. `i32` and
-/// `i64` keep 3 bits below their 31 / 63 value bits, `i128` keeps 7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The integer width a simulation stage runs in. Each width has a
+/// headroom budget: the largest worst-case log₂ magnitude it accepts.
+/// `i32` and `i64` keep 3 bits below their 31 / 63 value bits, `i128`
+/// keeps 7. Widths order from narrow to wide.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ScalarWidth {
     /// `i32`, for worst-case magnitudes up to 2²⁸.
     I32,
@@ -517,8 +531,11 @@ impl ScalarWidth {
         }
     }
 
-    /// The narrowest width whose budget holds the worst-case magnitude
-    /// of every value a simulation of `network` in `mode` computes.
+    /// The width of each stage of a simulation of `network` in `mode`:
+    /// the narrowest whose budget holds the worst-case magnitude of
+    /// every value the stage computes — its input, its partial sums, its
+    /// output and its average-pool window sums — but never narrower than
+    /// the stage before, so a stage boundary only ever widens.
     ///
     /// The bound is conservative and tracked in log₂ domain. Generated
     /// inputs and weights satisfy `|v| ≤` [`gen::MAGNITUDE`] (2³). Each
@@ -538,12 +555,15 @@ impl ScalarWidth {
     /// the `i128` budget: in release builds integer overflow wraps
     /// *identically* on the executor and reference sides, which would
     /// report "bit-exact" over garbage values.
-    pub fn for_network(network: &Network, mode: ExecMode) -> Result<Self> {
+    pub fn for_stages(network: &Network, mode: ExecMode) -> Result<Vec<Self>> {
         let magnitude_bits = f64::from(gen::MAGNITUDE).log2();
         let limit_bits = Self::I128.budget_bits();
-        let (mut bound, mut peak) = (magnitude_bits, magnitude_bits);
+        let mut bound = magnitude_bits;
+        let mut widest = Self::I32;
+        let mut widths = Vec::with_capacity(network.len());
         for (i, layer) in network.layers().iter().enumerate() {
             let terms = layer.in_channels_per_group() * layer.kernel_h() * layer.kernel_w();
+            // The stage's output bound; its input's is lower.
             bound += (terms as f64).log2() + magnitude_bits;
             let pool_sum = network
                 .ops_after(i)
@@ -567,15 +587,17 @@ impl ScalarWidth {
                     }
                 )));
             }
-            peak = peak.max(stage_peak);
+            let narrowest = [Self::I32, Self::I64, Self::I128]
+                .into_iter()
+                .find(|width| stage_peak <= f64::from(width.budget_bits()))
+                .expect("the peak is within the widest budget");
+            widest = widest.max(narrowest);
+            widths.push(widest);
             if mode == ExecMode::Quantized {
                 bound = 7.0;
             }
         }
-        Ok([Self::I32, Self::I64, Self::I128]
-            .into_iter()
-            .find(|width| peak <= f64::from(width.budget_bits()))
-            .expect("the peak is within the widest budget"))
+        Ok(widths)
     }
 }
 
@@ -614,21 +636,25 @@ fn seeded_data<T: Scalar>(
     (ifms, weights)
 }
 
-fn simulate_batch_as<T: Scalar + Send + Sync>(
+/// The one simulation path: [`simulate_network_batch`] with stage `i`
+/// in `widths[i]`, a non-decreasing schedule of `network.len()` widths.
+fn simulate_at(
     network: &Network,
     plans: &[MappingPlan],
     seed: u64,
     mode: ExecMode,
     batch: usize,
     jobs: usize,
+    widths: &[ScalarWidth],
 ) -> Result<SimulationReport> {
     if network.is_empty() {
         return Err(SimError::new("cannot simulate an empty network"));
     }
-    let (ifms, weights) = seeded_data::<T>(network, seed, batch);
-    let executor = NetworkExecutor::new().with_mode(mode);
-    let run = executor.execute_batch(network, plans, &ifms, &weights, jobs)?;
-    let (elements, mismatches) = verify_batch(network, &ifms, run.ofms(), &weights, mode, jobs)?;
+    // Generated values fit every width; each segment widens its banks.
+    let (ifms, weights) = seeded_data::<i32>(network, seed, batch);
+    let (stages, outputs) = run_stages(network, plans, mode, jobs, widths, ifms, &weights)?;
+    record_sim_telemetry(&stages, batch as u64);
+    let (elements, mismatches) = outputs.compare();
     let mut arrays: Vec<String> = plans.iter().map(|p| p.array().to_string()).collect();
     arrays.dedup();
     let array = if arrays.len() == 1 {
@@ -642,41 +668,153 @@ fn simulate_batch_as<T: Scalar + Send + Sync>(
         seed,
         mode,
         batch,
-        stages: run.stages().to_vec(),
+        stages,
         elements,
         mismatches,
     })
 }
 
-/// Compares every batch element's output with its own reference
-/// forward pass, on the stream phase's contiguous shards and worker
-/// count, and returns (compared elements, mismatches) summed over the
-/// batch.
-fn verify_batch<T: Scalar + Send + Sync>(
+/// Runs `ifms` through every stage of `network`, stage `i` in
+/// `widths[i]` (non-decreasing), on the executor and on the reference
+/// forward pass. Each maximal run of equal-width stages is one segment:
+/// its stages are programmed once and streamed through
+/// [`NetworkExecutor::execute_batch`]'s path, and the reference runs the
+/// same stages through [`forward::forward`], both at that width. At a
+/// boundary both chains widen exactly, and each carries its own outputs,
+/// so the final comparison covers the whole network. Returns the stage
+/// records, unrecorded in telemetry, and both chains' final outputs.
+fn run_stages(
     network: &Network,
-    ifms: &[Tensor3<T>],
-    ofms: &[Tensor3<T>],
-    weights: &[Tensor4<T>],
+    plans: &[MappingPlan],
     mode: ExecMode,
     jobs: usize,
-) -> Result<(usize, usize)> {
-    let shards = on_shards(ifms.len(), jobs, |shard| {
-        let (mut elements, mut mismatches) = (0, 0);
-        for (ifm, ofm) in ifms[shard.clone()].iter().zip(&ofms[shard]) {
-            let reference = forward::forward(network, ifm, weights, mode)?;
-            elements += reference.as_slice().len();
-            mismatches += ofm
-                .as_slice()
-                .iter()
-                .zip(reference.as_slice())
-                .filter(|(a, b)| a != b)
-                .count();
+    widths: &[ScalarWidth],
+    ifms: Vec<Tensor3<i32>>,
+    weights: &[Tensor4<i32>],
+) -> Result<(Vec<StageExecution>, Chains<i128>)> {
+    let executor = NetworkExecutor::new().with_mode(mode);
+    executor.check_execution_inputs(network, plans, weights.len())?;
+    debug_assert!(widths.len() == network.len() && widths.is_sorted());
+    let segments = Segments {
+        network,
+        plans,
+        weights,
+        executor,
+        jobs,
+    };
+    let end = |width| widths.partition_point(|&w| w <= width);
+    let (narrow, middle) = (end(ScalarWidth::I32), end(ScalarWidth::I64));
+    let mut stages = Vec::with_capacity(network.len());
+    let inputs = Chains {
+        executor: ifms.clone(),
+        reference: ifms,
+    };
+    let outputs = segments.run::<i32>(0..narrow, inputs, &mut stages)?;
+    let outputs = segments.run::<i64>(narrow..middle, outputs.widen(), &mut stages)?;
+    let outputs = segments.run::<i128>(middle..network.len(), outputs.widen(), &mut stages)?;
+    Ok((stages, outputs))
+}
+
+/// What every segment of one simulation shares.
+struct Segments<'a> {
+    network: &'a Network,
+    plans: &'a [MappingPlan],
+    weights: &'a [Tensor4<i32>],
+    executor: NetworkExecutor,
+    jobs: usize,
+}
+
+impl Segments<'_> {
+    /// Runs stages `range` at width `T` on both chains and appends their
+    /// records; an empty range passes the chains through.
+    fn run<T: Scalar + Send + Sync + From<i32>>(
+        &self,
+        range: Range<usize>,
+        chains: Chains<T>,
+        records: &mut Vec<StageExecution>,
+    ) -> Result<Chains<T>> {
+        if range.is_empty() {
+            return Ok(chains);
         }
-        Ok((elements, mismatches))
-    })?;
-    Ok(shards
-        .into_iter()
-        .fold((0, 0), |(e, m), (se, sm)| (e + se, m + sm)))
+        let network = self.network;
+        let segment = Network::from_stages(
+            network.name(),
+            range
+                .clone()
+                .map(|i| (network.layers()[i].clone(), network.ops_after(i).to_vec()))
+                .collect(),
+        );
+        let weights: Vec<Tensor4<T>> = self.weights[range.clone()]
+            .iter()
+            .map(|bank| {
+                let (oc, ic, kh, kw) = bank.dims();
+                Tensor4::from_vec(oc, ic, kh, kw, widened(bank.as_slice()))
+                    .expect("widening keeps the element count")
+            })
+            .collect();
+        let run = self.executor.execute_unrecorded(
+            &segment,
+            &self.plans[range],
+            &chains.executor,
+            &weights,
+            self.jobs,
+        )?;
+        let mode = self.executor.mode;
+        let reference = on_shards(chains.reference.len(), self.jobs, |shard| {
+            chains.reference[shard]
+                .iter()
+                .map(|ifm| Ok(forward::forward(&segment, ifm, &weights, mode)?))
+                .collect::<Result<Vec<_>>>()
+        })?;
+        records.extend(run.stages);
+        Ok(Chains {
+            executor: run.ofms,
+            reference: reference.into_iter().flatten().collect(),
+        })
+    }
+}
+
+/// Every batch element's feature map on the executor's chain and on the
+/// reference's.
+struct Chains<T> {
+    executor: Vec<Tensor3<T>>,
+    reference: Vec<Tensor3<T>>,
+}
+
+impl<T: Scalar> Chains<T> {
+    /// Both chains, each element widened exactly to `U`.
+    fn widen<U: Scalar + From<T>>(self) -> Chains<U> {
+        let widen_all = |maps: Vec<Tensor3<T>>| {
+            maps.iter()
+                .map(|map| {
+                    let (c, h, w) = map.dims();
+                    Tensor3::from_vec(c, h, w, widened(map.as_slice()))
+                        .expect("widening keeps the element count")
+                })
+                .collect()
+        };
+        Chains {
+            executor: widen_all(self.executor),
+            reference: widen_all(self.reference),
+        }
+    }
+
+    /// (compared elements, mismatches), summed over the batch.
+    fn compare(&self) -> (usize, usize) {
+        self.executor.iter().zip(&self.reference).fold(
+            (0, 0),
+            |(elements, mismatches), (ofm, reference)| {
+                let (ours, theirs) = (ofm.as_slice(), reference.as_slice());
+                let differ = ours.iter().zip(theirs).filter(|(a, b)| a != b).count();
+                (elements + theirs.len(), mismatches + differ)
+            },
+        )
+    }
+}
+
+/// `values`, each widened exactly to `U`.
+fn widened<T: Copy, U: From<T>>(values: &[T]) -> Vec<U> {
+    values.iter().map(|&v| U::from(v)).collect()
 }
 
 #[cfg(test)]
@@ -814,34 +952,23 @@ mod tests {
         let net = zoo::tiny();
         let array = PimArray::new(64, 64).unwrap();
         let plans = plans_for(&net, array, MappingAlgorithm::VwSdk);
-        let first = &net.layers()[0];
-        let ifms: Vec<Tensor3<i64>> = (0..5)
-            .map(|i| gen::random3(first.in_channels(), first.input_h(), first.input_w(), i))
-            .collect();
-        let weights: Vec<Tensor4<i64>> = net
-            .layers()
-            .iter()
-            .map(|l| {
-                gen::random4(
-                    l.out_channels(),
-                    l.in_channels(),
-                    l.kernel_h(),
-                    l.kernel_w(),
-                    9,
-                )
-            })
-            .collect();
-        let run = NetworkExecutor::new()
-            .execute_batch(&net, &plans, &ifms, &weights, 1)
-            .unwrap();
-        let per_element = run.ofms()[0].as_slice().len();
-        // Element 4 is in the last shard for every worker count.
-        let mut ofms = run.ofms().to_vec();
-        ofms[4].add_assign_at(0, 0, 0, 1);
+        let (ifms, weights) = seeded_data::<i32>(&net, 9, 5);
+        let widths = ScalarWidth::for_stages(&net, ExecMode::Quantized).unwrap();
         for jobs in [1, 2, 3, 0] {
-            let counts =
-                verify_batch(&net, &ifms, &ofms, &weights, ExecMode::Quantized, jobs).unwrap();
-            assert_eq!(counts, (5 * per_element, 1), "jobs={jobs}");
+            let (_, mut outputs) = run_stages(
+                &net,
+                &plans,
+                ExecMode::Quantized,
+                jobs,
+                &widths,
+                ifms.clone(),
+                &weights,
+            )
+            .unwrap();
+            let per_element = outputs.executor[0].as_slice().len();
+            // Element 4 is in the last shard for every worker count.
+            outputs.executor[4].add_assign_at(0, 0, 0, 1);
+            assert_eq!(outputs.compare(), (5 * per_element, 1), "jobs={jobs}");
         }
     }
 
@@ -912,16 +1039,18 @@ mod tests {
     }
 
     /// Executor and reference outputs of `net` in exact mode on
-    /// all-`MAGNITUDE` inputs and weights, widened to `i128`.
-    fn extreme_run<T: Scalar + Send + Sync + Into<i128>>(
+    /// all-`MAGNITUDE` inputs and weights, stage `i` in `widths[i]`,
+    /// through the simulation path.
+    fn extreme_run(
         net: &Network,
         plans: &[MappingPlan],
+        widths: &[ScalarWidth],
     ) -> (Vec<i128>, Vec<i128>) {
-        let top = T::from_u16(gen::MAGNITUDE);
+        let top = i32::from(gen::MAGNITUDE);
         let first = &net.layers()[0];
         let (c, h, w) = (first.in_channels(), first.input_h(), first.input_w());
         let ifm = Tensor3::from_vec(c, h, w, vec![top; c * h * w]).unwrap();
-        let weights: Vec<Tensor4<T>> = net
+        let weights: Vec<Tensor4<i32>> = net
             .layers()
             .iter()
             .map(|l| {
@@ -931,40 +1060,47 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let run = NetworkExecutor::new()
-            .with_mode(ExecMode::Exact)
-            .execute_batch(net, plans, std::slice::from_ref(&ifm), &weights, 1)
-            .unwrap();
-        let reference = forward::forward(net, &ifm, &weights, ExecMode::Exact).unwrap();
-        let widen = |t: &Tensor3<T>| t.as_slice().iter().map(|&v| v.into()).collect();
-        (widen(&run.ofms()[0]), widen(&reference))
+        let (_, outputs) =
+            run_stages(net, plans, ExecMode::Exact, 1, widths, vec![ifm], &weights).unwrap();
+        let flat = |maps: &[Tensor3<i128>]| maps[0].as_slice().to_vec();
+        (flat(&outputs.executor), flat(&outputs.reference))
     }
 
     #[test]
     fn worst_case_data_at_each_budget_edge_is_exact_at_the_chosen_width() {
-        // Overflow checks are on in test builds, so a budget set looser
-        // than its width holds panics here.
+        use ScalarWidth::{I128, I32, I64};
+        // Overflow checks are on in test builds, so a stage whose width
+        // cannot hold its widened input or its sums panics here.
         let array = PimArray::new(512, 512).unwrap();
-        for (width, next) in [
-            (ScalarWidth::I32, ScalarWidth::I64),
-            (ScalarWidth::I64, ScalarWidth::I128),
-        ] {
+        let exact = |net: &Network| ScalarWidth::for_stages(net, ExecMode::Exact).unwrap();
+        let check = |net: &Network, bits: u32| {
+            let plans = plans_for(net, array, MappingAlgorithm::VwSdk);
+            let wide = extreme_run(net, &plans, &vec![I128; net.len()]);
+            // All-MAGNITUDE data reaches the bound exactly.
+            assert!(wide.0.iter().all(|&v| v == 1 << bits), "{}", net.name());
+            assert_eq!(wide.0, wide.1, "{}", net.name());
+            assert_eq!(
+                extreme_run(net, &plans, &exact(net)),
+                wide,
+                "{}",
+                net.name()
+            );
+        };
+        for (width, next) in [(I32, I64), (I64, I128)] {
             let bits = width.budget_bits();
             let net = chain_with_bound(bits, 2);
-            assert_eq!(ScalarWidth::for_network(&net, ExecMode::Exact), Ok(width));
+            assert_eq!(exact(&net).last(), Some(&width));
             let over = chain_with_bound(bits + 1, 2);
-            assert_eq!(ScalarWidth::for_network(&over, ExecMode::Exact), Ok(next));
-            let plans = plans_for(&net, array, MappingAlgorithm::VwSdk);
-            let wide = extreme_run::<i128>(&net, &plans);
-            // All-MAGNITUDE data reaches the bound exactly.
-            assert!(wide.0.iter().all(|&v| v == 1 << bits), "{width:?}");
-            assert_eq!(wide.0, wide.1, "{width:?}");
-            let narrow = match width {
-                ScalarWidth::I32 => extreme_run::<i32>(&net, &plans),
-                _ => extreme_run::<i64>(&net, &plans),
-            };
-            assert_eq!(narrow, wide, "{width:?}");
+            assert_eq!(exact(&over).last(), Some(&next));
+            check(&net, bits);
         }
+        // A mixed chain: c0–c2 end exactly on the i32 budget, and c3–c4
+        // take c2's 2^28 outputs on to 2^44 in i64.
+        let mut mixed = chain_with_bound(I32.budget_bits(), 2);
+        mixed.push(ConvLayer::square("c3", 2, 1, 2, 512).unwrap());
+        mixed.push(ConvLayer::square("c4", 2, 1, 512, 2).unwrap());
+        assert_eq!(exact(&mixed), [I32, I32, I32, I64, I64]);
+        check(&mixed, 44);
     }
 
     #[test]
@@ -972,10 +1108,8 @@ mod tests {
         // The convolutions stay 2 bits under the i128 budget; the 3x3
         // pool's window sum adds log2(9) ≈ 3.17 bits before its divide.
         let chain = chain_with_bound(ScalarWidth::I128.budget_bits() - 2, 3);
-        assert_eq!(
-            ScalarWidth::for_network(&chain, ExecMode::Exact),
-            Ok(ScalarWidth::I128)
-        );
+        let widths = ScalarWidth::for_stages(&chain, ExecMode::Exact).unwrap();
+        assert_eq!(widths.last(), Some(&ScalarWidth::I128));
         let (last, body) = chain.layers().split_last().unwrap();
         let mut net = Network::new("pooled");
         for layer in body {
@@ -988,40 +1122,71 @@ mod tests {
         assert!(err.to_string().contains("quantized"), "{err}");
         // Quantized mode, which the error suggests, runs it in i32.
         assert_eq!(
-            ScalarWidth::for_network(&net, ExecMode::Quantized),
-            Ok(ScalarWidth::I32)
+            ScalarWidth::for_stages(&net, ExecMode::Quantized),
+            Ok(vec![ScalarWidth::I32; net.len()])
         );
     }
 
     #[test]
     fn the_chosen_width_never_changes_a_report_byte() {
         use ScalarWidth::{I128, I32, I64};
-        // (network, quantized width, exact width)
+        // Each network's exact-mode schedule; quantized runs are all i32.
         let cases = [
-            (zoo::lenet5(), I32, I32),
-            (zoo::dilated_context(), I32, I64),
-            (zoo::tiny(), I32, I32),
-            (zoo::vgg13_sim(), I32, I128),
-            (zoo::resnet18_sim(), I32, I64),
+            (zoo::lenet5(), vec![I32, I32]),
+            (zoo::dilated_context(), vec![I32, I32, I64]),
+            (zoo::tiny(), vec![I32, I32]),
+            (
+                zoo::vgg13_sim(),
+                [vec![I32, I32], vec![I64; 3], vec![I128; 5]].concat(),
+            ),
+            (zoo::resnet18_sim(), vec![I32, I32, I64, I64, I64]),
         ];
         let executable = zoo::executable();
         assert_eq!(
             cases.iter().map(|c| c.0.name()).collect::<Vec<_>>(),
             executable.iter().map(Network::name).collect::<Vec<_>>()
         );
+        let edge =
+            pim_nets::NetworkSpec::parse(include_str!("../../../examples/specs/edge_cnn.json"))
+                .unwrap()
+                .to_network()
+                .unwrap();
+        assert_eq!(
+            ScalarWidth::for_stages(&edge, ExecMode::Exact),
+            Ok(vec![I32, I32, I32, I64, I64])
+        );
+        assert_eq!(
+            ScalarWidth::for_stages(&edge, ExecMode::Quantized),
+            Ok(vec![I32; edge.len()])
+        );
+        // A stem over the i32 budget: requantized, c1 would fit i32, but
+        // a boundary never narrows.
+        let stem = Network::from_layers(
+            "wide-stem",
+            vec![
+                ConvLayer::square("c0", 64, 64, 2048, 2).unwrap(),
+                ConvLayer::square("c1", 1, 1, 2, 2).unwrap(),
+            ],
+        );
+        assert_eq!(
+            ScalarWidth::for_stages(&stem, ExecMode::Quantized),
+            Ok(vec![I64, I64])
+        );
         let array = PimArray::new(512, 512).unwrap();
-        for (net, quantized, exact) in &cases {
+        for (net, exact) in &cases {
             let plans = plans_for(net, array, MappingAlgorithm::VwSdk);
-            for (mode, width) in [(ExecMode::Quantized, *quantized), (ExecMode::Exact, *exact)] {
+            let quantized = vec![I32; net.len()];
+            for (mode, widths) in [(ExecMode::Quantized, &quantized), (ExecMode::Exact, exact)] {
                 assert_eq!(
-                    ScalarWidth::for_network(net, mode),
-                    Ok(width),
+                    ScalarWidth::for_stages(net, mode).as_ref(),
+                    Ok(widths),
                     "{} {mode}",
                     net.name()
                 );
+                let all_wide = vec![I128; net.len()];
                 for seed in [1, 2024] {
                     let chosen = simulate_network_batch(net, &plans, seed, mode, 3, 2).unwrap();
-                    let wide = simulate_batch_as::<i128>(net, &plans, seed, mode, 3, 2).unwrap();
+                    let wide = simulate_at(net, &plans, seed, mode, 3, 2, &all_wide).unwrap();
                     assert!(
                         chosen.is_fully_consistent(),
                         "{} {mode} seed {seed}",

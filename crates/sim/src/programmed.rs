@@ -10,7 +10,10 @@
 //! schedule) so that:
 //!
 //! * [`ProgrammedStage::program`] runs once per deployment, recording
-//!   one `array_programmings` count per tile;
+//!   one `array_programmings` count per tile. It numbers each windowed
+//!   tile's crossbar columns window-major, by `(wy, wx, oc)`, so a row's
+//!   cells form a few long runs of adjacent columns (see [`Crossbar`]);
+//!   the tile layout itself keeps its `oc`-major order;
 //! * [`ProgrammedStage::stream_batch`] pushes any number of input
 //!   feature maps through the programmed pipeline, using batched MVMs
 //!   ([`Crossbar::mvm_batch_into`]) so each programmed row is read once
@@ -24,13 +27,14 @@
 //! accumulate in exactly the order of the single-IFM engine (tiles in
 //! (AR, AC) order, positions in schedule order, rows ascending), so a
 //! batched stream is bit-identical to N independent runs even for
-//! floating-point scalars.
+//! floating-point scalars. The column renumbering changes no order
+//! either: an output receives one column's sum per tile and position.
 
 use crate::crossbar::Crossbar;
 use crate::metrics::RunStats;
 use crate::{Result, SimError};
 use pim_arch::energy::EnergyModel;
-use pim_mapping::layout::{ColSink, RowSource, SmdLayout, TileLayout};
+use pim_mapping::layout::{CellAssignment, ColSink, RowSource, SmdLayout, TileLayout};
 use pim_mapping::schedule::{pw_positions, windows_per_pw, PwPosition};
 use pim_mapping::{MappingAlgorithm, MappingPlan};
 use pim_nets::ConvLayer;
@@ -46,6 +50,34 @@ struct WindowedTile<T> {
     col_sinks: Vec<ColSink>,
     used_cells: usize,
     xbar: Crossbar<T>,
+}
+
+impl<T: Scalar> WindowedTile<T> {
+    /// Programs a tile with its columns renumbered window-major, by
+    /// `(wy, wx, oc)`. The layout numbers them `oc`-major, which puts one
+    /// window's cells `NWP` columns apart; window-major, a row's cells
+    /// for one window are one run of the tile's output channels, and
+    /// neighbouring windows merge. Each output still receives one
+    /// column's sum per tile and position, so no sum changes order.
+    fn program(layout: &TileLayout, weights: &Tensor4<T>) -> Result<Self> {
+        let sinks = layout.col_sinks();
+        let mut order: Vec<usize> = (0..sinks.len()).collect();
+        order.sort_unstable_by_key(|&c| (sinks[c].wy, sinks[c].wx, sinks[c].oc));
+        let mut rank = vec![0; sinks.len()];
+        for (new, &old) in order.iter().enumerate() {
+            rank[old] = new;
+        }
+        let cells = layout.cells().iter().map(|cell| CellAssignment {
+            col: rank[cell.col],
+            ..*cell
+        });
+        Ok(Self {
+            row_sources: layout.row_sources().to_vec(),
+            col_sinks: order.iter().map(|&old| sinks[old]).collect(),
+            used_cells: layout.used_cells(),
+            xbar: Crossbar::program_from(layout.rows_used(), sinks.len(), cells, weights)?,
+        })
+    }
 }
 
 /// The programmed state behind one plan, by mapping flavour.
@@ -130,20 +162,11 @@ impl<T: Scalar> ProgrammedStage<T> {
             let mut tiles = Vec::new();
             for t in 0..plan.ar_cycles() {
                 for u in 0..plan.ac_cycles() {
-                    let layout = TileLayout::build(plan, t, u)?;
-                    let xbar = Crossbar::program(
-                        layout.rows_used(),
-                        layout.cols_used(),
-                        layout.cells(),
+                    tiles.push(WindowedTile::program(
+                        &TileLayout::build(plan, t, u)?,
                         weights,
-                    )?;
+                    )?);
                     stats.record_programming();
-                    tiles.push(WindowedTile {
-                        row_sources: layout.row_sources().to_vec(),
-                        col_sinks: layout.col_sinks().to_vec(),
-                        used_cells: layout.used_cells(),
-                        xbar,
-                    });
                 }
             }
             let (oh, ow) = plan.layer().output_dims();
@@ -553,6 +576,28 @@ mod tests {
         assert!(stage.stream_batch(&[]).is_err());
         let wrong = gen::random3::<i64>(3, 8, 8, 1);
         assert!(stage.stream_batch(std::slice::from_ref(&wrong)).is_err());
+    }
+
+    #[test]
+    fn window_major_tiles_store_at_most_one_run_per_kernel_row() {
+        // Window-major, a row's cells for one window are one run of the
+        // tile's output channels and neighbouring windows merge, so a
+        // row holds at most one run per window row that covers it.
+        let net = pim_nets::zoo::resnet18_sim();
+        let conv1 = &net.layers()[0];
+        let plan = MappingAlgorithm::VwSdk
+            .plan(conv1, PimArray::new(512, 512).unwrap())
+            .unwrap();
+        let weights = gen::random4::<i32>(8, 3, 7, 7, 1);
+        let stage = ProgrammedStage::program(&plan, &weights, &mut RunStats::new()).unwrap();
+        let StageKind::Windowed { tiles, .. } = &stage.kind else {
+            panic!("VW-SDK programs windowed tiles");
+        };
+        assert_eq!(tiles.len(), 1);
+        let xbar = &tiles[0].xbar;
+        assert_eq!(xbar.programmed_cells(), 51_744);
+        let most = (0..xbar.rows()).map(|r| xbar.runs_in_row(r)).max();
+        assert!(most <= Some(conv1.kernel_h()), "{most:?} runs in one row");
     }
 
     #[test]

@@ -159,9 +159,9 @@ OPTIONS:
     --seed N        Data seed for generated tensors (verify, simulate;
                     default 2024) — same seed, same bytes, on any machine
     --mode M        Simulate: exact (no rescaling) or quantized (int8-style
-                    inter-stage requantization; default); runs in the
-                    narrowest of i32/i64/i128 that provably holds every
-                    value
+                    inter-stage requantization; default); runs each stage
+                    in the narrowest of i32/i64/i128 that provably holds
+                    its values, never narrower than the stage before
     --batch N       Simulate: input feature maps streamed through one
                     programmed deployment (default 1; must be >= 1)
     --batches A,B   Bench: batch sizes to sweep, ascending from 1
