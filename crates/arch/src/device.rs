@@ -1,94 +1,12 @@
-//! Memory-cell and data-converter specifications.
+//! Data-converter specifications.
 //!
-//! These types parameterize the quantized mode of the functional simulator
-//! (`pim-sim`) and the energy model ([`crate::energy`]). The paper itself
-//! reasons only in computing cycles; device specifics are the substrate we
-//! must supply to make those cycles executable. Defaults follow the RRAM
-//! configurations common to the papers cited by VW-SDK (ISAAC-class arrays:
-//! 1–2 bits per cell, 8-bit ADCs, 1-bit DACs with bit-serial inputs).
+//! These types parameterize the energy model ([`crate::energy`]). The
+//! paper itself reasons only in computing cycles; converter specifics are
+//! the substrate we must supply to put a cost on those cycles. Defaults
+//! follow the RRAM configurations common to the papers cited by VW-SDK
+//! (ISAAC-class arrays: 8-bit ADCs, 1-bit DACs with bit-serial inputs).
 
 use crate::{ArchError, Result};
-use std::fmt;
-
-/// The memory technology realizing the crossbar cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CellTechnology {
-    /// Resistive RAM (the technology of paper refs. \[2\], \[3\], \[5\]).
-    Rram,
-    /// 6T SRAM operated as an analog in-memory processor (paper ref. \[8\]).
-    Sram,
-    /// Idealized cell with unbounded precision — used by the exact
-    /// functional-verification mode.
-    Ideal,
-}
-
-impl fmt::Display for CellTechnology {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            CellTechnology::Rram => "RRAM",
-            CellTechnology::Sram => "SRAM",
-            CellTechnology::Ideal => "ideal",
-        };
-        f.write_str(name)
-    }
-}
-
-/// One crossbar cell: technology plus storable precision.
-///
-/// A `w`-bit weight is stored across `ceil(w / bits_per_cell)` physical
-/// columns ("bit slicing"); the mapping layer accounts for that expansion
-/// when a quantized device is selected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CellDevice {
-    /// Technology of the cell.
-    pub technology: CellTechnology,
-    /// Bits stored per physical cell (0 = unbounded/ideal).
-    pub bits_per_cell: u8,
-}
-
-impl CellDevice {
-    /// An idealized cell holding a full-precision weight (the default for
-    /// functional verification).
-    pub fn ideal() -> Self {
-        Self {
-            technology: CellTechnology::Ideal,
-            bits_per_cell: 0,
-        }
-    }
-
-    /// A 2-bit RRAM cell, the configuration of ISAAC-class accelerators.
-    pub fn rram_2bit() -> Self {
-        Self {
-            technology: CellTechnology::Rram,
-            bits_per_cell: 2,
-        }
-    }
-
-    /// A binary SRAM cell as in the paper's ref. \[8\].
-    pub fn sram_1bit() -> Self {
-        Self {
-            technology: CellTechnology::Sram,
-            bits_per_cell: 1,
-        }
-    }
-
-    /// Physical columns needed to store one `weight_bits`-wide weight.
-    ///
-    /// Ideal cells (bits_per_cell = 0) always need exactly one column.
-    pub fn columns_per_weight(&self, weight_bits: u8) -> usize {
-        if self.bits_per_cell == 0 {
-            1
-        } else {
-            usize::from(weight_bits.div_ceil(self.bits_per_cell))
-        }
-    }
-}
-
-impl Default for CellDevice {
-    fn default() -> Self {
-        Self::ideal()
-    }
-}
 
 /// Analog-to-digital converter at the foot of each column (or shared by a
 /// group of columns).
@@ -163,32 +81,11 @@ impl DacSpec {
     pub fn bit_serial() -> Self {
         Self { bits: 1 }
     }
-
-    /// Input passes needed for an `input_bits`-wide activation.
-    pub fn passes_for(&self, input_bits: u8) -> u64 {
-        u64::from(input_bits.div_ceil(self.bits))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ideal_cell_needs_one_column() {
-        assert_eq!(CellDevice::ideal().columns_per_weight(8), 1);
-        assert_eq!(CellDevice::ideal().columns_per_weight(32), 1);
-    }
-
-    #[test]
-    fn bit_slicing_rounds_up() {
-        let c = CellDevice::rram_2bit();
-        assert_eq!(c.columns_per_weight(8), 4);
-        assert_eq!(c.columns_per_weight(7), 4);
-        assert_eq!(c.columns_per_weight(1), 1);
-        let s = CellDevice::sram_1bit();
-        assert_eq!(s.columns_per_weight(8), 8);
-    }
 
     #[test]
     fn adc_validation_and_levels() {
@@ -200,17 +97,9 @@ mod tests {
     }
 
     #[test]
-    fn dac_passes_round_up() {
-        let dac = DacSpec::bit_serial();
-        assert_eq!(dac.passes_for(8), 8);
-        let d4 = DacSpec::new(4).unwrap();
-        assert_eq!(d4.passes_for(8), 2);
-        assert_eq!(d4.passes_for(9), 3);
-    }
-
-    #[test]
-    fn display_names() {
-        assert_eq!(CellTechnology::Rram.to_string(), "RRAM");
-        assert_eq!(CellTechnology::Ideal.to_string(), "ideal");
+    fn dac_validation() {
+        assert!(DacSpec::new(0).is_err());
+        assert_eq!(DacSpec::new(4).unwrap().bits, 4);
+        assert_eq!(DacSpec::bit_serial().bits, 1);
     }
 }

@@ -7,8 +7,7 @@
 //! * [`PimArray`] — array geometry (`rows × cols`) with the size presets the
 //!   paper cites: 128×128 and 256×256 (Zhu et al., ICCAD'18 \[5\]), 512×512
 //!   (Zhang et al., TCAD'20 \[2\]) and 512×256 (Kang et al., JSSC'18 \[8\]);
-//! * [`device`] — memory-cell and converter specifications (bits per cell,
-//!   ADC/DAC resolution);
+//! * [`device`] — data-converter specifications (ADC/DAC resolution);
 //! * [`energy`] — a per-cycle energy model in which analog↔digital
 //!   conversions dominate, following Xia et al., DAC'16 \[3\] (">98 % of the
 //!   total PIM energy consumption");

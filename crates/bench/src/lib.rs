@@ -16,12 +16,14 @@
 //! | [`fig9`] | Fig. 9(a)/(b) array utilization |
 //! | [`ablation`] | A1–A3: search-space ablations and pruning |
 //! | [`energy`] | A5: energy/conversion accounting |
-//! | [`precision`] | A6: device-precision sweep |
 //! | [`chip`] | A7: chip-scale pipelined deployment |
 //! | [`sweep`] | A4: extra networks × array sizes (via the parallel, memoized `PlanningEngine`) |
 //! | [`simbench`] | A8: batched-simulation MACs/s trajectory (`BENCH_sim.json`) |
 //! | [`servebench`] | A9: loopback serving RPS/latency + telemetry-overhead gate (`BENCH_serve.json`) |
 //! | [`planbench`] | A10: cold-search plan sweep, pruned vs exhaustive (`BENCH_plan.json`) |
+//!
+//! A6, the device-precision sweep, is retired: no simulation executed
+//! its cycle counts. Restore it from git commit `2ddb935`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -35,7 +37,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod planbench;
-pub mod precision;
 pub mod servebench;
 pub mod simbench;
 pub mod sweep;

@@ -43,7 +43,6 @@
 pub mod capacity;
 pub mod memo;
 pub mod model;
-pub mod precision;
 pub mod search;
 pub mod window;
 

@@ -12,12 +12,12 @@
 //! 4. the result is compared against the reference convolution from
 //!    `pim-tensor` — bit-exact in integer mode.
 //!
-//! Along the way the engine counts cycles, MAC operations and ADC/DAC
+//! Along the way the simulator counts cycles, MAC operations and ADC/DAC
 //! conversions, and integrates the `pim-arch` energy model, which is how
 //! the energy experiment (docs/EXPERIMENTS.md, A5) is produced.
 //!
-//! Beyond single layers, the [`network`] module executes *whole
-//! networks*: [`NetworkExecutor`] programs every stage of a deployed
+//! There is one simulation path, and it executes *whole networks*: the
+//! [`network`] module's [`NetworkExecutor`] programs every stage of a deployed
 //! network once ([`ProgrammedStage`]) and streams input feature maps
 //! through the programmed state (convolution on the crossbars,
 //! ReLU/pooling in the digital periphery) via
@@ -26,25 +26,24 @@
 //! [`simulate_network_batch`] and [`simulate_deployment_batch`] prove
 //! every result bit-exact against the `pim-tensor` reference forward
 //! pass while cross-checking executed against predicted cycles.
+//! [`verify::verify_plan`] checks one plan by running its layer as a
+//! one-stage network.
 //!
 //! # Example
 //!
 //! ```
+//! use pim_arch::PimArray;
 //! use pim_mapping::MappingAlgorithm;
 //! use pim_nets::ConvLayer;
-//! use pim_arch::PimArray;
-//! use pim_sim::Engine;
-//! use pim_tensor::gen;
+//! use pim_sim::verify::verify_plan;
 //!
 //! let layer = ConvLayer::square("c", 8, 3, 2, 3)?;
 //! let array = PimArray::new(64, 64)?;
 //! let plan = MappingAlgorithm::VwSdk.plan(&layer, array)?;
-//! let ifm = gen::random3::<i64>(2, 8, 8, 1);
-//! let weights = gen::random4::<i64>(3, 2, 3, 3, 2);
-//! let run = Engine::new().run(&plan, &ifm, &weights)?;
-//! let reference = pim_tensor::conv2d_direct(&ifm, &weights, conv_params(&layer))?;
-//! assert_eq!(run.ofm(), &reference);
-//! # use pim_tensor::forward::conv_params;
+//! // The layer as a one-stage network, checked against the reference.
+//! let report = verify_plan(&plan, 1)?;
+//! assert!(report.is_fully_consistent());
+//! assert_eq!(report.executed_cycles(), plan.cycles());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -59,7 +58,7 @@ pub mod programmed;
 pub mod verify;
 
 pub use crossbar::Crossbar;
-pub use engine::{Engine, SimRun};
+pub use engine::Engine;
 pub use metrics::RunStats;
 pub use network::{
     simulate_deployment_batch, simulate_network_batch, BatchRun, NetworkExecutor, ScalarWidth,

@@ -1,17 +1,17 @@
 //! Network-scale execution: stream a batch of input feature maps
 //! through every stage of a deployed network.
 //!
-//! [`verify_plan`](crate::verify::verify_plan) proves one *layer*
-//! correct in isolation. This module proves a whole *deployment*
-//! correct: the [`NetworkExecutor`] takes a [`Network`] together with
-//! its per-layer [`MappingPlan`]s, programs each stage's tiles into
-//! crossbars once, executes the stage on each streamed feature map,
-//! applies the stage's digital [`InterOp`]s (ReLU,
-//! pooling), and hands the result to the next stage — exactly the data
-//! flow of a pipelined PIM chip processing a stream of images. A chip
-//! [`Deployment`] runs through [`simulate_deployment_batch`], which
-//! executes the plans its allocations carry. One input is a
-//! one-element batch.
+//! This is the simulator's one path. It proves a whole *deployment*
+//! correct; a single *layer* runs as a one-stage network
+//! ([`verify_plan`](crate::verify::verify_plan)). The
+//! [`NetworkExecutor`] takes a [`Network`] together with its per-layer
+//! [`MappingPlan`]s, programs each stage's tiles into crossbars once,
+//! executes the stage on each streamed feature map, applies the stage's
+//! digital [`InterOp`]s (ReLU, pooling), and hands the result to the
+//! next stage — exactly the data flow of a pipelined PIM chip
+//! processing a stream of images. A chip [`Deployment`] runs through
+//! [`simulate_deployment_batch`], which executes the plans its
+//! allocations carry. One input is a one-element batch.
 //!
 //! Two guarantees come out the other end, pinned by
 //! [`simulate_network_batch`] for every batch element:
@@ -434,16 +434,17 @@ fn record_sim_telemetry(stages: &[StageExecution], batch_elements: u64) {
         .add(stages.iter().map(|s| s.macs).sum());
 }
 
-/// The deterministic per-layer weight seed (layer 0 matches
-/// [`crate::verify::verify_plan`]'s derivation).
+/// The deterministic per-layer weight seed. Layer 0's is the weight
+/// seed of [`crate::verify::verify_plan`], which runs a one-stage
+/// network.
 fn weight_seed(seed: u64, index: usize) -> u64 {
     seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(index as u64 + 1)
 }
 
 /// The deterministic per-batch-element input seed. Element 0 uses
-/// `seed` unchanged — the input [`crate::verify::verify_plan`] generates
-/// for the first layer.
+/// `seed` unchanged, so [`crate::verify::verify_plan`]'s one input is
+/// generated from its seed itself.
 fn ifm_seed(seed: u64, element: usize) -> u64 {
     seed.wrapping_add((element as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }

@@ -2,12 +2,11 @@
 //! **program phase** and a reusable per-IFM **stream phase**.
 //!
 //! The paper's throughput argument rests on amortization — crossbars are
-//! programmed once and then reused across every input window. The
-//! original [`Engine::run`](crate::Engine::run) rebuilt and reprogrammed
-//! every tile on every call, so simulating a batch of N inputs paid the
-//! layout/programming cost N times. A [`ProgrammedStage`] captures the
-//! post-programming state of one mapping plan (tiles, crossbars,
-//! schedule) so that:
+//! programmed once and then reused across every input window. Rebuilding
+//! and reprogramming every tile per input would make a batch of N inputs
+//! pay the layout/programming cost N times. A [`ProgrammedStage`]
+//! captures the post-programming state of one mapping plan (tiles,
+//! crossbars, schedule) so that:
 //!
 //! * [`ProgrammedStage::program`] runs once per deployment, recording
 //!   one `array_programmings` count per tile. It numbers each windowed
@@ -24,9 +23,9 @@
 //!   independent of worker sharding.
 //!
 //! Bit-exactness is preserved: for every output element the partial sums
-//! accumulate in exactly the order of the single-IFM engine (tiles in
+//! accumulate in the same order for every batch element (tiles in
 //! (AR, AC) order, positions in schedule order, rows ascending), so a
-//! batched stream is bit-identical to N independent runs even for
+//! batched stream is bit-identical to N one-element streams even for
 //! floating-point scalars. The column renumbering changes no order
 //! either: an output receives one column's sum per tile and position.
 
@@ -256,9 +255,8 @@ impl<T: Scalar> ProgrammedStage<T> {
     /// Replays the per-input execution counters (cycles, MACs, ADC/DAC
     /// conversions, energy) into `stats` — once per streamed input
     /// feature map. The counters depend only on the programmed geometry,
-    /// so one replay per batch element reproduces exactly what N
-    /// independent [`Engine::run`](crate::Engine::run) calls would have
-    /// recorded.
+    /// so one replay per batch element reproduces exactly what streaming
+    /// N inputs one at a time would record.
     pub fn stream_stats(&self, energy: &EnergyModel, stats: &mut RunStats) {
         match &self.kind {
             StageKind::Windowed {
@@ -488,9 +486,18 @@ impl<T: Scalar> ProgrammedStage<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
     use pim_arch::PimArray;
-    use pim_tensor::gen;
+    use pim_tensor::forward::conv_params;
+    use pim_tensor::{conv2d_grouped, gen};
+
+    /// The reference convolution of `layer` (grouped for grouped layers).
+    fn reference<T: Scalar>(
+        layer: &ConvLayer,
+        ifm: &Tensor3<T>,
+        weights: &Tensor4<T>,
+    ) -> Tensor3<T> {
+        conv2d_grouped(ifm, weights, conv_params(layer), layer.groups()).unwrap()
+    }
 
     fn check_batched(plan: &MappingPlan, seed: u64) {
         let layer = plan.layer();
@@ -514,20 +521,20 @@ mod tests {
         let mut stats = RunStats::new();
         let stage = ProgrammedStage::program(plan, &weights, &mut stats).unwrap();
         let outs = stage.stream_batch(&ifms).unwrap();
-        let engine = Engine::new();
+        let mut solo_stats = RunStats::new();
+        let solo_stage = ProgrammedStage::program(plan, &weights, &mut solo_stats).unwrap();
         for (ifm, out) in ifms.iter().zip(&outs) {
-            let solo = engine.run(plan, ifm, &weights).unwrap();
-            assert_eq!(solo.ofm(), out, "{} batched mismatch", plan.algorithm());
+            let solo = solo_stage.stream_batch(std::slice::from_ref(ifm)).unwrap();
+            assert_eq!(&solo[0], out, "{} batched mismatch", plan.algorithm());
+            assert_eq!(
+                &reference(layer, ifm, &weights),
+                out,
+                "{} reference mismatch",
+                plan.algorithm()
+            );
         }
         // Programming happened once per tile, not once per input.
-        assert_eq!(
-            stats.array_programmings,
-            engine
-                .run(plan, &ifms[0], &weights)
-                .unwrap()
-                .stats()
-                .array_programmings
-        );
+        assert_eq!(stats.array_programmings, solo_stats.array_programmings);
     }
 
     #[test]
@@ -565,6 +572,16 @@ mod tests {
     }
 
     #[test]
+    fn program_rejects_a_bad_weight_bank() {
+        let l = ConvLayer::square("c", 8, 3, 2, 3).unwrap();
+        let plan = MappingAlgorithm::Im2col
+            .plan(&l, PimArray::new(32, 32).unwrap())
+            .unwrap();
+        let bad_w = gen::random4::<i64>(3, 2, 5, 5, 2);
+        assert!(ProgrammedStage::program(&plan, &bad_w, &mut RunStats::new()).is_err());
+    }
+
+    #[test]
     fn stream_rejects_bad_batches() {
         let l = ConvLayer::square("c", 8, 3, 2, 3).unwrap();
         let plan = MappingAlgorithm::Im2col
@@ -576,6 +593,39 @@ mod tests {
         assert!(stage.stream_batch(&[]).is_err());
         let wrong = gen::random3::<i64>(3, 8, 8, 1);
         assert!(stage.stream_batch(std::slice::from_ref(&wrong)).is_err());
+    }
+
+    #[test]
+    fn stats_count_programmings_and_conversions() {
+        let l = ConvLayer::square("c", 6, 3, 3, 4).unwrap();
+        let plan = MappingAlgorithm::Im2col
+            .plan(&l, PimArray::new(16, 8).unwrap())
+            .unwrap();
+        let weights = gen::random4::<i64>(4, 3, 3, 3, 4);
+        let mut s = RunStats::new();
+        let stage = ProgrammedStage::program(&plan, &weights, &mut s).unwrap();
+        stage.stream_stats(&EnergyModel::default(), &mut s);
+        assert_eq!(s.array_programmings, plan.ar_cycles() * plan.ac_cycles());
+        assert_eq!(s.computing_cycles, plan.cycles());
+        assert!(s.adc_conversions > 0);
+        assert!(s.dac_conversions > 0);
+        assert!(s.energy_pj() > 0.0);
+    }
+
+    #[test]
+    fn float_stream_is_close_to_reference() {
+        let l = ConvLayer::square("c", 8, 3, 2, 3).unwrap();
+        let plan = MappingAlgorithm::VwSdk
+            .plan(&l, PimArray::new(64, 64).unwrap())
+            .unwrap();
+        let ifm = gen::random3::<f64>(2, 8, 8, 5);
+        let weights = gen::random4::<f64>(3, 2, 3, 3, 6);
+        let stage = ProgrammedStage::program(&plan, &weights, &mut RunStats::new()).unwrap();
+        let out = stage.stream_batch(std::slice::from_ref(&ifm)).unwrap();
+        let expected = reference(&l, &ifm, &weights);
+        for (a, b) in out[0].as_slice().iter().zip(expected.as_slice()) {
+            assert!((a - b).abs() < 1e-9);
+        }
     }
 
     #[test]
@@ -598,20 +648,5 @@ mod tests {
         assert_eq!(xbar.programmed_cells(), 51_744);
         let most = (0..xbar.rows()).map(|r| xbar.runs_in_row(r)).max();
         assert!(most <= Some(conv1.kernel_h()), "{most:?} runs in one row");
-    }
-
-    #[test]
-    fn stream_stats_match_single_run_stats() {
-        let l = ConvLayer::square("c", 6, 3, 3, 4).unwrap();
-        let plan = MappingAlgorithm::Im2col
-            .plan(&l, PimArray::new(16, 8).unwrap())
-            .unwrap();
-        let weights = gen::random4::<i64>(4, 3, 3, 3, 4);
-        let ifm = gen::random3::<i64>(3, 6, 6, 3);
-        let mut stats = RunStats::new();
-        let stage = ProgrammedStage::program(&plan, &weights, &mut stats).unwrap();
-        stage.stream_stats(&pim_arch::energy::EnergyModel::isaac_like(), &mut stats);
-        let solo = Engine::new().run(&plan, &ifm, &weights).unwrap();
-        assert_eq!(&stats, solo.stats());
     }
 }

@@ -1,73 +1,33 @@
-//! End-to-end verification of mapping plans against the reference
-//! convolution.
+//! Verification of one mapping plan: its layer simulated as a one-stage
+//! network.
 
-use crate::engine::Engine;
+use crate::network::{simulate_network_batch, SimulationReport};
 use crate::Result;
 use pim_mapping::MappingPlan;
-use pim_tensor::forward::conv_params;
-use pim_tensor::{conv2d_direct, conv2d_grouped, gen};
+use pim_nets::Network;
+use pim_tensor::ExecMode;
 
-/// Outcome of verifying one plan with generated data.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VerifyReport {
-    /// `true` when simulated output equals the reference convolution
-    /// element-for-element (exact `i64` arithmetic).
-    pub matches: bool,
-    /// Computing cycles executed by the engine.
-    pub executed_cycles: u64,
-    /// Cycles the analytical model predicted.
-    pub predicted_cycles: u64,
-    /// Number of output elements compared.
-    pub elements: usize,
-    /// Number of mismatching elements (0 when `matches`).
-    pub mismatches: usize,
-}
-
-impl VerifyReport {
-    /// `true` when the output matched *and* the executed cycle count
-    /// equals the analytical prediction.
-    pub fn is_fully_consistent(&self) -> bool {
-        self.matches && self.executed_cycles == self.predicted_cycles
-    }
-}
-
-/// Runs a plan on deterministic pseudo-random `i64` tensors and compares
-/// the simulated output with the reference convolution (grouped layers
-/// verify against the grouped reference).
+/// Simulates `plan`'s layer alone — a one-stage network with no
+/// inter-stage operators, in [`ExecMode::Exact`], on one generated input
+/// and one worker — and compares the output with the reference
+/// convolution (grouped layers with the grouped reference). The input
+/// and weights are the ones [`simulate_network_batch`] generates for
+/// element 0 and layer 0 under `seed`.
 ///
 /// # Errors
 ///
 /// Returns [`crate::SimError`] if the plan cannot be simulated.
-pub fn verify_plan(plan: &MappingPlan, seed: u64) -> Result<VerifyReport> {
+pub fn verify_plan(plan: &MappingPlan, seed: u64) -> Result<SimulationReport> {
     let layer = plan.layer();
-    let ifm = gen::random3::<i64>(layer.in_channels(), layer.input_h(), layer.input_w(), seed);
-    let weights = gen::random4::<i64>(
-        layer.out_channels(),
-        layer.in_channels_per_group(),
-        layer.kernel_h(),
-        layer.kernel_w(),
-        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1),
-    );
-    let run = Engine::new().run(plan, &ifm, &weights)?;
-    let reference = if layer.groups() > 1 {
-        conv2d_grouped(&ifm, &weights, conv_params(layer), layer.groups())?
-    } else {
-        conv2d_direct(&ifm, &weights, conv_params(layer))?
-    };
-    let mismatches = run
-        .ofm()
-        .as_slice()
-        .iter()
-        .zip(reference.as_slice())
-        .filter(|(a, b)| a != b)
-        .count();
-    Ok(VerifyReport {
-        matches: mismatches == 0,
-        executed_cycles: run.stats().computing_cycles,
-        predicted_cycles: plan.cycles(),
-        elements: reference.as_slice().len(),
-        mismatches,
-    })
+    let network = Network::from_layers(layer.name(), vec![layer.clone()]);
+    simulate_network_batch(
+        &network,
+        std::slice::from_ref(plan),
+        seed,
+        ExecMode::Exact,
+        1,
+        1,
+    )
 }
 
 #[cfg(test)]
@@ -76,6 +36,20 @@ mod tests {
     use pim_arch::PimArray;
     use pim_mapping::MappingAlgorithm;
     use pim_nets::ConvLayer;
+
+    fn arr(r: usize, c: usize) -> PimArray {
+        PimArray::new(r, c).unwrap()
+    }
+
+    fn check_layer(plan: &MappingPlan, seed: u64) {
+        let report = verify_plan(plan, seed).unwrap();
+        assert!(
+            report.is_fully_consistent(),
+            "{}: {report:?}",
+            plan.algorithm()
+        );
+        assert_eq!(report.executed_cycles(), plan.cycles());
+    }
 
     #[test]
     fn all_algorithms_verify_on_a_small_layer() {
@@ -86,6 +60,69 @@ mod tests {
             let report = verify_plan(&plan, 99).unwrap();
             assert!(report.is_fully_consistent(), "{alg}: {report:?}");
             assert_eq!(report.elements, 5 * 49);
+        }
+    }
+
+    #[test]
+    fn im2col_execution_matches_reference() {
+        let l = ConvLayer::square("c", 8, 3, 3, 5).unwrap();
+        let plan = MappingAlgorithm::Im2col.plan(&l, arr(32, 16)).unwrap();
+        check_layer(&plan, 11);
+    }
+
+    #[test]
+    fn im2col_with_row_tiling_matches_reference() {
+        // Kernel rows 27 on a 16-row array: AR = 2, dense straddling.
+        let l = ConvLayer::square("c", 6, 3, 3, 4).unwrap();
+        let plan = MappingAlgorithm::Im2col.plan(&l, arr(16, 8)).unwrap();
+        assert!(plan.ar_cycles() > 1);
+        check_layer(&plan, 12);
+    }
+
+    #[test]
+    fn vw_execution_matches_reference() {
+        let l = ConvLayer::square("c", 10, 3, 4, 6).unwrap();
+        let plan = MappingAlgorithm::VwSdk.plan(&l, arr(64, 48)).unwrap();
+        assert!(plan.windows_in_pw() > 1, "expected a real parallel window");
+        check_layer(&plan, 13);
+    }
+
+    #[test]
+    fn vw_with_channel_tiling_matches_reference() {
+        // Force AR > 1: 8 channels, ICt limited by a small array.
+        let l = ConvLayer::square("c", 9, 3, 8, 6).unwrap();
+        let plan = MappingAlgorithm::VwSdk.plan(&l, arr(48, 32)).unwrap();
+        check_layer(&plan, 14);
+    }
+
+    #[test]
+    fn sdk_execution_matches_reference() {
+        let l = ConvLayer::square("c", 12, 3, 4, 8).unwrap();
+        let plan = MappingAlgorithm::Sdk.plan(&l, arr(64, 64)).unwrap();
+        check_layer(&plan, 15);
+    }
+
+    #[test]
+    fn smd_execution_matches_reference() {
+        let l = ConvLayer::square("c", 8, 3, 2, 3).unwrap();
+        let plan = MappingAlgorithm::Smd.plan(&l, arr(64, 64)).unwrap();
+        assert!(plan.duplication() > 1);
+        check_layer(&plan, 16);
+    }
+
+    #[test]
+    fn strided_padded_layer_matches_reference() {
+        let l = ConvLayer::builder("sp")
+            .input(9, 9)
+            .kernel(3, 3)
+            .channels(2, 4)
+            .stride(2)
+            .padding(1)
+            .build()
+            .unwrap();
+        for alg in [MappingAlgorithm::Im2col, MappingAlgorithm::VwSdk] {
+            let plan = alg.plan(&l, arr(48, 32)).unwrap();
+            check_layer(&plan, 17);
         }
     }
 

@@ -63,10 +63,10 @@ proptest! {
         for alg in MappingAlgorithm::all() {
             let plan = alg.plan(&case.layer, case.array).expect("planning is total");
             let report = verify_plan(&plan, case.seed).expect("simulation runs");
-            prop_assert!(report.matches,
+            prop_assert!(report.matches(),
                 "{alg} output mismatch on {} / {}: {} of {} elements",
                 case.layer, case.array, report.mismatches, report.elements);
-            prop_assert_eq!(report.executed_cycles, report.predicted_cycles,
+            prop_assert_eq!(report.executed_cycles(), report.predicted_cycles(),
                 "{} cycle mismatch on {} / {}", alg, case.layer, case.array);
         }
     }

@@ -1,12 +1,12 @@
 //! The network-scale reference forward pass.
 //!
-//! `pim-sim` proves a single mapping correct by comparing one simulated
-//! layer against [`crate::conv2d_direct`]. This module is the
-//! network-scale analogue: it streams one input feature map through
-//! *every* stage of a [`Network`] — convolution, then the stage's
-//! digital [`InterOp`]s — entirely in reference arithmetic. The
-//! functional simulator's `NetworkExecutor` is verified bit-exact
-//! against [`forward`] in integer mode.
+//! [`forward`] streams one input feature map through *every* stage of a
+//! [`Network`] — convolution ([`crate::conv2d_direct`], or
+//! [`crate::conv2d_grouped`] for grouped layers), then the stage's
+//! digital [`InterOp`]s — entirely in reference arithmetic. It is the
+//! functional simulator's only reference: `pim-sim` checks every
+//! network, and every single layer as a one-stage network, bit-exact
+//! against it in integer mode.
 //!
 //! # Execution modes
 //!

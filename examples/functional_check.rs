@@ -25,8 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{:<17} {:>6}  {:>7}  {} ({} elements, {} mismatches)",
             alg.label(),
             plan.window().to_string(),
-            report.executed_cycles,
-            if report.matches { "yes" } else { "NO" },
+            report.executed_cycles(),
+            if report.matches() { "yes" } else { "NO" },
             report.elements,
             report.mismatches
         );

@@ -1475,7 +1475,7 @@ pub fn run(command: &Command) -> std::result::Result<String, CliError> {
                             } else {
                                 "MISMATCH"
                             },
-                            report.executed_cycles
+                            report.executed_cycles()
                         )),
                         Err(e) => out.push_str(&format!(
                             "  {:<8} {:<8} skipped ({e})\n",
@@ -1588,10 +1588,20 @@ mod tests {
 
     #[test]
     fn verify_command_checks_tiny_network() {
+        // Golden bytes of `vwsdk verify --network tiny --array 64x64
+        // --seed 7`: every (layer, algorithm) cell bit-exact, in its
+        // predicted cycles.
+        const EXPECTED: &str = concat!(
+            "functional verification of tiny on 64x64:\n",
+            "  c1       im2col   ok (36 cycles)\n",
+            "  c1       SDK      ok (4 cycles)\n",
+            "  c1       VW-SDK   ok (3 cycles)\n",
+            "  c2       im2col   ok (16 cycles)\n",
+            "  c2       SDK      ok (4 cycles)\n",
+            "  c2       VW-SDK   ok (4 cycles)\n",
+        );
         let cmd = parse(&argv("verify --network tiny --array 64x64 --seed 7")).unwrap();
-        let out = run(&cmd).unwrap();
-        assert!(out.contains("ok"));
-        assert!(!out.contains("MISMATCH"));
+        assert_eq!(run(&cmd).unwrap(), EXPECTED);
     }
 
     #[test]

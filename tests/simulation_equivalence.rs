@@ -111,7 +111,8 @@ fn executable_zoo_networks_simulate_bit_exactly_under_all_algorithms() {
             );
             verified += 1;
         }
-        // Exact mode (i128, no inter-stage rescaling) on one algorithm.
+        // Exact mode (no inter-stage rescaling; each stage in the
+        // narrowest width that holds it) on one algorithm.
         let exact = engine
             .simulate_network_batch_with(
                 &network,

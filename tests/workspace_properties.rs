@@ -30,8 +30,8 @@ proptest! {
             let scheduled = schedule::cycles(&plan).count() as u64;
             prop_assert_eq!(scheduled, plan.cycles());
             let report = verify_plan(&plan, 42).expect("simulates");
-            prop_assert_eq!(report.executed_cycles, plan.cycles());
-            prop_assert!(report.matches);
+            prop_assert_eq!(report.executed_cycles(), plan.cycles());
+            prop_assert!(report.matches());
         }
     }
 
