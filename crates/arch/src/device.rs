@@ -50,11 +50,6 @@ impl AdcSpec {
     pub fn levels(&self) -> u64 {
         1u64 << self.bits.min(63)
     }
-
-    /// Conversions performed to read `active_cols` columns once.
-    pub fn conversions_for(&self, active_cols: usize) -> u64 {
-        active_cols as u64
-    }
 }
 
 /// Digital-to-analog converter driving each row.
@@ -93,7 +88,6 @@ mod tests {
         assert!(AdcSpec::new(8, 0).is_err());
         let adc = AdcSpec::new(8, 1).unwrap();
         assert_eq!(adc.levels(), 256);
-        assert_eq!(adc.conversions_for(512), 512);
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Experiment harness regenerating every table and figure of the VW-SDK
-//! paper, plus extension experiments.
+//! paper, plus extension experiments and the telemetry-overhead gate.
 //!
 //! Each module corresponds to one artifact of the paper's evaluation and
 //! exposes a `report()` function returning the printable result; the
 //! binaries in `src/bin/` are thin wrappers. docs/EXPERIMENTS.md is the
-//! index recording the paper-vs-measured comparison for each.
+//! index recording the paper-vs-measured comparison for each. The
+//! exception is [`overhead`], the telemetry-overhead gate that the
+//! `overhead` binary runs; all other timing lives in the end-to-end
+//! benchmark (`e2ebench/`).
 //!
 //! | module | paper artifact |
 //! |---|---|
@@ -18,9 +21,7 @@
 //! | [`energy`] | A5: energy/conversion accounting |
 //! | [`chip`] | A7: chip-scale pipelined deployment |
 //! | [`sweep`] | A4: extra networks × array sizes (via the parallel, memoized `PlanningEngine`) |
-//! | [`simbench`] | A8: batched-simulation MACs/s trajectory (`BENCH_sim.json`) |
-//! | [`servebench`] | A9: loopback serving RPS/latency + telemetry-overhead gate (`BENCH_serve.json`) |
-//! | [`planbench`] | A10: cold-search plan sweep, pruned vs exhaustive (`BENCH_plan.json`) |
+//! | [`overhead`] | the telemetry-overhead gate (enabled vs stubbed registry on a cached sweep, < 2 %) |
 //!
 //! A6, the device-precision sweep, is retired: no simulation executed
 //! its cycle counts. Restore it from git commit `2ddb935`.
@@ -36,9 +37,7 @@ pub mod fig5;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod planbench;
-pub mod servebench;
-pub mod simbench;
+pub mod overhead;
 pub mod sweep;
 pub mod table1;
 

@@ -128,13 +128,6 @@ impl ChipConfig {
         })
     }
 
-    /// A PipeLayer-like configuration: 128 crossbars of 512×512 with an
-    /// expensive (2000-cycle) reload.
-    pub fn pipelayer_like() -> Self {
-        Self::new(128, PimArray::new(512, 512).expect("positive"), 2_000)
-            .expect("the preset is valid")
-    }
-
     /// Number of arrays on the chip.
     pub fn n_arrays(&self) -> usize {
         self.n_arrays
@@ -181,12 +174,5 @@ mod tests {
         assert!(ChipConfig::new(4, array, ChipConfig::MAX_REPROGRAM_CYCLES).is_ok());
         let err = ChipConfig::new(4, array, ChipConfig::MAX_REPROGRAM_CYCLES + 1).unwrap_err();
         assert!(err.to_string().contains("reprogram cost"), "{err}");
-    }
-
-    #[test]
-    fn pipelayer_preset_is_large() {
-        let chip = ChipConfig::pipelayer_like();
-        assert_eq!(chip.n_arrays(), 128);
-        assert_eq!(chip.array().cells(), 262_144);
     }
 }

@@ -2,8 +2,8 @@
 
 use crate::planner::NetworkReport;
 use pim_mapping::MappingAlgorithm;
+use pim_report::fmt_speedup;
 use pim_report::table::{Align, TextTable};
-use pim_report::{fmt_f64, fmt_speedup};
 
 /// Renders a [`NetworkReport`] in the style of the paper's Table I:
 /// one row per layer with each algorithm's `PW×PW×ICt×OCt` descriptor,
@@ -85,41 +85,6 @@ pub fn render_speedups(report: &NetworkReport, baseline: MappingAlgorithm) -> St
     )
 }
 
-/// Renders per-layer eq. (9) utilization of every configured algorithm
-/// (Fig. 9 style). Grouped layers render as `n/a`.
-pub fn render_utilization(report: &NetworkReport) -> String {
-    let mut header = vec!["layer".to_string()];
-    for alg in report.algorithms() {
-        header.push(format!("{} mean%", alg.label()));
-        header.push(format!("{} peak%", alg.label()));
-    }
-    let mut table = TextTable::new(&header);
-    for i in 1..header.len() {
-        table.align(i, Align::Right);
-    }
-    for cmp in report.layers() {
-        let mut row = vec![cmp.layer().name().to_string()];
-        for alg in report.algorithms() {
-            match cmp.utilization(*alg) {
-                Ok(u) => {
-                    row.push(fmt_f64(u.mean_nonzero, 1));
-                    row.push(fmt_f64(u.peak_nonzero, 1));
-                }
-                Err(_) => {
-                    row.push("n/a".to_string());
-                    row.push("n/a".to_string());
-                }
-            }
-        }
-        table.add_row(&row);
-    }
-    format!(
-        "Utilization (eq. 9, nonzero cells) on {}\n\n{}",
-        report.array(),
-        table.render()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,13 +113,5 @@ mod tests {
         let text = render_speedups(&report(), MappingAlgorithm::Im2col);
         assert!(text.contains("4.67x"), "{text}");
         assert!(text.contains("1.00x"), "{text}");
-    }
-
-    #[test]
-    fn utilization_rendering_covers_all_layers() {
-        let text = render_utilization(&report());
-        for name in ["conv1", "conv2", "conv3", "conv4", "conv5"] {
-            assert!(text.contains(name), "{text}");
-        }
     }
 }

@@ -217,7 +217,8 @@ pub fn optimal_window_with_table(
 
 /// The paper-form exhaustive scan: every candidate in `Candidates` order
 /// gets a full cost evaluation. This is the reference the pruned scan is
-/// property-tested against and the honest baseline `bench plan` times.
+/// property-tested against, and the candidate count its saving is
+/// measured in (`tests/search_pruning_equivalence.rs`).
 fn exhaustive_search(
     layer: &ConvLayer,
     array: PimArray,

@@ -72,11 +72,6 @@ impl Interest {
         readable: false,
         writable: true,
     };
-    /// Readable and writable.
-    pub const BOTH: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
     /// Neither: only hangup/error conditions are reported.
     pub const NONE: Interest = Interest {
         readable: false,
@@ -671,7 +666,14 @@ mod tests {
         let (server, _) = listener.accept().unwrap();
         server.set_nonblocking(true).unwrap();
         poller
-            .register(server.as_raw_fd(), 7, Interest::BOTH)
+            .register(
+                server.as_raw_fd(),
+                7,
+                Interest {
+                    readable: true,
+                    writable: true,
+                },
+            )
             .unwrap();
 
         let mut events = Vec::new();

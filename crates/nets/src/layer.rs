@@ -187,24 +187,6 @@ impl ConvLayer {
         self.stride == 1 && self.padding == 0 && self.dilation == 1 && self.groups == 1
     }
 
-    /// Returns a copy with a different input size (used by parameter sweeps
-    /// such as Fig. 5(b), which vary the IFM size of a fixed layer).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError`] if the kernel no longer fits.
-    pub fn with_input(&self, input_h: usize, input_w: usize) -> Result<Self> {
-        Self::builder(self.name.clone())
-            .input(input_h, input_w)
-            .kernel(self.kernel_h, self.kernel_w)
-            .channels(self.in_channels, self.out_channels)
-            .stride(self.stride)
-            .padding(self.padding)
-            .dilation(self.dilation)
-            .groups(self.groups)
-            .build()
-    }
-
     /// The canonical name-free shape of this layer.
     ///
     /// Two layers with equal shapes are interchangeable for every mapping
@@ -516,15 +498,6 @@ mod tests {
         let l = ConvLayer::square("c", 14, 3, 512, 512).unwrap();
         assert_eq!(l.n_params(), 512 * 512 * 9);
         assert_eq!(l.n_macs(), 144 * 512 * 512 * 9);
-    }
-
-    #[test]
-    fn with_input_preserves_everything_else() {
-        let l = ConvLayer::square("c", 56, 3, 128, 256).unwrap();
-        let l2 = l.with_input(14, 14).unwrap();
-        assert_eq!(l2.in_channels(), 128);
-        assert_eq!(l2.input_h(), 14);
-        assert!(l.with_input(2, 2).is_err());
     }
 
     #[test]

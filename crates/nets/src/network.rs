@@ -112,11 +112,6 @@ impl Network {
         &self.ops[index]
     }
 
-    /// `true` if any stage carries a non-empty operator sequence.
-    pub fn has_inter_ops(&self) -> bool {
-        self.ops.iter().any(|ops| !ops.is_empty())
-    }
-
     /// Number of layers.
     pub fn len(&self) -> usize {
         self.layers.len()
@@ -333,7 +328,6 @@ mod tests {
         );
         net.push(layer("b", 3, 4, 8));
         assert!(net.check_chain().is_ok());
-        assert!(net.has_inter_ops());
         assert_eq!(net.ops_after(0).len(), 2);
         assert!(net.ops_after(1).is_empty());
     }
@@ -362,6 +356,6 @@ mod tests {
         let a = Network::from_layers("n", vec![layer("a", 8, 1, 4)]);
         let b = Network::from_stages("n", vec![(layer("a", 8, 1, 4), Vec::new())]);
         assert_eq!(a, b);
-        assert!(!a.has_inter_ops());
+        assert!(a.ops_after(0).is_empty());
     }
 }

@@ -61,12 +61,6 @@ impl InterOp {
         }
     }
 
-    /// `true` for the pooling variants (the ops that change spatial
-    /// extents).
-    pub fn is_pooling(&self) -> bool {
-        matches!(self, Self::MaxPool { .. } | Self::AvgPool { .. })
-    }
-
     /// Spatial output extents for an `h × w` input.
     ///
     /// # Errors

@@ -1,4 +1,4 @@
-//! Plain-text experiment output — aligned tables, CSV, ASCII charts —
+//! Plain-text experiment output — aligned tables and ASCII charts —
 //! plus the workspace's [`json`] subsystem.
 //!
 //! The experiment binaries in `vw-sdk-bench` regenerate every table and

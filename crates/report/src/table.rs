@@ -1,4 +1,4 @@
-//! Aligned text tables and CSV emission.
+//! Aligned text tables.
 
 use std::fmt;
 
@@ -128,29 +128,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Emits the table as RFC-4180-style CSV (quoting cells that contain
-    /// commas, quotes or newlines).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |cell: &str| -> String {
-            if cell.contains([',', '"', '\n']) {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let emit = |cells: &[String], out: &mut String| {
-            let line: Vec<String> = cells.iter().map(|c| esc(c)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        };
-        emit(&self.header, &mut out);
-        for row in &self.rows {
-            emit(row, &mut out);
-        }
-        out
-    }
 }
 
 impl fmt::Display for TextTable {
@@ -191,14 +168,6 @@ mod tests {
     fn oversized_rows_panic() {
         let mut t = TextTable::new(&["a", "b"]);
         t.add_row(&["1", "2", "3"]);
-    }
-
-    #[test]
-    fn csv_escapes_special_cells() {
-        let mut t = TextTable::new(&["name", "note"]);
-        t.add_row(&["a,b", "say \"hi\""]);
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().nth(1).unwrap(), "\"a,b\",\"say \"\"hi\"\"\"");
     }
 
     #[test]

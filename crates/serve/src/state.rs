@@ -43,7 +43,7 @@ impl ServerState {
     }
 
     /// Enables or disables one-line structured access logs on stderr.
-    /// Off by default so embedded servers (tests, benches) stay quiet;
+    /// Off by default so servers embedded in tests stay quiet;
     /// the `vwsdk serve` daemon turns it on.
     pub fn set_access_log(&self, enabled: bool) {
         self.access_log.store(enabled, Ordering::Relaxed);

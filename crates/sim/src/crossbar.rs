@@ -172,7 +172,8 @@ impl<T: Scalar> Crossbar<T> {
     }
 
     /// Number of distinct programmed cells.
-    pub fn programmed_cells(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn programmed_cells(&self) -> usize {
         self.weight.len()
     }
 

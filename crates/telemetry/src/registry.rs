@@ -344,7 +344,6 @@ pub struct Snapshot {
 pub struct Registry {
     metrics: RwLock<BTreeMap<MetricId, MetricEntry>>,
     started: Instant,
-    started_unix: f64,
 }
 
 impl Default for Registry {
@@ -365,7 +364,6 @@ impl Registry {
         let reg = Registry {
             metrics: RwLock::new(BTreeMap::new()),
             started: Instant::now(),
-            started_unix,
         };
         reg.gauge(
             "pim_process_start_seconds",
@@ -386,11 +384,6 @@ impl Registry {
     /// global instance).
     pub fn uptime_seconds(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
-    }
-
-    /// Unix timestamp at which the registry was created.
-    pub fn start_unix_seconds(&self) -> f64 {
-        self.started_unix
     }
 
     fn id(name: &str, labels: &[(&str, &str)]) -> MetricId {
@@ -816,7 +809,6 @@ mod tests {
         assert_eq!(build.value, 1.0);
         assert_eq!(build.labels[0].0, "version");
         assert!(reg.uptime_seconds() >= 0.0);
-        assert!(reg.start_unix_seconds() > 0.0);
     }
 
     #[test]

@@ -53,24 +53,6 @@ impl Conv2dParams {
         }
     }
 
-    /// Uniform stride in both axes, no padding.
-    pub fn with_stride(stride: usize) -> Self {
-        Self {
-            stride_h: stride,
-            stride_w: stride,
-            ..Self::unit()
-        }
-    }
-
-    /// Uniform zero padding in both axes, unit stride.
-    pub fn with_padding(pad: usize) -> Self {
-        Self {
-            pad_h: pad,
-            pad_w: pad,
-            ..Self::unit()
-        }
-    }
-
     /// Effective kernel extent along one axis after dilation.
     fn effective(extent: usize, dilation: usize) -> usize {
         (extent - 1) * dilation + 1
@@ -357,14 +339,19 @@ mod tests {
     fn direct_matches_hand_example_with_padding() {
         let ifm = Tensor3::from_vec(1, 2, 2, vec![1, 2, 3, 4]).unwrap();
         let w = Tensor4::from_vec(1, 1, 3, 3, vec![0, 0, 0, 0, 1, 0, 0, 0, 0]).unwrap();
-        let o = conv2d_direct(&ifm, &w, Conv2dParams::with_padding(1)).unwrap();
+        let pad = |pad| Conv2dParams {
+            pad_h: pad,
+            pad_w: pad,
+            ..Conv2dParams::unit()
+        };
+        let o = conv2d_direct(&ifm, &w, pad(1)).unwrap();
         // Center-tap kernel with pad 1 reproduces the input.
         assert_eq!(o.as_slice(), &[1, 2, 3, 4]);
         // A 5x5 kernel over a padded 1x1 input: every tap but the center
         // reads padding.
         let pixel = Tensor3::from_vec(1, 1, 1, vec![7]).unwrap();
         let w = gen::ramp4::<i32>(1, 1, 5, 5);
-        let o = conv2d_direct(&pixel, &w, Conv2dParams::with_padding(2)).unwrap();
+        let o = conv2d_direct(&pixel, &w, pad(2)).unwrap();
         assert_eq!(o.as_slice(), &[7 * w.get(0, 0, 2, 2)]);
     }
 

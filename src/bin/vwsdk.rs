@@ -27,9 +27,10 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(err) => {
-            // Unlike parse errors, execution failures (a failed bench
-            // --check, lint violations from `vwsdk check`) don't
-            // re-print the usage text — it would drown the report.
+            // Unlike parse errors, execution failures (a failed
+            // `verify` or `simulate`, lint violations from `vwsdk
+            // check`) don't re-print the usage text — it would drown
+            // the report.
             eprintln!("error: {err}");
             ExitCode::FAILURE
         }

@@ -12,8 +12,6 @@
 //! vwsdk verify --network tiny --array 64x64
 //! vwsdk simulate --network vgg13-sim --array 64x64 --seed 7 --format json
 //! vwsdk simulate --network vgg13-sim --batch 8 --jobs 2
-//! vwsdk bench sim --quick --check --emit BENCH_sim.json
-//! vwsdk bench plan --quick --check --emit BENCH_plan.json
 //! vwsdk sweep  --networks vgg13,resnet18 --arrays 256x256,512x512 --jobs 4
 //! vwsdk sweep  --networks all --format json
 //! vwsdk deploy --network resnet18 --arrays 32 --array 512x512 --format json
@@ -32,7 +30,7 @@ use pim_nets::{zoo, ConvLayer, Network, NetworkSpec};
 use pim_report::table::{Align, TextTable};
 use pim_report::{fmt_f64, fmt_speedup};
 use pim_sim::verify::verify_plan;
-use pim_sim::ExecMode;
+use pim_sim::{ExecMode, SimulationReport};
 use std::fmt;
 use std::sync::OnceLock;
 use vw_sdk::render::{render_speedups, render_table1};
@@ -77,7 +75,9 @@ COMMANDS:
     show     Draw a tile layout      (same layer options, plus --algorithm NAME)
     verify   Run the simulator       (--network NAME --array RxC [--seed N])
                                      per-layer bit-exact check of every paper
-                                     algorithm against the reference convolution
+                                     algorithm against the reference
+                                     convolution; exits nonzero unless every
+                                     cell reads ok
     simulate Network-scale simulation (--network NAME | --spec FILE.json,
                                       --array RxC [--algorithm NAME] [--seed N]
                                       [--mode exact|quantized] [--batch N]
@@ -87,37 +87,8 @@ COMMANDS:
                                      (conv on crossbars, ReLU/pooling
                                      digitally) and verifies each output
                                      bit-exact against the reference forward
-                                     pass, executed == predicted cycles
-    bench    Throughput benchmark     (bench sim [--network NAME] [--array RxC]
-                                      [--algorithm NAME] [--mode M] [--seed N]
-                                      [--batches 1,8,64] [--jobs N] [--quick]
-                                      [--check] [--emit FILE.json])
-                                     measures simulated MACs/s across batch
-                                     sizes on one programmed deployment;
-                                     --emit writes the JSON trajectory,
-                                     --check fails when the largest batch
-                                     regresses below the batch-1 baseline
-                                     (bench serve [--requests N]
-                                      [--concurrency N] [--network NAME]
-                                      [--array RxC] [--keep-alive]
-                                      [--sweep A,B,...] [--quick] [--check]
-                                      [--emit FILE.json])
-                                     loopback serving smoke: RPS plus
-                                     p50/p90/p99 from the server's own
-                                     pim_request_seconds histogram, and the
-                                     telemetry-overhead gate (--check fails
-                                     when the enabled registry costs >= 2%
-                                     on a fully cached sweep); --keep-alive
-                                     reuses one connection per client thread,
-                                     --sweep reruns at extra concurrencies
-                                     (bench plan [--networks A,B|all]
-                                      [--arrays RxC,...] [--jobs N] [--quick]
-                                      [--check] [--emit FILE.json])
-                                     cold-search sweep: every distinct zoo
-                                     layer shape x array geometry, exhaustive
-                                     sequential baseline vs the bound-pruned
-                                     parallel search; --check fails unless
-                                     pruning is lossless and faster
+                                     pass, executed == predicted cycles;
+                                     exits nonzero when either check fails
     sweep    Batch design-space plan (--networks a,b,... [--spec FILE.json]
                                       --arrays RxC,... --jobs N [--format text|json])
                                      defaults: every zoo network, the Fig. 8(b)
@@ -164,28 +135,15 @@ OPTIONS:
                     its values, never narrower than the stage before
     --batch N       Simulate: input feature maps streamed through one
                     programmed deployment (default 1; must be >= 1)
-    --batches A,B   Bench: batch sizes to sweep, ascending from 1
-                    (default 1,8,64)
-    --emit FILE     Bench: also write the JSON report to FILE
-    --quick         Bench: one timed run per point, no warm-up (CI smoke)
-    --check         Bench: exit nonzero if the largest batch's MACs/s
-                    falls below the batch-1 sequential baseline;
-                    bench plan: exit nonzero unless the pruned search
-                    matched the exhaustive one on every task and ran
-                    faster
     --jobs N        Worker threads; 0 = one per core (sweep: planners,
-                    serve: connection workers, simulate/bench: batch
-                    stream workers)
+                    serve: connection workers, simulate: batch stream
+                    workers)
     --addr H:P      Serve bind address (default 127.0.0.1:7878)
     --shards N      Serve: event-loop shards (default 0 = auto, capped at 4)
     --timeout-ms N  Serve: idle/read/write deadline in ms (default 30000)
     --root DIR      Check: workspace root to analyze (default: walk up
                     from the current directory to the first [workspace])
     --list-rules    Check: print the rule catalog instead of running
-    --requests N    Bench serve: total POST /v1/plan requests (default 200)
-    --concurrency N Bench serve: client threads (default 4)
-    --keep-alive    Bench serve: one connection per client thread
-    --sweep A,B     Bench serve: extra concurrency levels after the main run
     --trace         Global: emit one JSON trace event per span to stderr
     --metrics-dump  Global: after the command, print the telemetry
                     registry as JSON (same schema as
@@ -277,66 +235,6 @@ pub enum Command {
         jobs: usize,
         /// Output format.
         format: SweepFormat,
-    },
-    /// `vwsdk bench sim`
-    Bench {
-        /// Zoo network to benchmark.
-        network: String,
-        /// Target array.
-        array: PimArray,
-        /// Algorithm mapping every layer.
-        algorithm: MappingAlgorithm,
-        /// Inter-stage execution mode.
-        mode: ExecMode,
-        /// Batch sizes to sweep (ascending, starting at 1).
-        batches: Vec<usize>,
-        /// Data seed for the generated tensors.
-        seed: u64,
-        /// One timed run per point instead of best-of-three.
-        quick: bool,
-        /// Fail when the largest batch regresses below batch-1.
-        check: bool,
-        /// Write the JSON report here as well.
-        emit: Option<String>,
-        /// Stream-phase worker threads (0 = one per core).
-        jobs: usize,
-    },
-    /// `vwsdk bench serve`
-    BenchServe {
-        /// Total `POST /v1/plan` requests.
-        requests: usize,
-        /// Client threads (and server workers).
-        concurrency: usize,
-        /// Zoo network in every plan body.
-        network: String,
-        /// Array geometry in every plan body.
-        array: PimArray,
-        /// Fewer overhead samples (CI smoke).
-        quick: bool,
-        /// Fail on request errors or a telemetry overhead >= 2%.
-        check: bool,
-        /// Write the JSON report here as well.
-        emit: Option<String>,
-        /// Reuse one connection per client thread (HTTP keep-alive).
-        keep_alive: bool,
-        /// Extra concurrency levels to measure after the main phase.
-        sweep: Vec<usize>,
-    },
-    /// `vwsdk bench plan`
-    BenchPlan {
-        /// Zoo networks contributing layer shapes (`None` = all).
-        networks: Option<Vec<String>>,
-        /// Array geometries every shape is searched against (`None` =
-        /// the bench's default four).
-        arrays: Option<Vec<PimArray>>,
-        /// One timed pass per side instead of best-of-three.
-        quick: bool,
-        /// Fail unless pruning is lossless and faster.
-        check: bool,
-        /// Write the JSON report here as well.
-        emit: Option<String>,
-        /// Worker threads for the pruned pass (0 = one per core).
-        jobs: usize,
     },
     /// `vwsdk sweep`
     Sweep {
@@ -481,41 +379,12 @@ pub fn parse(args: &[String]) -> std::result::Result<Command, CliError> {
     let mut reprogram = 2_000u64;
     let mut addr = "127.0.0.1:7878".to_string();
     let mut batch = 1usize;
-    let mut batches: Option<Vec<usize>> = None;
-    let mut emit: Option<String> = None;
-    let mut quick = false;
-    let mut check = false;
-    let mut requests = 200usize;
-    let mut concurrency = 4usize;
-    let mut keep_alive = false;
-    let mut sweep_levels: Vec<usize> = Vec::new();
     let mut shards = 0usize;
     let mut timeout_ms = 30_000u64;
     let mut root: Option<String> = None;
     let mut list_rules = false;
 
     let mut i = 1;
-    let mut bench_suite = "";
-    if command == "bench" {
-        // `bench` takes a suite name before its flags.
-        match args.get(1).map(String::as_str) {
-            Some(suite @ ("sim" | "serve" | "plan")) => {
-                bench_suite = suite;
-                i = 2;
-            }
-            Some(other) if !other.starts_with('-') => {
-                return Err(CliError::new(format!(
-                    "unknown bench suite {other:?}; try `vwsdk bench sim`, \
-                     `vwsdk bench plan` or `vwsdk bench serve`"
-                )))
-            }
-            _ => {
-                return Err(CliError::new(
-                    "bench requires a suite name, e.g. `vwsdk bench sim`",
-                ))
-            }
-        }
-    }
     while i < args.len() {
         let flag = args[i].as_str();
         match flag {
@@ -544,40 +413,6 @@ pub fn parse(args: &[String]) -> std::result::Result<Command, CliError> {
                     return Err(CliError::new(
                         "--batch must be at least 1 (a batch of 0 inputs simulates nothing)",
                     ));
-                }
-            }
-            "--batches" => {
-                let v = take_value(args, &mut i, flag)?;
-                batches = Some(
-                    v.split(',')
-                        .map(|b| parse_usize(b, flag))
-                        .collect::<std::result::Result<Vec<_>, _>>()?,
-                );
-            }
-            "--emit" => emit = Some(take_value(args, &mut i, flag)?.to_string()),
-            "--quick" => quick = true,
-            "--check" => check = true,
-            "--requests" => {
-                requests = parse_usize(take_value(args, &mut i, flag)?, flag)?;
-                if requests == 0 {
-                    return Err(CliError::new("--requests must be at least 1"));
-                }
-            }
-            "--concurrency" => {
-                concurrency = parse_usize(take_value(args, &mut i, flag)?, flag)?;
-                if concurrency == 0 {
-                    return Err(CliError::new("--concurrency must be at least 1"));
-                }
-            }
-            "--keep-alive" => keep_alive = true,
-            "--sweep" => {
-                let v = take_value(args, &mut i, flag)?;
-                sweep_levels = v
-                    .split(',')
-                    .map(|level| parse_usize(level, flag))
-                    .collect::<std::result::Result<Vec<_>, _>>()?;
-                if sweep_levels.contains(&0) {
-                    return Err(CliError::new("--sweep levels must be at least 1"));
                 }
             }
             "--root" => root = Some(take_value(args, &mut i, flag)?.to_string()),
@@ -700,52 +535,6 @@ pub fn parse(args: &[String]) -> std::result::Result<Command, CliError> {
             batch,
             jobs,
             format,
-        }),
-        "bench" if bench_suite == "plan" => Ok(Command::BenchPlan {
-            networks,
-            arrays: match &arrays_raw {
-                None => None,
-                Some(raw) => Some(
-                    raw.split(',')
-                        .map(|geometry| {
-                            presets::parse_array(geometry).map_err(|e| CliError::new(e.to_string()))
-                        })
-                        .collect::<std::result::Result<Vec<_>, _>>()?,
-                ),
-            },
-            quick,
-            check,
-            emit,
-            jobs,
-        }),
-        "bench" if bench_suite == "serve" => Ok(Command::BenchServe {
-            requests,
-            concurrency,
-            network: network.unwrap_or_else(|| "tiny".to_string()),
-            // `--array` keeps its 512x512 default for sim; the serve
-            // smoke defaults to the cheaper 256x256 plan body.
-            array: if array_set {
-                array
-            } else {
-                PimArray::new(256, 256).expect("positive default")
-            },
-            quick,
-            check,
-            emit,
-            keep_alive,
-            sweep: sweep_levels,
-        }),
-        "bench" => Ok(Command::Bench {
-            network: network.unwrap_or_else(|| "vgg13-sim".to_string()),
-            array,
-            algorithm,
-            mode,
-            batches: batches.unwrap_or_else(|| vec![1, 8, 64]),
-            seed,
-            quick,
-            check,
-            emit,
-            jobs,
         }),
         "sweep" => {
             // Catch the singular spellings every other subcommand uses —
@@ -904,6 +693,82 @@ fn load_spec_network(path: &str) -> std::result::Result<Network, CliError> {
 fn shared_engine() -> &'static PlanningEngine {
     static ENGINE: OnceLock<PlanningEngine> = OnceLock::new();
     ENGINE.get_or_init(|| PlanningEngine::with_algorithms(&MappingAlgorithm::all()))
+}
+
+/// Renders a simulation as `vwsdk simulate` prints it. A report that
+/// is not bit-exact, or whose executed cycles differ from the
+/// prediction, is an error carrying the same rendering, so a failed
+/// verification exits nonzero.
+fn render_simulation(
+    report: &SimulationReport,
+    format: SweepFormat,
+) -> std::result::Result<String, CliError> {
+    let rendered = if format == SweepFormat::Json {
+        // api::simulation_json is the same function POST /v1/simulate
+        // answers with, byte for byte.
+        api::simulation_json(report).render()
+    } else {
+        let mut table = TextTable::new(&[
+            "layer",
+            "algorithm",
+            "plan",
+            "predicted",
+            "executed",
+            "MACs",
+            "ADC",
+            "DAC",
+            "energy pJ",
+        ]);
+        for c in 3..9 {
+            table.align(c, Align::Right);
+        }
+        for stage in &report.stages {
+            table.add_row(&[
+                stage.layer.clone(),
+                stage.algorithm.label().to_string(),
+                stage.descriptor.clone(),
+                stage.predicted_cycles.to_string(),
+                stage.executed_cycles.to_string(),
+                stage.macs.to_string(),
+                stage.adc_conversions.to_string(),
+                stage.dac_conversions.to_string(),
+                fmt_f64(stage.energy_pj, 0),
+            ]);
+        }
+        format!(
+            "{} on {} ({} mode, seed {}, batch {})\n\n{}\n\
+             output: {} elements, {} mismatches -> {}\n\
+             cycles: {} executed / {} predicted -> {}\n\
+             total: {} MACs, {} pJ\n",
+            report.network,
+            report.array,
+            report.mode,
+            report.seed,
+            report.batch,
+            table.render(),
+            report.elements,
+            report.mismatches,
+            if report.matches() {
+                "bit-exact against the reference forward pass"
+            } else {
+                "MISMATCH"
+            },
+            report.executed_cycles(),
+            report.predicted_cycles(),
+            if report.cycles_match() {
+                "every stage as predicted"
+            } else {
+                "DISAGREEMENT"
+            },
+            report.total_macs(),
+            fmt_f64(report.total_energy_pj(), 0),
+        )
+    };
+    if report.is_fully_consistent() {
+        Ok(rendered)
+    } else {
+        Err(CliError::new(rendered))
+    }
 }
 
 /// Executes a parsed command, returning its printable output.
@@ -1157,7 +1022,7 @@ pub fn run(command: &Command) -> std::result::Result<String, CliError> {
             let server = PlanServer::bind_with(addr.as_str(), config)
                 .map_err(|e| CliError::new(format!("cannot bind {addr:?}: {e}")))?;
             // The daemon logs every request to stderr; embedded servers
-            // (tests, benches) keep the default of staying quiet.
+            // (tests) keep the default of staying quiet.
             server.state().set_access_log(true);
             let local = server
                 .local_addr()
@@ -1194,181 +1059,7 @@ pub fn run(command: &Command) -> std::result::Result<String, CliError> {
             let report = shared_engine()
                 .simulate_network_batch_with(&net, *array, *algorithm, *seed, *mode, *batch, *jobs)
                 .map_err(|e| CliError::new(e.to_string()))?;
-            if *format == SweepFormat::Json {
-                // api::simulation_json is the same function POST
-                // /v1/simulate answers with, byte for byte.
-                return Ok(api::simulation_json(&report).render());
-            }
-            let mut table = TextTable::new(&[
-                "layer",
-                "algorithm",
-                "plan",
-                "predicted",
-                "executed",
-                "MACs",
-                "ADC",
-                "DAC",
-                "energy pJ",
-            ]);
-            for c in 3..9 {
-                table.align(c, Align::Right);
-            }
-            for stage in &report.stages {
-                table.add_row(&[
-                    stage.layer.clone(),
-                    stage.algorithm.label().to_string(),
-                    stage.descriptor.clone(),
-                    stage.predicted_cycles.to_string(),
-                    stage.executed_cycles.to_string(),
-                    stage.macs.to_string(),
-                    stage.adc_conversions.to_string(),
-                    stage.dac_conversions.to_string(),
-                    fmt_f64(stage.energy_pj, 0),
-                ]);
-            }
-            Ok(format!(
-                "{} on {} ({} mode, seed {}, batch {})\n\n{}\n\
-                 output: {} elements, {} mismatches -> {}\n\
-                 cycles: {} executed / {} predicted -> {}\n\
-                 total: {} MACs, {} pJ\n",
-                report.network,
-                report.array,
-                report.mode,
-                report.seed,
-                report.batch,
-                table.render(),
-                report.elements,
-                report.mismatches,
-                if report.matches() {
-                    "bit-exact against the reference forward pass"
-                } else {
-                    "MISMATCH"
-                },
-                report.executed_cycles(),
-                report.predicted_cycles(),
-                if report.cycles_match() {
-                    "every stage as predicted"
-                } else {
-                    "DISAGREEMENT"
-                },
-                report.total_macs(),
-                fmt_f64(report.total_energy_pj(), 0),
-            ))
-        }
-        Command::Bench {
-            network,
-            array,
-            algorithm,
-            mode,
-            batches,
-            seed,
-            quick,
-            check,
-            emit,
-            jobs,
-        } => {
-            let options = vw_sdk_bench::simbench::SimBenchOptions {
-                network: network.clone(),
-                array: *array,
-                algorithm: *algorithm,
-                mode: *mode,
-                batches: batches.clone(),
-                quick: *quick,
-                jobs: *jobs,
-                seed: *seed,
-            };
-            let report = vw_sdk_bench::simbench::run(&options).map_err(CliError::new)?;
-            let mut out = report.render_text();
-            if let Some(path) = emit {
-                std::fs::write(path, report.to_json())
-                    .map_err(|e| CliError::new(format!("cannot write {path:?}: {e}")))?;
-                out.push_str(&format!("wrote {path}\n"));
-            }
-            if *check && !report.passes_sanity_floor() {
-                return Err(CliError::new(format!(
-                    "bench check failed: batch-{} throughput is {:.2}x the batch-1 \
-                     baseline (must be >= 1.00x)\n{out}",
-                    report.max_batch(),
-                    report
-                        .speedup_vs_sequential(report.max_batch())
-                        .unwrap_or(0.0),
-                )));
-            }
-            Ok(out)
-        }
-        Command::BenchPlan {
-            networks,
-            arrays,
-            quick,
-            check,
-            emit,
-            jobs,
-        } => {
-            let defaults = vw_sdk_bench::planbench::PlanBenchOptions::default();
-            let options = vw_sdk_bench::planbench::PlanBenchOptions {
-                // `--networks all` spells the default explicitly.
-                networks: match networks {
-                    Some(names) if !names.iter().any(|n| n == "all") => names.clone(),
-                    _ => defaults.networks,
-                },
-                arrays: arrays.clone().unwrap_or(defaults.arrays),
-                quick: *quick,
-                jobs: *jobs,
-            };
-            let report = vw_sdk_bench::planbench::run(&options).map_err(CliError::new)?;
-            let mut out = report.render_text();
-            if let Some(path) = emit {
-                std::fs::write(path, report.to_json())
-                    .map_err(|e| CliError::new(format!("cannot write {path:?}: {e}")))?;
-                out.push_str(&format!("wrote {path}\n"));
-            }
-            if *check && !report.passes_check() {
-                return Err(CliError::new(format!(
-                    "bench check failed: pruned search must match the exhaustive one on \
-                     every task ({} mismatches) and be faster ({:.2}x)\n{out}",
-                    report.mismatches,
-                    report.speedup(),
-                )));
-            }
-            Ok(out)
-        }
-        Command::BenchServe {
-            requests,
-            concurrency,
-            network,
-            array,
-            quick,
-            check,
-            emit,
-            keep_alive,
-            sweep,
-        } => {
-            let options = vw_sdk_bench::servebench::ServeBenchOptions {
-                requests: *requests,
-                concurrency: *concurrency,
-                network: network.clone(),
-                array: array.to_string(),
-                quick: *quick,
-                keep_alive: *keep_alive,
-                sweep: sweep.clone(),
-            };
-            let report = vw_sdk_bench::servebench::run(&options).map_err(CliError::new)?;
-            let mut out = report.render_text();
-            if let Some(path) = emit {
-                std::fs::write(path, report.to_json())
-                    .map_err(|e| CliError::new(format!("cannot write {path:?}: {e}")))?;
-                out.push_str(&format!("wrote {path}\n"));
-            }
-            if *check {
-                let failures = report.check_failures();
-                if !failures.is_empty() {
-                    return Err(CliError::new(format!(
-                        "bench check failed: {}\n{out}",
-                        failures.join("; ")
-                    )));
-                }
-            }
-            Ok(out)
+            render_simulation(&report, *format)
         }
         Command::Check {
             root,
@@ -1460,30 +1151,39 @@ pub fn run(command: &Command) -> std::result::Result<String, CliError> {
         } => {
             let net = lookup_network(network)?;
             let mut out = format!("functional verification of {} on {array}:\n", net.name());
+            let mut failed = false;
             for layer in &net {
                 for alg in MappingAlgorithm::paper_trio() {
                     let plan = alg
                         .plan(layer, *array)
                         .map_err(|e| CliError::new(e.to_string()))?;
                     match verify_plan(&plan, *seed) {
-                        Ok(report) => out.push_str(&format!(
-                            "  {:<8} {:<8} {} ({} cycles)\n",
-                            layer.name(),
-                            alg.label(),
-                            if report.is_fully_consistent() {
-                                "ok"
-                            } else {
-                                "MISMATCH"
-                            },
-                            report.executed_cycles()
-                        )),
-                        Err(e) => out.push_str(&format!(
-                            "  {:<8} {:<8} skipped ({e})\n",
-                            layer.name(),
-                            alg.label()
-                        )),
+                        Ok(report) => {
+                            let ok = report.is_fully_consistent();
+                            failed |= !ok;
+                            out.push_str(&format!(
+                                "  {:<8} {:<8} {} ({} cycles)\n",
+                                layer.name(),
+                                alg.label(),
+                                if ok { "ok" } else { "MISMATCH" },
+                                report.executed_cycles()
+                            ));
+                        }
+                        Err(e) => {
+                            failed = true;
+                            out.push_str(&format!(
+                                "  {:<8} {:<8} skipped ({e})\n",
+                                layer.name(),
+                                alg.label()
+                            ));
+                        }
                     }
                 }
+            }
+            // Like `vwsdk check`, a failed cell fails the command and
+            // the error carries the whole table.
+            if failed {
+                return Err(CliError::new(out));
             }
             Ok(out)
         }
@@ -1550,6 +1250,21 @@ mod tests {
         assert!(parse(&argv("frobnicate")).is_err());
         assert!(parse(&argv("layer --input")).is_err());
         assert!(parse(&argv("layer --input x")).is_err());
+        // The retired `vwsdk bench` and the flags only it read.
+        assert!(parse(&argv("bench sim")).is_err());
+        for flag in [
+            "--batches 1,8",
+            "--emit out.json",
+            "--quick",
+            "--check",
+            "--requests 10",
+            "--concurrency 2",
+            "--keep-alive",
+            "--sweep 1,8",
+        ] {
+            let args = argv(&format!("simulate --network tiny {flag}"));
+            assert!(parse(&args).is_err(), "{flag} still parses");
+        }
     }
 
     #[test]
@@ -1835,187 +1550,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_parses_its_suite_and_flags() {
-        let cmd = parse(&argv("bench sim")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Bench {
-                network: "vgg13-sim".into(),
-                array: PimArray::new(512, 512).unwrap(),
-                algorithm: MappingAlgorithm::VwSdk,
-                mode: ExecMode::Quantized,
-                batches: vec![1, 8, 64],
-                seed: 2_024,
-                quick: false,
-                check: false,
-                emit: None,
-                jobs: 0,
-            }
-        );
-        let cmd = parse(&argv(
-            "bench sim --network tiny --array 64x64 --batches 1,2,4 \
-             --quick --check --emit out.json --jobs 1",
-        ))
-        .unwrap();
-        match cmd {
-            Command::Bench {
-                network,
-                batches,
-                quick,
-                check,
-                emit,
-                jobs,
-                ..
-            } => {
-                assert_eq!(network, "tiny");
-                assert_eq!(batches, vec![1, 2, 4]);
-                assert!(quick && check);
-                assert_eq!(emit.as_deref(), Some("out.json"));
-                assert_eq!(jobs, 1);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(parse(&argv("bench")).is_err());
-        assert!(parse(&argv("bench hyperspeed")).is_err());
-        assert!(parse(&argv("bench sim --batches x")).is_err());
-    }
-
-    #[test]
-    fn bench_serve_parses_its_flags() {
-        let cmd = parse(&argv("bench serve")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::BenchServe {
-                requests: 200,
-                concurrency: 4,
-                network: "tiny".into(),
-                array: PimArray::new(256, 256).unwrap(),
-                quick: false,
-                check: false,
-                emit: None,
-                keep_alive: false,
-                sweep: Vec::new(),
-            }
-        );
-        let cmd = parse(&argv(
-            "bench serve --requests 50 --concurrency 2 --network lenet5 \
-             --array 128x128 --keep-alive --sweep 2,8,16 --quick --check \
-             --emit BENCH_serve.json",
-        ))
-        .unwrap();
-        match cmd {
-            Command::BenchServe {
-                requests,
-                concurrency,
-                network,
-                array,
-                quick,
-                check,
-                emit,
-                keep_alive,
-                sweep,
-            } => {
-                assert_eq!(requests, 50);
-                assert_eq!(concurrency, 2);
-                assert_eq!(network, "lenet5");
-                assert_eq!(array.to_string(), "128x128");
-                assert!(quick && check);
-                assert_eq!(emit.as_deref(), Some("BENCH_serve.json"));
-                assert!(keep_alive);
-                assert_eq!(sweep, vec![2, 8, 16]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(parse(&argv("bench serve --requests 0")).is_err());
-        assert!(parse(&argv("bench serve --concurrency 0")).is_err());
-        assert!(parse(&argv("bench serve --sweep 2,0")).is_err());
-    }
-
-    #[test]
-    fn bench_plan_parses_its_flags() {
-        let cmd = parse(&argv("bench plan")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::BenchPlan {
-                networks: None,
-                arrays: None,
-                quick: false,
-                check: false,
-                emit: None,
-                jobs: 0,
-            }
-        );
-        let cmd = parse(&argv(
-            "bench plan --networks lenet5,tiny --arrays 128x128,64x64 \
-             --jobs 2 --quick --check --emit BENCH_plan.json",
-        ))
-        .unwrap();
-        match cmd {
-            Command::BenchPlan {
-                networks,
-                arrays,
-                quick,
-                check,
-                emit,
-                jobs,
-            } => {
-                assert_eq!(
-                    networks.as_deref(),
-                    Some(&["lenet5".to_string(), "tiny".to_string()][..])
-                );
-                let arrays = arrays.unwrap();
-                assert_eq!(arrays.len(), 2);
-                assert_eq!(arrays[0].to_string(), "128x128");
-                assert!(quick && check);
-                assert_eq!(emit.as_deref(), Some("BENCH_plan.json"));
-                assert_eq!(jobs, 2);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(parse(&argv("bench plan --arrays 0x64")).is_err());
-    }
-
-    #[test]
-    fn bench_plan_measures_emits_and_checks() {
-        let path = std::env::temp_dir().join("vwsdk-cli-bench-plan-test.json");
-        let cmd = Command::BenchPlan {
-            networks: Some(vec!["lenet5".into(), "tiny".into()]),
-            arrays: Some(vec![
-                PimArray::new(128, 128).unwrap(),
-                PimArray::new(64, 64).unwrap(),
-            ]),
-            quick: true,
-            check: true,
-            emit: Some(path.to_string_lossy().into_owned()),
-            jobs: 2,
-        };
-        // --check passes only when the pruned search is lossless; in
-        // quick mode the speedup side can be noisy, so a failure here
-        // must still report, not panic.
-        match run(&cmd) {
-            Ok(out) => assert!(out.contains("lossless: yes"), "{out}"),
-            Err(e) => assert!(e.to_string().contains("0 mismatches"), "{e}"),
-        }
-        let emitted = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let json = JsonValue::parse(&emitted).expect("emitted bench JSON parses");
-        assert_eq!(
-            json.get("bench").and_then(JsonValue::as_str),
-            Some("plan-cold-search")
-        );
-        assert_eq!(json.get("lossless"), Some(&JsonValue::Bool(true)));
-        let bad = Command::BenchPlan {
-            networks: Some(vec!["no-such-net".into()]),
-            arrays: None,
-            quick: true,
-            check: false,
-            emit: None,
-            jobs: 1,
-        };
-        assert!(run(&bad).is_err());
-    }
-
-    #[test]
     fn global_observability_flags_parse_anywhere() {
         let plain = parse_invocation(&argv("plan --network tiny")).unwrap();
         assert!(!plain.trace && !plain.metrics_dump);
@@ -2028,54 +1562,6 @@ mod tests {
         assert_eq!(flagged.command, plain.command);
 
         assert!(parse_invocation(&argv("frobnicate --trace")).is_err());
-    }
-
-    #[test]
-    fn bench_measures_emits_and_checks() {
-        let path = std::env::temp_dir().join("vwsdk-cli-bench-test.json");
-        let cmd = Command::Bench {
-            network: "tiny".into(),
-            array: PimArray::new(64, 64).unwrap(),
-            algorithm: MappingAlgorithm::VwSdk,
-            mode: ExecMode::Quantized,
-            batches: vec![1, 2],
-            seed: 7,
-            quick: true,
-            check: false,
-            emit: Some(path.to_string_lossy().into_owned()),
-            jobs: 1,
-        };
-        let out = run(&cmd).unwrap();
-        assert!(out.contains("simulated MACs/s: tiny"), "{out}");
-        assert!(out.contains("programmings per run"), "{out}");
-        let emitted = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let json = JsonValue::parse(&emitted).expect("emitted bench JSON parses");
-        assert_eq!(
-            json.get("bench").and_then(JsonValue::as_str),
-            Some("sim-macs-per-second")
-        );
-        assert_eq!(
-            json.get("points")
-                .and_then(JsonValue::as_array)
-                .map(<[JsonValue]>::len),
-            Some(2)
-        );
-        // The run() error path for --check stays exercised via an
-        // impossible sweep rather than a real regression.
-        let bad = Command::Bench {
-            network: "no-such-net".into(),
-            array: PimArray::new(64, 64).unwrap(),
-            algorithm: MappingAlgorithm::VwSdk,
-            mode: ExecMode::Quantized,
-            batches: vec![1, 2],
-            seed: 7,
-            quick: true,
-            check: true,
-            emit: None,
-            jobs: 1,
-        };
-        assert!(run(&bad).is_err());
     }
 
     #[test]
@@ -2092,6 +1578,39 @@ mod tests {
         );
         assert!(out.contains("every stage as predicted"), "{out}");
         assert!(!out.contains("MISMATCH"), "{out}");
+    }
+
+    #[test]
+    fn simulate_fails_on_a_mismatch_or_a_cycle_disagreement() {
+        let report = vw_sdk::PlanningEngine::new()
+            .simulate_network_batch_with(
+                &zoo::tiny(),
+                PimArray::new(64, 64).unwrap(),
+                MappingAlgorithm::VwSdk,
+                42,
+                ExecMode::Quantized,
+                1,
+                1,
+            )
+            .unwrap();
+        for format in [SweepFormat::Text, SweepFormat::Json] {
+            assert!(render_simulation(&report, format).is_ok());
+        }
+        let mut mismatched = report.clone();
+        mismatched.mismatches = 1;
+        let mut disagreeing = report;
+        disagreeing.stages[1].executed_cycles += 1;
+        for (failed, text, json) in [
+            (mismatched, "-> MISMATCH", r#""bit_exact":false"#),
+            (disagreeing, "-> DISAGREEMENT", r#""cycles_match":false"#),
+        ] {
+            // The error carries the full rendering the caller would
+            // otherwise have printed.
+            let err = render_simulation(&failed, SweepFormat::Text).unwrap_err();
+            assert!(err.to_string().contains(text), "{err}");
+            let err = render_simulation(&failed, SweepFormat::Json).unwrap_err();
+            assert!(err.to_string().contains(json), "{err}");
+        }
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! Losslessness property: the bound-pruned Algorithm-1 search is
 //! byte-identical to the exhaustive paper-form scan — same winning
 //! candidate with the same full cost record, same im2col fallback, same
-//! reported window and tie-breaks — across the full zoo on the paper's
-//! array pair (and VGG-13 on an oversized array), under every
+//! reported window and tie-breaks — across the full zoo on four array
+//! geometries (and VGG-13 on an oversized array), under every
 //! `SearchOptions` variant, and over a proptest sweep of random layers
 //! and arrays.
 //!
 //! This is the safety net under the pruned cold path: the bound may
 //! only ever change *how many* candidates are evaluated (and every
 //! skipped one must still be accounted for in `pruned()`), never what
-//! the search returns or what plan is built from it.
+//! the search returns or what plan is built from it. The saving itself
+//! is pinned as a count: over the zoo, the pruned scan evaluates at
+//! most a tenth of the candidates the exhaustive scan does.
 
 use proptest::prelude::*;
 use vw_sdk_repro::pim_arch::PimArray;
@@ -76,16 +78,19 @@ fn assert_equivalent(
     assert!(pruned.feasible() <= exhaustive.feasible(), "{context}");
 }
 
-/// Full zoo × the paper's array pair × every search-space variant:
+/// Full zoo × four array geometries × every search-space variant:
 /// pruned outcomes and the plans built from them are byte-identical to
 /// the exhaustive ones. VGG-13's layers also run on a 2048x2048 array,
 /// where the scan's later rows prune against the best window of its
-/// earlier rows.
+/// earlier rows. Over the four geometries, the paper / pruned pair
+/// accounts for every candidate and skips at least nine in ten.
 #[test]
 fn zoo_outcomes_and_plans_are_byte_identical_under_pruning() {
     let arrays = [
         PimArray::new(512, 512).expect("positive"),
         PimArray::new(512, 256).expect("positive"),
+        PimArray::new(256, 256).expect("positive"),
+        PimArray::new(128, 128).expect("positive"),
     ];
     let oversized = PimArray::new(2048, 2048).expect("positive");
     let variants = [
@@ -93,6 +98,9 @@ fn zoo_outcomes_and_plans_are_byte_identical_under_pruning() {
         MappingAlgorithm::VwSdkSquare,
         MappingAlgorithm::VwSdkFullChannel,
     ];
+    // (exhaustive evaluated, pruned evaluated, pruned skipped) of the
+    // paper / pruned pair, summed over the zoo on `arrays`.
+    let mut saving = (0, 0, 0);
     for network in zoo::all() {
         let is_vgg13 = network.name() == zoo::vgg13().name();
         for layer in network.layers() {
@@ -101,6 +109,11 @@ fn zoo_outcomes_and_plans_are_byte_identical_under_pruning() {
                     let exhaustive = search::optimal_window_with(layer, array, exhaustive_options);
                     let pruned = search::optimal_window_with(layer, array, pruned_options);
                     assert_equivalent(layer, array, &exhaustive, &pruned);
+                    if exhaustive_options == SearchOptions::paper() && array != oversized {
+                        saving.0 += exhaustive.evaluated();
+                        saving.1 += pruned.evaluated();
+                        saving.2 += pruned.pruned();
+                    }
                 }
                 // The production algorithms (pruned by default since
                 // they route through `search_options()`) must build
@@ -129,6 +142,16 @@ fn zoo_outcomes_and_plans_are_byte_identical_under_pruning() {
             }
         }
     }
+    let (exhaustive, evaluated, skipped) = saving;
+    assert_eq!(
+        evaluated + skipped,
+        exhaustive,
+        "the pruned scan lost candidates"
+    );
+    assert!(
+        evaluated <= exhaustive / 10,
+        "the pruned scan evaluated {evaluated} of {exhaustive} candidates, more than a tenth"
+    );
 }
 
 /// The shared candidate table is a pure accelerator: with or without
