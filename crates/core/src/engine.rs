@@ -275,6 +275,22 @@ impl PlanningEngine {
         networks: &[Network],
         arrays: &[PimArray],
     ) -> Result<Vec<NetworkReport>> {
+        self.sweep_arrays_with(networks, arrays, &self.algorithms)
+    }
+
+    /// [`sweep_arrays`](Self::sweep_arrays) under an explicit algorithm
+    /// set, sharing this engine's search memo — what `vwsdk sweep` and
+    /// `POST /v1/sweep` run.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first planning failure.
+    pub fn sweep_arrays_with(
+        &self,
+        networks: &[Network],
+        arrays: &[PimArray],
+        algorithms: &[MappingAlgorithm],
+    ) -> Result<Vec<NetworkReport>> {
         let mut tasks: Vec<(&ConvLayer, PimArray)> = Vec::new();
         for network in networks {
             for &array in arrays {
@@ -291,7 +307,7 @@ impl PlanningEngine {
             tasks = tasks.len()
         );
         let planned = self.parallel_map(&tasks, |&(layer, array)| {
-            self.plan_layer_with(layer, array, &self.algorithms)
+            self.plan_layer_with(layer, array, algorithms)
         });
 
         let mut results = planned.into_iter();
@@ -305,7 +321,7 @@ impl PlanningEngine {
                 reports.push(NetworkReport::from_parts(
                     network.name().to_string(),
                     array,
-                    self.algorithms.clone(),
+                    algorithms.to_vec(),
                     layers,
                 ));
             }

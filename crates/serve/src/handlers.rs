@@ -1,66 +1,40 @@
-//! Request handlers: JSON in, planning engine, JSON out.
+//! Request handlers: body bytes in, one validated request, the
+//! planning engine, JSON out.
 //!
-//! Every handler is a pure function from a parsed request to a
+//! Every handler is a pure function from a request body to a
 //! `(status, JsonValue)` pair — no I/O — so the whole API surface is
-//! unit-testable without opening a socket. Status discipline:
+//! unit-testable without opening a socket. Each POST handler parses the
+//! body, builds the operation's [`api`] request (the constructor `vwsdk`
+//! calls too), applies the daemon-only compute budget, runs the request
+//! on the state's one engine and renders the shared JSON view. Status
+//! discipline:
 //!
 //! * `400` — the body is not JSON, or a field has the wrong type;
 //! * `422` — well-formed JSON naming something impossible (unknown
-//!   network or algorithm, a spec whose geometry cannot build);
-//! * `200` — a planned result, always including cache-hit statistics.
+//!   network or algorithm, a spec whose geometry cannot build) or over
+//!   a limit;
+//! * `200` — a planned result.
 
 use crate::api;
 use crate::state::ServerState;
-use pim_arch::{presets, PimArray};
-use pim_chip::report::DeploymentReport;
-use pim_chip::ChipConfig;
-use pim_mapping::MappingAlgorithm;
-use pim_nets::{zoo, Network, NetworkSpec};
+use pim_nets::zoo;
 use pim_report::json::JsonValue;
 
 /// A handler failure: the 4xx status plus a message for the error body.
-type HandlerError = (u16, String);
+type HandlerError = api::RequestError;
 
-/// Largest input/kernel axis an untrusted spec may name. Window search
-/// cost grows with the padded input area, so without a bound one
-/// request with a 10^9-wide layer pins a worker for hours; 16384 covers
-/// every real CNN with two orders of magnitude to spare.
-const MAX_SPEC_DIM: usize = 16_384;
-/// Largest channel count an untrusted spec may name.
-const MAX_SPEC_CHANNELS: usize = 65_536;
-/// Largest array axis a request may name.
-const MAX_ARRAY_DIM: usize = 65_536;
-/// Largest chip array budget a deploy request may name. The optimizer's
-/// work grows with the budget, so hostile requests are bounded here the
-/// same way spec dimensions are.
-const MAX_CHIP_ARRAYS: usize = 65_536;
-/// Deploy default when the request names no `"arrays"` budget — the
-/// PipeLayer-like preset size.
-const DEFAULT_CHIP_ARRAYS: usize = 128;
-/// Deploy default when the request names no `"reprogram"` cost.
-const DEFAULT_REPROGRAM_CYCLES: u64 = 2_000;
-/// Simulate default when the request names no `"seed"` (matches the
-/// CLI's default, so default CLI and default wire requests agree).
-const DEFAULT_SIM_SEED: u64 = 2_024;
 /// Largest network (in total MACs) a simulate request may name. Unlike
 /// planning, functional simulation computes in software, skipping only
 /// zero inputs, so cost is linear in this number; 2²⁸ (~268 M) covers the
 /// executable zoo with two orders of magnitude to spare while bounding
-/// a hostile request to seconds, not hours.
+/// a hostile request to seconds, not hours. Daemon-only: `vwsdk
+/// simulate` runs any size its caller asks for.
 const MAX_SIM_MACS: u64 = 1 << 28;
 /// Largest `"batch"` a simulate request may name. Combined with
 /// [`MAX_SIM_MACS`] (the bound is on `batch × total_macs`) this keeps a
 /// hostile batched request inside the same compute envelope as a
-/// single-input one.
-const MAX_SIM_BATCH: u64 = 256;
-
-fn bad_request(message: impl Into<String>) -> HandlerError {
-    (400, message.into())
-}
-
-fn unprocessable(message: impl Into<String>) -> HandlerError {
-    (422, message.into())
-}
+/// single-input one. Daemon-only, like [`MAX_SIM_MACS`].
+const MAX_SIM_BATCH: usize = 256;
 
 /// `GET /healthz`. Uptime comes from the telemetry registry's start
 /// time, version from the build, so liveness probes can tell a fresh
@@ -96,153 +70,27 @@ pub fn networks() -> JsonValue {
     )])
 }
 
-/// Parses the request body as a JSON object, rejecting everything else.
+/// Parses the request body as JSON; [`api`]'s constructors check the
+/// rest.
 fn parse_body(body: &[u8]) -> Result<JsonValue, HandlerError> {
-    let text = std::str::from_utf8(body).map_err(|_| bad_request("request body is not UTF-8"))?;
+    let text =
+        std::str::from_utf8(body).map_err(|_| (400, "request body is not UTF-8".to_string()))?;
     if text.trim().is_empty() {
-        return Err(bad_request("request body is empty; expected a JSON object"));
-    }
-    let value = JsonValue::parse(text).map_err(|e| bad_request(e.to_string()))?;
-    if value.as_object().is_none() {
-        return Err(bad_request("request body must be a JSON object"));
-    }
-    Ok(value)
-}
-
-/// Rejects bodies containing keys outside `known` — catching typos like
-/// `"newtork"` instead of silently planning the default.
-fn check_known_fields(body: &JsonValue, known: &[&str]) -> Result<(), HandlerError> {
-    for (key, _) in body.as_object().expect("checked by parse_body") {
-        if !known.contains(&key.as_str()) {
-            return Err(bad_request(format!(
-                "unknown field {key:?}; expected one of {known:?}"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Resolves the optional `"algorithms"` list (default: the paper trio).
-fn algorithms_field(body: &JsonValue) -> Result<Vec<MappingAlgorithm>, HandlerError> {
-    let Some(value) = body.get("algorithms") else {
-        return Ok(MappingAlgorithm::paper_trio().to_vec());
-    };
-    let items = value
-        .as_array()
-        .ok_or_else(|| bad_request("\"algorithms\" must be an array of labels"))?;
-    if items.is_empty() {
-        return Err(bad_request(
-            "\"algorithms\" must name at least one algorithm",
+        return Err((
+            400,
+            "request body is empty; expected a JSON object".to_string(),
         ));
     }
-    let mut algorithms = Vec::with_capacity(items.len());
-    for item in items {
-        let label = item
-            .as_str()
-            .ok_or_else(|| bad_request("\"algorithms\" entries must be strings"))?;
-        let algorithm = api::algorithm_by_label(label).map_err(unprocessable)?;
-        if !algorithms.contains(&algorithm) {
-            algorithms.push(algorithm);
-        }
-    }
-    Ok(algorithms)
+    JsonValue::parse(text).map_err(|e| (400, e.to_string()))
 }
 
-/// Parses one array value and enforces the service's size limit.
-fn checked_array(value: &JsonValue) -> Result<PimArray, HandlerError> {
-    let array = api::array_from_json(value).map_err(bad_request)?;
-    if array.rows() > MAX_ARRAY_DIM || array.cols() > MAX_ARRAY_DIM {
-        return Err(unprocessable(format!(
-            "array {array} exceeds the service limit of {MAX_ARRAY_DIM} rows/cols"
-        )));
-    }
-    Ok(array)
-}
-
-/// Resolves one `"array"` member (default: the paper's 512×512).
-fn array_field(body: &JsonValue) -> Result<PimArray, HandlerError> {
-    match body.get("array") {
-        None => Ok(PimArray::new(512, 512).expect("positive default")),
-        Some(value) => checked_array(value),
-    }
-}
-
-/// Looks up a zoo network, answering 422 with the zoo listing hint.
-fn zoo_network(name: &str) -> Result<Network, HandlerError> {
-    zoo::by_name(name).ok_or_else(|| {
-        unprocessable(format!(
-            "unknown network {name:?}; GET /v1/networks lists the zoo"
-        ))
-    })
-}
-
-/// Builds a network from an inline spec value (422 on invalid specs).
-///
-/// Beyond structural validity, untrusted specs are bounded in
-/// magnitude: planning cost scales with the input area and channel
-/// counts, so unbounded dimensions would let one request monopolize a
-/// worker (and overflow cycle arithmetic).
-fn spec_network(value: &JsonValue) -> Result<Network, HandlerError> {
-    let spec = NetworkSpec::from_json(value).map_err(|e| unprocessable(e.to_string()))?;
-    for (index, layer) in spec.layers.iter().enumerate() {
-        let dims = [
-            layer.input_h,
-            layer.input_w,
-            layer.kernel_h,
-            layer.kernel_w,
-            layer.padding,
-            layer.stride,
-            layer.dilation,
-        ];
-        if dims.iter().any(|&d| d > MAX_SPEC_DIM) {
-            return Err(unprocessable(format!(
-                "layers[{index}] ({:?}): dimensions exceed the service limit of {MAX_SPEC_DIM}",
-                layer.name
-            )));
-        }
-        if layer.in_channels > MAX_SPEC_CHANNELS || layer.out_channels > MAX_SPEC_CHANNELS {
-            return Err(unprocessable(format!(
-                "layers[{index}] ({:?}): channels exceed the service limit of {MAX_SPEC_CHANNELS}",
-                layer.name
-            )));
-        }
-    }
-    spec.to_network().map_err(|e| unprocessable(e.to_string()))
-}
-
-/// Resolves the mutually exclusive `"network"` (zoo name) / `"spec"`
-/// (inline network) pair shared by the plan and deploy endpoints.
-fn network_field(body: &JsonValue) -> Result<Network, HandlerError> {
-    match (body.get("network"), body.get("spec")) {
-        (Some(_), Some(_)) => Err(bad_request("give either \"network\" or \"spec\", not both")),
-        (None, None) => Err(bad_request(
-            "the request needs \"network\" (zoo name) or \"spec\" (inline network)",
-        )),
-        (Some(name), None) => {
-            let name = name
-                .as_str()
-                .ok_or_else(|| bad_request("\"network\" must be a string"))?;
-            zoo_network(name)
-        }
-        (None, Some(spec)) => spec_network(spec),
-    }
-}
-
-/// `POST /v1/plan` — body: `{"network": NAME | "spec": {...},
-/// "array"?: "RxC" | {"rows","cols"}, "algorithms"?: [LABEL, ...]}`.
+/// `POST /v1/plan` — body: [`api::PlanRequest::from_json`]. The answer
+/// is [`api::report_json`] plus the engine's cache counters.
 ///
 /// Every handler takes the calling connection's shard index and
 /// ignores it: all shards share the state's one engine.
 pub fn plan(state: &ServerState, _shard: usize, body: &[u8]) -> Result<JsonValue, HandlerError> {
-    let body = parse_body(body)?;
-    check_known_fields(&body, &["network", "spec", "array", "algorithms"])?;
-    let network = network_field(&body)?;
-    let array = array_field(&body)?;
-    let algorithms = algorithms_field(&body)?;
-    let report = state
-        .engine()
-        .plan_network_with(&network, array, &algorithms)
-        .map_err(|e| unprocessable(e.to_string()))?;
+    let report = api::PlanRequest::from_json(&parse_body(body)?)?.run(state.engine())?;
     state.trim_caches();
     let mut response = api::report_json(&report);
     if let JsonValue::Object(members) = &mut response {
@@ -251,72 +99,10 @@ pub fn plan(state: &ServerState, _shard: usize, body: &[u8]) -> Result<JsonValue
     Ok(response)
 }
 
-/// `POST /v1/sweep` — body: `{"networks"?: [NAME, ...] | "all",
-/// "specs"?: [{...}, ...], "arrays"?: ["RxC", ...], "algorithms"?}`.
-/// Defaults: the whole zoo × the paper's Fig. 8(b) array sizes.
+/// `POST /v1/sweep` — body: [`api::SweepRequest::from_json`]. The
+/// answer is [`api::sweep_json`].
 pub fn sweep(state: &ServerState, _shard: usize, body: &[u8]) -> Result<JsonValue, HandlerError> {
-    let body = parse_body(body)?;
-    check_known_fields(&body, &["networks", "specs", "arrays", "algorithms"])?;
-
-    let mut networks: Vec<Network> = Vec::new();
-    match body.get("networks") {
-        None => {}
-        Some(JsonValue::String(all)) if all.eq_ignore_ascii_case("all") => {
-            networks.extend(zoo::all());
-        }
-        Some(JsonValue::Array(items)) => {
-            for item in items {
-                let name = item
-                    .as_str()
-                    .ok_or_else(|| bad_request("\"networks\" entries must be strings"))?;
-                networks.push(zoo_network(name)?);
-            }
-        }
-        Some(_) => {
-            return Err(bad_request(
-                "\"networks\" must be an array of zoo names or the string \"all\"",
-            ))
-        }
-    }
-    if let Some(specs) = body.get("specs") {
-        let items = specs
-            .as_array()
-            .ok_or_else(|| bad_request("\"specs\" must be an array of network specs"))?;
-        for item in items {
-            networks.push(spec_network(item)?);
-        }
-    }
-    if networks.is_empty() {
-        if body.get("networks").is_some() || body.get("specs").is_some() {
-            return Err(bad_request("the sweep names no networks"));
-        }
-        networks = zoo::all();
-    }
-
-    let arrays: Vec<PimArray> = match body.get("arrays") {
-        None => presets::fig8b_sweep().iter().map(|p| p.array).collect(),
-        Some(JsonValue::Array(items)) if !items.is_empty() => {
-            items.iter().map(checked_array).collect::<Result<_, _>>()?
-        }
-        Some(_) => {
-            return Err(bad_request(
-                "\"arrays\" must be a non-empty array of geometries",
-            ))
-        }
-    };
-    let algorithms = algorithms_field(&body)?;
-
-    let mut reports = Vec::with_capacity(networks.len() * arrays.len());
-    for network in &networks {
-        for &array in &arrays {
-            reports.push(
-                state
-                    .engine()
-                    .plan_network_with(network, array, &algorithms)
-                    .map_err(|e| unprocessable(e.to_string()))?,
-            );
-        }
-    }
+    let reports = api::SweepRequest::from_json(&parse_body(body)?)?.run(state.engine())?;
     // Render before trimming, so this request's own search records are
     // still in the memo.
     let response = api::sweep_json(&reports, &state.stats(), state.engine());
@@ -324,66 +110,20 @@ pub fn sweep(state: &ServerState, _shard: usize, body: &[u8]) -> Result<JsonValu
     Ok(response)
 }
 
-/// `POST /v1/deploy` — body: `{"network": NAME | "spec": {...},
-/// "array"?: "RxC" | {"rows","cols"}, "arrays"?: N, "reprogram"?: N,
-/// "algorithms"?: [LABEL, ...]}`. Defaults: a 128-array chip of
-/// 512×512 crossbars with a 2000-cycle reload, optimizing over the
-/// paper trio.
+/// `POST /v1/deploy` — body: [`api::DeployRequest::from_json`].
 ///
 /// The response is [`api::deployment_json`] exactly — no appended cache
 /// member — so `vwsdk deploy --format json` and this endpoint answer
 /// identical JSON for the same question.
 pub fn deploy(state: &ServerState, _shard: usize, body: &[u8]) -> Result<JsonValue, HandlerError> {
-    let body = parse_body(body)?;
-    check_known_fields(
-        &body,
-        &[
-            "network",
-            "spec",
-            "array",
-            "arrays",
-            "reprogram",
-            "algorithms",
-        ],
-    )?;
-    let network = network_field(&body)?;
-    let array = array_field(&body)?;
-    let n_arrays = match body.get("arrays") {
-        None => DEFAULT_CHIP_ARRAYS,
-        Some(value) => value
-            .as_usize()
-            .ok_or_else(|| bad_request("\"arrays\" must be an integer array count"))?,
-    };
-    if n_arrays > MAX_CHIP_ARRAYS {
-        return Err(unprocessable(format!(
-            "chip budget {n_arrays} exceeds the service limit of {MAX_CHIP_ARRAYS} arrays"
-        )));
-    }
-    let reprogram = match body.get("reprogram") {
-        None => DEFAULT_REPROGRAM_CYCLES,
-        Some(value) => value
-            .as_u64()
-            .ok_or_else(|| bad_request("\"reprogram\" must be an integer cycle count"))?,
-    };
-    let algorithms = algorithms_field(&body)?;
-    let chip =
-        ChipConfig::new(n_arrays, array, reprogram).map_err(|e| unprocessable(e.to_string()))?;
-    let deployment = state
-        .engine()
-        .deploy_network_with(&network, &chip, &algorithms)
-        .map_err(|e| unprocessable(e.to_string()))?;
+    let report = api::DeployRequest::from_json(&parse_body(body)?)?.run(state.engine())?;
     state.trim_caches();
-    Ok(api::deployment_json(&DeploymentReport::with_defaults(
-        network.name(),
-        &deployment,
-    )))
+    Ok(api::deployment_json(&report))
 }
 
-/// `POST /v1/simulate` — body: `{"network": NAME | "spec": {...},
-/// "array"?: "RxC" | {"rows","cols"}, "algorithm"?: LABEL,
-/// "seed"?: N, "mode"?: "exact" | "quantized", "batch"?: N}`.
-/// Defaults: VW-SDK plans on the paper's 512×512 array, seed 2024,
-/// quantized mode, batch 1.
+/// `POST /v1/simulate` — body: [`api::SimulateRequest::from_json`],
+/// within the daemon's compute budget (at most 256 inputs and 2²⁸ MACs
+/// over the batch).
 ///
 /// Plans every layer through the shared search memo, programs the
 /// plans once, streams `batch` deterministic seed-derived inputs
@@ -401,83 +141,11 @@ pub fn simulate(
     _shard: usize,
     body: &[u8],
 ) -> Result<JsonValue, HandlerError> {
-    let body = parse_body(body)?;
-    check_known_fields(
-        &body,
-        &[
-            "network",
-            "spec",
-            "array",
-            "algorithm",
-            "seed",
-            "mode",
-            "batch",
-        ],
-    )?;
-    let network = network_field(&body)?;
-    let array = array_field(&body)?;
-    let algorithm = match body.get("algorithm") {
-        None => MappingAlgorithm::VwSdk,
-        Some(value) => {
-            let label = value
-                .as_str()
-                .ok_or_else(|| bad_request("\"algorithm\" must be a string label"))?;
-            api::algorithm_by_label(label).map_err(unprocessable)?
-        }
-    };
-    let seed = match body.get("seed") {
-        None => DEFAULT_SIM_SEED,
-        Some(value) => value
-            .as_u64()
-            .ok_or_else(|| bad_request("\"seed\" must be a non-negative integer"))?,
-    };
-    let mode = match body.get("mode") {
-        None => pim_sim::ExecMode::Quantized,
-        Some(value) => {
-            let label = value
-                .as_str()
-                .ok_or_else(|| bad_request("\"mode\" must be a string"))?;
-            pim_sim::ExecMode::by_label(label).ok_or_else(|| {
-                unprocessable(format!(
-                    "unknown mode {label:?}; expected \"exact\" or \"quantized\""
-                ))
-            })?
-        }
-    };
-    let batch = match body.get("batch") {
-        None => 1,
-        Some(value) => {
-            let batch = value
-                .as_u64()
-                .ok_or_else(|| bad_request("\"batch\" must be a positive integer"))?;
-            if batch == 0 {
-                return Err(unprocessable(
-                    "\"batch\" must be at least 1 (a batch of 0 inputs simulates nothing)"
-                        .to_string(),
-                ));
-            }
-            if batch > MAX_SIM_BATCH {
-                return Err(unprocessable(format!(
-                    "\"batch\" {batch} is over the simulation limit of {MAX_SIM_BATCH}"
-                )));
-            }
-            batch
-        }
-    };
-    let total_macs = network.total_macs().saturating_mul(batch);
-    if total_macs > MAX_SIM_MACS {
-        return Err(unprocessable(format!(
-            "network {:?} needs {total_macs} MACs for a batch of {batch}, over the \
-             simulation limit of {MAX_SIM_MACS}",
-            network.name(),
-        )));
-    }
+    let request = api::SimulateRequest::from_json(&parse_body(body)?)?;
+    request.within_budget(MAX_SIM_BATCH, MAX_SIM_MACS)?;
     // Stream workers stay at 1: the connection pool is the server's
     // parallelism budget, one core per in-flight request.
-    let report = state
-        .engine()
-        .simulate_network_batch_with(&network, array, algorithm, seed, mode, batch as usize, 1)
-        .map_err(|e| unprocessable(e.to_string()))?;
+    let report = request.run(state.engine(), 1)?;
     state.trim_caches();
     Ok(api::simulation_json(&report))
 }
@@ -485,6 +153,10 @@ pub fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_arch::PimArray;
+    use pim_chip::report::DeploymentReport;
+    use pim_chip::ChipConfig;
+    use pim_mapping::MappingAlgorithm;
     use vw_sdk::Planner;
 
     fn state() -> ServerState {

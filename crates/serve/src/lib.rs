@@ -10,7 +10,9 @@
 //! [`pim_netpoll`]), a fixed worker pool ([`pool`]), a closed route
 //! table ([`router`]) and pure JSON handlers ([`handlers`]) over one
 //! [`PlanningEngine`](vw_sdk::PlanningEngine), whose single-flight
-//! search memo is the process's only planning cache.
+//! search memo is the process's only planning cache. Each POST body
+//! becomes one validated request from [`api`] — the same type `vwsdk`
+//! builds from its flags.
 //!
 //! # The API
 //!

@@ -19,20 +19,22 @@
 //! vwsdk serve  --addr 127.0.0.1:7878 --jobs 8
 //! ```
 //!
-//! `plan` and `layer` run through one process-wide, shape-memoizing
-//! [`PlanningEngine`] — the same search memo path the `vwsdk serve`
-//! daemon uses — so repeated shapes are searched once no matter the
-//! entry point.
+//! Each command accepts only its own flags. `plan`, `sweep`, `deploy` and
+//! `simulate` lower theirs into the JSON body of the matching `POST /v1/*`
+//! request and build it with the same [`api`] constructor the daemon
+//! calls, so both frontends share one set of defaults, checks and size
+//! limits, and answer the same bytes. Only `--jobs` and `--format` stay
+//! on the CLI side.
 
 use pim_arch::{presets, PimArray};
 use pim_mapping::MappingAlgorithm;
-use pim_nets::{zoo, ConvLayer, Network, NetworkSpec};
+use pim_nets::{zoo, ConvLayer, Network};
+use pim_report::json::JsonValue;
 use pim_report::table::{Align, TextTable};
 use pim_report::{fmt_f64, fmt_speedup};
 use pim_sim::verify::verify_plan;
-use pim_sim::{ExecMode, SimulationReport};
+use pim_sim::SimulationReport;
 use std::fmt;
-use std::sync::OnceLock;
 use vw_sdk::render::{render_speedups, render_table1};
 use vw_sdk::PlanningEngine;
 use vw_sdk_serve::{api, PlanServer};
@@ -59,6 +61,13 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+/// A refused request reads as its message; the status is the daemon's.
+impl From<api::RequestError> for CliError {
+    fn from((_, message): api::RequestError) -> Self {
+        Self::new(message)
+    }
+}
+
 /// Usage text shown for `--help` or on parse errors.
 pub const USAGE: &str = "\
 vwsdk — VW-SDK convolutional weight mapping for PIM crossbars (DATE 2022 reproduction)
@@ -66,22 +75,28 @@ vwsdk — VW-SDK convolutional weight mapping for PIM crossbars (DATE 2022 repro
 USAGE:
     vwsdk <COMMAND> [OPTIONS]
 
-COMMANDS:
-    list                         List the model-zoo networks
-    plan     Plan a network          (--network NAME | --spec FILE.json, --array RxC)
-    layer    Compare one layer       (--input N --kernel K --ic N --oc N --array RxC
-                                      [--stride S] [--padding P] [--dilation D])
-    search   Show the window search  (same layer options, plus --top N)
-    show     Draw a tile layout      (same layer options, plus --algorithm NAME)
-    verify   Run the simulator       (--network NAME --array RxC [--seed N])
+COMMANDS (each takes only the options listed with it, plus the global ones):
+    list     List the model-zoo networks
+    plan     Plan a network          (--network NAME | --spec FILE.json)
+                                     [--array RxC]
+    layer    Compare one layer       --input N --kernel K --ic N --oc N
+                                     [--array RxC] [--stride S] [--padding P]
+                                     [--dilation D]
+    search   Show the window search  --input N --kernel K --ic N --oc N
+                                     [--array RxC] [--stride S] [--padding P]
+                                     [--dilation D] [--top N]
+    show     Draw a tile layout      --input N --kernel K --ic N --oc N
+                                     [--array RxC] [--stride S] [--padding P]
+                                     [--dilation D] [--algorithm NAME]
+    verify   Run the simulator       --network NAME [--array RxC] [--seed N]
                                      per-layer bit-exact check of every paper
                                      algorithm against the reference
                                      convolution; exits nonzero unless every
                                      cell reads ok
-    simulate Network-scale simulation (--network NAME | --spec FILE.json,
-                                      --array RxC [--algorithm NAME] [--seed N]
-                                      [--mode exact|quantized] [--batch N]
-                                      [--jobs N] [--format text|json])
+    simulate Network-scale simulation (--network NAME | --spec FILE.json)
+                                     [--array RxC] [--algorithm NAME] [--seed N]
+                                     [--mode exact|quantized] [--batch N]
+                                     [--jobs N] [--format text|json]
                                      programs every deployed stage once, then
                                      streams a batch of inputs through it
                                      (conv on crossbars, ReLU/pooling
@@ -89,25 +104,27 @@ COMMANDS:
                                      bit-exact against the reference forward
                                      pass, executed == predicted cycles;
                                      exits nonzero when either check fails
-    sweep    Batch design-space plan (--networks a,b,... [--spec FILE.json]
-                                      --arrays RxC,... --jobs N [--format text|json])
-                                     defaults: every zoo network, the Fig. 8(b)
+    sweep    Batch design-space plan [--networks A,B,...|all] [--spec FILE.json]
+                                     [--arrays RxC,...] [--jobs N]
+                                     [--format text|json]
+                                     defaults: every zoo network (just the
+                                     spec when --spec is given), the Fig. 8(b)
                                      array sizes, one worker per core
-    deploy   Chip-scale deployment   (--network NAME | --spec FILE.json,
-                                      --arrays N --array RxC --reprogram N
-                                      [--format table|json])
+    deploy   Chip-scale deployment   (--network NAME | --spec FILE.json)
+                                     [--array RxC] [--arrays N] [--reprogram N]
+                                     [--format table|json]
                                      mixed-algorithm budget optimizer: per-layer
                                      im2col/SDK/VW-SDK choice + array split for
                                      the minimum pipeline bottleneck
-    serve    HTTP planning daemon    (--addr HOST:PORT --jobs N
-                                      [--shards N] [--timeout-ms N])
+    serve    HTTP planning daemon    [--addr HOST:PORT] [--jobs N] [--shards N]
+                                     [--timeout-ms N]
                                      endpoints: GET /healthz, GET /v1/networks,
                                      GET /v1/metrics, POST /v1/plan,
                                      POST /v1/sweep, POST /v1/deploy,
                                      POST /v1/simulate; one JSON access-log
                                      line per request on stderr
-    check    In-tree static analysis ([--root DIR] [--format text|json]
-                                      [--list-rules])
+    check    In-tree static analysis [--root DIR] [--format text|json]
+                                     [--list-rules]
                                      runs the pim-lint rules over the
                                      workspace (unsafe placement, SAFETY:
                                      and ORDERING: justifications, banned
@@ -116,34 +133,47 @@ COMMANDS:
                                      gate CI and the repo's own test
                                      suite enforce (docs/STATIC_ANALYSIS.md)
 
+plan, sweep, deploy and simulate build the request body the matching
+POST /v1/* endpoint takes (docs/HTTP_API.md), with the same defaults,
+checks and size limits; only the daemon caps a simulation's batch and
+MACs.
+
 OPTIONS:
-    --array RxC     PIM array geometry, e.g. 512x512 (default 512x512)
     --network NAME  Zoo network name (see `vwsdk list`)
-    --networks A,B  Comma-separated zoo networks, or `all` (sweep)
+    --spec FILE     JSON network spec (see examples/specs/)
+    --array RxC     PIM array geometry, e.g. 512x512 (default 512x512)
+    --networks A,B  Comma-separated zoo networks, or `all` for the whole zoo
     --arrays X      Sweep: comma-separated geometries; deploy: the chip's
                     array count (default 128)
-    --reprogram N   Deploy: array reload cost in cycles (default 2000)
-    --spec FILE     JSON network spec (plan, sweep, deploy, simulate;
-                    see examples/specs/)
-    --format F      Output: text/table (default) or json (sweep, deploy,
-                    simulate)
-    --seed N        Data seed for generated tensors (verify, simulate;
-                    default 2024) — same seed, same bytes, on any machine
-    --mode M        Simulate: exact (no rescaling) or quantized (int8-style
+    --reprogram N   Array reload cost in cycles (default 2000)
+    --input N       Layer input width and height
+    --kernel K      Layer kernel width and height
+    --ic N          Layer input channels
+    --oc N          Layer output channels
+    --stride S      Layer stride (default 1)
+    --padding P     Layer zero padding (default 0)
+    --dilation D    Layer dilation (default 1)
+    --top N         Best candidates to print (default 10)
+    --algorithm A   Mapping algorithm label, e.g. im2col, SDK, VW-SDK
+                    (default VW-SDK)
+    --seed N        Data seed for generated tensors (default 2024) — same
+                    seed, same bytes, on any machine
+    --mode M        exact (no rescaling) or quantized (int8-style
                     inter-stage requantization; default); runs each stage
                     in the narrowest of i32/i64/i128 that provably holds
                     its values, never narrower than the stage before
-    --batch N       Simulate: input feature maps streamed through one
-                    programmed deployment (default 1; must be >= 1)
+    --batch N       Input feature maps streamed through one programmed
+                    deployment (default 1; must be >= 1)
     --jobs N        Worker threads; 0 = one per core (sweep: planners,
                     serve: connection workers, simulate: batch stream
                     workers)
-    --addr H:P      Serve bind address (default 127.0.0.1:7878)
-    --shards N      Serve: event-loop shards (default 0 = auto, capped at 4)
-    --timeout-ms N  Serve: idle/read/write deadline in ms (default 30000)
-    --root DIR      Check: workspace root to analyze (default: walk up
-                    from the current directory to the first [workspace])
-    --list-rules    Check: print the rule catalog instead of running
+    --format F      Output: text/table (default) or json
+    --addr H:P      Bind address (default 127.0.0.1:7878)
+    --shards N      Event-loop shards (default 0 = auto, capped at 4)
+    --timeout-ms N  Idle/read/write deadline in ms (default 30000)
+    --root DIR      Workspace root to analyze (default: walk up from the
+                    current directory to the first [workspace])
+    --list-rules    Print the rule catalog instead of running the rules
     --trace         Global: emit one JSON trace event per span to stderr
     --metrics-dump  Global: after the command, print the telemetry
                     registry as JSON (same schema as
@@ -151,23 +181,14 @@ OPTIONS:
     --help          Show this text
 ";
 
-/// Where `vwsdk plan` gets its network from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NetworkSource {
-    /// A model-zoo name (`--network`).
-    Zoo(String),
-    /// A JSON network-spec file (`--spec`).
-    SpecFile(String),
-}
-
-/// Output format of `vwsdk sweep` and `vwsdk deploy` (`--format`
-/// accepts `text` and `table` interchangeably for the first variant).
+/// Output format of the commands that take `--format` (`text` and
+/// `table` spell the first variant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepFormat {
     /// The aligned text table (default).
     Text,
-    /// The service's JSON schema (`api::report_summary_json` per sweep
-    /// report, `api::deployment_json` for a deployment).
+    /// The service's JSON schema (`api::sweep_json`,
+    /// `api::deployment_json`, `api::simulation_json`).
     Json,
 }
 
@@ -176,13 +197,8 @@ pub enum SweepFormat {
 pub enum Command {
     /// `vwsdk list`
     List,
-    /// `vwsdk plan`
-    Plan {
-        /// Zoo name or spec file to plan.
-        network: NetworkSource,
-        /// Target array.
-        array: PimArray,
-    },
+    /// `vwsdk plan`: the `POST /v1/plan` request.
+    Plan(api::PlanRequest),
     /// `vwsdk layer`
     Layer {
         /// The layer to compare.
@@ -210,8 +226,8 @@ pub enum Command {
     },
     /// `vwsdk verify`
     Verify {
-        /// Zoo network name.
-        network: String,
+        /// Zoo network to verify layer by layer.
+        network: Network,
         /// Target array.
         array: PimArray,
         /// Data seed.
@@ -219,18 +235,8 @@ pub enum Command {
     },
     /// `vwsdk simulate`
     Simulate {
-        /// Zoo name or spec file to simulate.
-        network: NetworkSource,
-        /// Target array.
-        array: PimArray,
-        /// Algorithm mapping every layer.
-        algorithm: MappingAlgorithm,
-        /// Data seed.
-        seed: u64,
-        /// Inter-stage execution mode.
-        mode: ExecMode,
-        /// Input feature maps streamed through the programmed network.
-        batch: usize,
+        /// The `POST /v1/simulate` request.
+        request: api::SimulateRequest,
         /// Stream-phase worker threads (0 = one per core).
         jobs: usize,
         /// Output format.
@@ -238,12 +244,8 @@ pub enum Command {
     },
     /// `vwsdk sweep`
     Sweep {
-        /// Zoo networks to plan.
-        networks: Vec<String>,
-        /// Extra spec-file network to include.
-        spec: Option<String>,
-        /// Array geometries to plan them on.
-        arrays: Vec<PimArray>,
+        /// The `POST /v1/sweep` request.
+        request: api::SweepRequest,
         /// Worker threads (0 = one per core).
         jobs: usize,
         /// Output format.
@@ -251,14 +253,8 @@ pub enum Command {
     },
     /// `vwsdk deploy`
     Deploy {
-        /// Zoo name or spec file to deploy.
-        network: NetworkSource,
-        /// Geometry of each crossbar array on the chip.
-        array: PimArray,
-        /// The chip's array budget.
-        arrays: usize,
-        /// Array reload cost in cycles.
-        reprogram: u64,
+        /// The `POST /v1/deploy` request.
+        request: api::DeployRequest,
         /// Output format.
         format: SweepFormat,
     },
@@ -287,72 +283,136 @@ pub enum Command {
     Help,
 }
 
-fn take_value<'a>(
-    args: &'a [String],
-    i: &mut usize,
-    flag: &str,
-) -> std::result::Result<&'a str, CliError> {
-    *i += 1;
-    args.get(*i)
-        .map(String::as_str)
-        .ok_or_else(|| CliError::new(format!("missing value for {flag}")))
+/// The flags `command` reads, as [`USAGE`] lists them; `parse` refuses
+/// every other. `--list-rules` is the one flag without a value.
+fn own_flags(command: &str) -> Option<Vec<&'static str>> {
+    const LAYER: &str = "--input --kernel --ic --oc --array --stride --padding --dilation";
+    let (shared, own) = match command {
+        "list" => ("", ""),
+        "plan" => ("", "--network --spec --array"),
+        "layer" => (LAYER, ""),
+        "search" => (LAYER, "--top"),
+        "show" => (LAYER, "--algorithm"),
+        "verify" => ("", "--network --array --seed"),
+        "simulate" => (
+            "",
+            "--network --spec --array --algorithm --seed --mode --batch --jobs --format",
+        ),
+        "sweep" => ("", "--networks --spec --arrays --jobs --format"),
+        "deploy" => ("", "--network --spec --array --arrays --reprogram --format"),
+        "serve" => ("", "--addr --jobs --shards --timeout-ms"),
+        "check" => ("", "--root --format --list-rules"),
+        _ => return None,
+    };
+    let flags = shared.split_whitespace().chain(own.split_whitespace());
+    Some(flags.collect())
 }
 
-struct LayerArgs {
-    input: Option<usize>,
-    kernel: Option<usize>,
-    ic: Option<usize>,
-    oc: Option<usize>,
-    stride: usize,
-    padding: usize,
-    dilation: usize,
+/// A flag's integer value. JSON numbers are exact up to 2^53, so the
+/// CLI takes no larger integer than a request body can carry.
+fn integer<T: TryFrom<u64>>(text: &str, flag: &str) -> Result<T, CliError> {
+    text.parse::<u64>()
+        .ok()
+        .filter(|&n| n <= 1 << 53)
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| CliError::new(format!("{flag} expects an integer <= 2^53, got {text:?}")))
 }
 
-impl LayerArgs {
-    fn new() -> Self {
-        Self {
-            input: None,
-            kernel: None,
-            ic: None,
-            oc: None,
-            stride: 1,
-            padding: 0,
-            dilation: 1,
+/// One command line's flags, each with the last value given for it.
+struct Flags<'a>(Vec<(&'a str, &'a str)>);
+
+impl<'a> Flags<'a> {
+    fn get(&self, flag: &str) -> Option<&'a str> {
+        self.0.iter().find(|(f, _)| *f == flag).map(|&(_, v)| v)
+    }
+
+    fn integer_or<T: TryFrom<u64>>(&self, flag: &str, default: T) -> Result<T, CliError> {
+        self.get(flag).map_or(Ok(default), |v| integer(v, flag))
+    }
+
+    fn array(&self) -> Result<PimArray, CliError> {
+        self.get("--array").map_or_else(
+            || Ok(api::default_array()),
+            |v| presets::parse_array(v).map_err(|e| CliError::new(e.to_string())),
+        )
+    }
+
+    fn format(&self) -> Result<SweepFormat, CliError> {
+        match self.get("--format").map(str::to_ascii_lowercase).as_deref() {
+            None | Some("text" | "table") => Ok(SweepFormat::Text),
+            Some("json") => Ok(SweepFormat::Json),
+            Some(other) => Err(CliError::new(format!(
+                "--format expects text, table or json, got {other:?}"
+            ))),
         }
     }
 
-    fn build(&self) -> std::result::Result<ConvLayer, CliError> {
-        let input = self
-            .input
-            .ok_or_else(|| CliError::new("--input is required"))?;
-        let kernel = self
-            .kernel
-            .ok_or_else(|| CliError::new("--kernel is required"))?;
-        let ic = self.ic.ok_or_else(|| CliError::new("--ic is required"))?;
-        let oc = self.oc.ok_or_else(|| CliError::new("--oc is required"))?;
+    /// `layer`, `search` and `show`'s layer.
+    fn layer(&self) -> Result<ConvLayer, CliError> {
+        let required = |flag: &str| {
+            let value = self
+                .get(flag)
+                .ok_or_else(|| CliError::new(format!("{flag} is required")))?;
+            integer::<usize>(value, flag)
+        };
+        let (input, kernel) = (required("--input")?, required("--kernel")?);
         ConvLayer::builder("cli-layer")
             .input(input, input)
             .kernel(kernel, kernel)
-            .channels(ic, oc)
-            .stride(self.stride)
-            .padding(self.padding)
-            .dilation(self.dilation)
+            .channels(required("--ic")?, required("--oc")?)
+            .stride(self.integer_or("--stride", 1)?)
+            .padding(self.integer_or("--padding", 0)?)
+            .dilation(self.integer_or("--dilation", 1)?)
             .build()
             .map_err(|e| CliError::new(e.to_string()))
     }
+
+    /// Lowers a request command's flags into the body of the matching
+    /// `POST /v1/*` request: each flag becomes the member of its own name,
+    /// a number when its value is all digits and a string otherwise, so
+    /// the request checks its types. `--spec FILE` inlines the file
+    /// (sweep: as the one-entry `"specs"` list), and sweep's `--networks`
+    /// and `--arrays` become lists, except that a whole `--networks all`
+    /// stays the string `"all"`. `--jobs` and `--format` are the CLI's own.
+    fn request_body(&self, command: &str) -> Result<JsonValue, CliError> {
+        let mut members = Vec::with_capacity(self.0.len());
+        for &(flag, value) in &self.0 {
+            members.push(match (command, &flag[2..]) {
+                (_, "jobs" | "format") => continue,
+                ("sweep", "spec") => ("specs", JsonValue::array([read_spec(value)?])),
+                (_, "spec") => ("spec", read_spec(value)?),
+                ("sweep", "networks") if value.eq_ignore_ascii_case("all") => {
+                    ("networks", JsonValue::from(value))
+                }
+                ("sweep", member @ ("networks" | "arrays")) => (
+                    member,
+                    JsonValue::array(value.split(',').map(JsonValue::from)),
+                ),
+                (_, member) => match value.parse::<u64>() {
+                    Ok(_) => (member, JsonValue::from(integer::<u64>(value, flag)?)),
+                    Err(_) => (member, JsonValue::from(value)),
+                },
+            });
+        }
+        Ok(JsonValue::object(members))
+    }
 }
 
-fn parse_usize(text: &str, flag: &str) -> std::result::Result<usize, CliError> {
-    text.parse()
-        .map_err(|_| CliError::new(format!("{flag} expects an integer, got {text:?}")))
+/// Reads a `--spec FILE.json` into the JSON value a request inlines.
+fn read_spec(path: &str) -> Result<JsonValue, CliError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError::new(format!("cannot read spec {path:?}: {e}")))?;
+    JsonValue::parse(&text).map_err(|e| CliError::new(format!("spec {path:?}: {e}")))
 }
 
 /// Parses raw arguments (without the program name) into a [`Command`].
+/// The four request commands come back as the validated request.
 ///
 /// # Errors
 ///
 /// Returns [`CliError`] with a human-readable message for unknown
-/// commands, unknown flags, missing values or malformed numbers.
+/// commands, a flag the command does not take, missing values,
+/// malformed numbers, or a request that fails validation.
 pub fn parse(args: &[String]) -> std::result::Result<Command, CliError> {
     let Some(command) = args.first() else {
         return Ok(Command::Help);
@@ -360,259 +420,93 @@ pub fn parse(args: &[String]) -> std::result::Result<Command, CliError> {
     if command == "--help" || command == "-h" || command == "help" {
         return Ok(Command::Help);
     }
-
-    let mut array = PimArray::new(512, 512).expect("positive default");
-    let mut network = None;
-    let mut layer_args = LayerArgs::new();
-    let mut top = 10usize;
-    let mut seed = 2024u64;
-    let mut algorithm = MappingAlgorithm::VwSdk;
-    let mut array_set = false;
-    let mut networks: Option<Vec<String>> = None;
-    // `--arrays` is a geometry list for sweep but an array count for
-    // deploy, so it stays raw until the command is known.
-    let mut arrays_raw: Option<String> = None;
-    let mut jobs = 0usize;
-    let mut spec: Option<String> = None;
-    let mut format = SweepFormat::Text;
-    let mut mode = ExecMode::Quantized;
-    let mut reprogram = 2_000u64;
-    let mut addr = "127.0.0.1:7878".to_string();
-    let mut batch = 1usize;
-    let mut shards = 0usize;
-    let mut timeout_ms = 30_000u64;
-    let mut root: Option<String> = None;
-    let mut list_rules = false;
-
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--array" => {
-                let v = take_value(args, &mut i, flag)?;
-                array = presets::parse_array(v).map_err(|e| CliError::new(e.to_string()))?;
-                array_set = true;
-            }
-            "--network" => network = Some(take_value(args, &mut i, flag)?.to_string()),
-            "--networks" => {
-                let v = take_value(args, &mut i, flag)?;
-                networks = Some(v.split(',').map(str::to_string).collect());
-            }
-            "--arrays" => arrays_raw = Some(take_value(args, &mut i, flag)?.to_string()),
-            "--jobs" => jobs = parse_usize(take_value(args, &mut i, flag)?, flag)?,
-            "--reprogram" => {
-                reprogram = take_value(args, &mut i, flag)?
-                    .parse()
-                    .map_err(|_| CliError::new("--reprogram expects an integer cycle count"))?
-            }
-            "--spec" => spec = Some(take_value(args, &mut i, flag)?.to_string()),
-            "--addr" => addr = take_value(args, &mut i, flag)?.to_string(),
-            "--batch" => {
-                batch = parse_usize(take_value(args, &mut i, flag)?, flag)?;
-                if batch == 0 {
-                    return Err(CliError::new(
-                        "--batch must be at least 1 (a batch of 0 inputs simulates nothing)",
-                    ));
-                }
-            }
-            "--root" => root = Some(take_value(args, &mut i, flag)?.to_string()),
-            "--list-rules" => list_rules = true,
-            "--shards" => shards = parse_usize(take_value(args, &mut i, flag)?, flag)?,
-            "--timeout-ms" => {
-                timeout_ms = take_value(args, &mut i, flag)?
-                    .parse()
-                    .ok()
-                    .filter(|&ms| ms > 0)
-                    .ok_or_else(|| {
-                        CliError::new("--timeout-ms expects a positive millisecond count")
-                    })?
-            }
-            "--format" => {
-                let v = take_value(args, &mut i, flag)?;
-                format = match v.to_ascii_lowercase().as_str() {
-                    "text" | "table" => SweepFormat::Text,
-                    "json" => SweepFormat::Json,
-                    other => {
-                        return Err(CliError::new(format!(
-                            "--format expects text, table or json, got {other:?}"
-                        )))
-                    }
-                };
-            }
-            "--input" => {
-                layer_args.input = Some(parse_usize(take_value(args, &mut i, flag)?, flag)?)
-            }
-            "--kernel" => {
-                layer_args.kernel = Some(parse_usize(take_value(args, &mut i, flag)?, flag)?)
-            }
-            "--ic" => layer_args.ic = Some(parse_usize(take_value(args, &mut i, flag)?, flag)?),
-            "--oc" => layer_args.oc = Some(parse_usize(take_value(args, &mut i, flag)?, flag)?),
-            "--stride" => layer_args.stride = parse_usize(take_value(args, &mut i, flag)?, flag)?,
-            "--padding" => layer_args.padding = parse_usize(take_value(args, &mut i, flag)?, flag)?,
-            "--dilation" => {
-                layer_args.dilation = parse_usize(take_value(args, &mut i, flag)?, flag)?
-            }
-            "--top" => top = parse_usize(take_value(args, &mut i, flag)?, flag)?,
-            "--algorithm" => {
-                let v = take_value(args, &mut i, flag)?;
-                algorithm = MappingAlgorithm::all()
-                    .into_iter()
-                    .find(|a| a.label().eq_ignore_ascii_case(v))
-                    .ok_or_else(|| CliError::new(format!("unknown algorithm {v:?}")))?;
-            }
-            "--seed" => {
-                seed = take_value(args, &mut i, flag)?
-                    .parse()
-                    .ok()
-                    // The JSON schema stores seeds as exact f64 integers,
-                    // so the CLI accepts the same 2^53 range the server
-                    // does — keeping `--format json` output re-runnable
-                    // and byte-identical to the wire.
-                    .filter(|s| *s <= (1u64 << 53))
-                    .ok_or_else(|| CliError::new("--seed expects an integer <= 2^53"))?
-            }
-            "--mode" => {
-                let v = take_value(args, &mut i, flag)?;
-                mode = ExecMode::by_label(v).ok_or_else(|| {
-                    CliError::new(format!("--mode expects exact or quantized, got {v:?}"))
-                })?;
-            }
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(CliError::new(format!("unknown option {other:?}"))),
+    let own = own_flags(command)
+        .ok_or_else(|| CliError::new(format!("unknown command {command:?}; try `vwsdk --help`")))?;
+    let mut flags = Flags(Vec::new());
+    let mut rest = args[1..].iter().map(String::as_str);
+    while let Some(flag) = rest.next() {
+        if flag == "--help" || flag == "-h" {
+            return Ok(Command::Help);
         }
-        i += 1;
+        if !own.contains(&flag) {
+            return Err(CliError::new(format!(
+                "`vwsdk {command}` takes no {flag:?}; its options are {own:?}"
+            )));
+        }
+        let value = if flag == "--list-rules" {
+            ""
+        } else {
+            rest.next()
+                .ok_or_else(|| CliError::new(format!("missing value for {flag}")))?
+        };
+        flags.0.retain(|&(f, _)| f != flag);
+        flags.0.push((flag, value));
     }
 
-    match command.as_str() {
-        "list" => Ok(Command::List),
-        "plan" => Ok(Command::Plan {
-            network: match (network, spec) {
-                (Some(_), Some(_)) => {
+    Ok(match command.as_str() {
+        "list" => Command::List,
+        "plan" => Command::Plan(api::PlanRequest::from_json(&flags.request_body(command)?)?),
+        "layer" => Command::Layer {
+            layer: flags.layer()?,
+            array: flags.array()?,
+        },
+        "search" => Command::Search {
+            layer: flags.layer()?,
+            array: flags.array()?,
+            top: flags.integer_or("--top", 10)?,
+        },
+        "show" => Command::Show {
+            layer: flags.layer()?,
+            array: flags.array()?,
+            algorithm: flags
+                .get("--algorithm")
+                .map_or(Ok(api::DEFAULT_ALGORITHM), |label| {
+                    api::algorithm_by_label(label).map_err(CliError::new)
+                })?,
+        },
+        "verify" => Command::Verify {
+            network: api::zoo_network(
+                flags
+                    .get("--network")
+                    .ok_or_else(|| CliError::new("verify requires --network"))?,
+            )?,
+            array: flags.array()?,
+            seed: flags.integer_or("--seed", api::DEFAULT_SEED)?,
+        },
+        "simulate" => Command::Simulate {
+            request: api::SimulateRequest::from_json(&flags.request_body(command)?)?,
+            jobs: flags.integer_or("--jobs", 0)?,
+            format: flags.format()?,
+        },
+        "sweep" => Command::Sweep {
+            request: api::SweepRequest::from_json(&flags.request_body(command)?)?,
+            jobs: flags.integer_or("--jobs", 0)?,
+            format: flags.format()?,
+        },
+        "deploy" => Command::Deploy {
+            request: api::DeployRequest::from_json(&flags.request_body(command)?)?,
+            format: flags.format()?,
+        },
+        "serve" => Command::Serve {
+            addr: flags.get("--addr").unwrap_or("127.0.0.1:7878").to_string(),
+            jobs: flags.integer_or("--jobs", 0)?,
+            shards: flags.integer_or("--shards", 0)?,
+            timeout_ms: match flags.integer_or("--timeout-ms", 30_000)? {
+                0 => {
                     return Err(CliError::new(
-                        "plan takes either --network or --spec, not both",
+                        "--timeout-ms expects a positive millisecond count",
                     ))
                 }
-                (Some(name), None) => NetworkSource::Zoo(name),
-                (None, Some(path)) => NetworkSource::SpecFile(path),
-                (None, None) => return Err(CliError::new("plan requires --network or --spec")),
+                ms => ms,
             },
-            array,
-        }),
-        "layer" => Ok(Command::Layer {
-            layer: layer_args.build()?,
-            array,
-        }),
-        "search" => Ok(Command::Search {
-            layer: layer_args.build()?,
-            array,
-            top,
-        }),
-        "show" => Ok(Command::Show {
-            layer: layer_args.build()?,
-            array,
-            algorithm,
-        }),
-        "verify" => Ok(Command::Verify {
-            network: network.ok_or_else(|| CliError::new("verify requires --network"))?,
-            array,
-            seed,
-        }),
-        "simulate" => Ok(Command::Simulate {
-            network: match (network, spec) {
-                (Some(_), Some(_)) => {
-                    return Err(CliError::new(
-                        "simulate takes either --network or --spec, not both",
-                    ))
-                }
-                (Some(name), None) => NetworkSource::Zoo(name),
-                (None, Some(path)) => NetworkSource::SpecFile(path),
-                (None, None) => return Err(CliError::new("simulate requires --network or --spec")),
-            },
-            array,
-            algorithm,
-            seed,
-            mode,
-            batch,
-            jobs,
-            format,
-        }),
-        "sweep" => {
-            // Catch the singular spellings every other subcommand uses —
-            // silently falling back to the whole-zoo defaults would run a
-            // much larger, wrong sweep.
-            if network.is_some() {
-                return Err(CliError::new(
-                    "sweep takes --networks (plural, comma-separated), not --network",
-                ));
-            }
-            if array_set {
-                return Err(CliError::new(
-                    "sweep takes --arrays (plural, comma-separated), not --array",
-                ));
-            }
-            let arrays = match &arrays_raw {
-                None => presets::fig8b_sweep()
-                    .iter()
-                    .map(|preset| preset.array)
-                    .collect(),
-                Some(raw) => raw
-                    .split(',')
-                    .map(|geometry| {
-                        presets::parse_array(geometry).map_err(|e| CliError::new(e.to_string()))
-                    })
-                    .collect::<std::result::Result<Vec<_>, _>>()?,
-            };
-            Ok(Command::Sweep {
-                // With an explicit spec file and no --networks, sweep
-                // just that network instead of the whole zoo.
-                networks: networks.unwrap_or_else(|| {
-                    if spec.is_some() {
-                        Vec::new()
-                    } else {
-                        vec!["all".to_string()]
-                    }
-                }),
-                spec,
-                arrays,
-                jobs,
-                format,
-            })
-        }
-        "deploy" => Ok(Command::Deploy {
-            network: match (network, spec) {
-                (Some(_), Some(_)) => {
-                    return Err(CliError::new(
-                        "deploy takes either --network or --spec, not both",
-                    ))
-                }
-                (Some(name), None) => NetworkSource::Zoo(name),
-                (None, Some(path)) => NetworkSource::SpecFile(path),
-                (None, None) => return Err(CliError::new("deploy requires --network or --spec")),
-            },
-            array,
-            arrays: match &arrays_raw {
-                // The PipeLayer-like budget, matching POST /v1/deploy.
-                None => 128,
-                Some(raw) => parse_usize(raw, "--arrays")?,
-            },
-            reprogram,
-            format,
-        }),
-        "serve" => Ok(Command::Serve {
-            addr,
-            jobs,
-            shards,
-            timeout_ms,
-        }),
-        "check" => Ok(Command::Check {
-            root,
-            format,
-            list_rules,
-        }),
-        other => Err(CliError::new(format!(
-            "unknown command {other:?}; try `vwsdk --help`"
-        ))),
-    }
+        },
+        "check" => Command::Check {
+            root: flags.get("--root").map(str::to_string),
+            format: flags.format()?,
+            list_rules: flags.get("--list-rules").is_some(),
+        },
+        _ => unreachable!("own_flags knows every command"),
+    })
 }
 
 /// A parsed command plus the global observability flags, which any
@@ -659,40 +553,6 @@ pub fn parse_invocation(args: &[String]) -> std::result::Result<Invocation, CliE
         trace,
         metrics_dump,
     })
-}
-
-fn lookup_network(name: &str) -> std::result::Result<pim_nets::Network, CliError> {
-    zoo::by_name(name).ok_or_else(|| {
-        CliError::new(format!(
-            "unknown network {name:?}; run `vwsdk list` for the zoo"
-        ))
-    })
-}
-
-fn resolve_networks(names: &[String]) -> std::result::Result<Vec<Network>, CliError> {
-    if names.iter().any(|n| n.eq_ignore_ascii_case("all")) {
-        return Ok(zoo::all());
-    }
-    names.iter().map(|name| lookup_network(name)).collect()
-}
-
-/// Loads and validates a `--spec FILE.json` network.
-fn load_spec_network(path: &str) -> std::result::Result<Network, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::new(format!("cannot read spec {path:?}: {e}")))?;
-    let spec =
-        NetworkSpec::parse(&text).map_err(|e| CliError::new(format!("spec {path:?}: {e}")))?;
-    spec.to_network()
-        .map_err(|e| CliError::new(format!("spec {path:?}: {e}")))
-}
-
-/// The process-wide planning engine: `plan`, `layer` and the serve
-/// daemon's in-process siblings all share this one shape-keyed memo,
-/// configured with every implemented algorithm so any subset can be
-/// answered per call.
-fn shared_engine() -> &'static PlanningEngine {
-    static ENGINE: OnceLock<PlanningEngine> = OnceLock::new();
-    ENGINE.get_or_init(|| PlanningEngine::with_algorithms(&MappingAlgorithm::all()))
 }
 
 /// Renders a simulation as `vwsdk simulate` prints it. A report that
@@ -791,14 +651,8 @@ pub fn run(command: &Command) -> std::result::Result<String, CliError> {
             }
             Ok(out)
         }
-        Command::Plan { network, array } => {
-            let net = match network {
-                NetworkSource::Zoo(name) => lookup_network(name)?,
-                NetworkSource::SpecFile(path) => load_spec_network(path)?,
-            };
-            let report = shared_engine()
-                .plan_network_with(&net, *array, &MappingAlgorithm::paper_trio())
-                .map_err(|e| CliError::new(e.to_string()))?;
+        Command::Plan(request) => {
+            let report = request.run(&PlanningEngine::new())?;
             Ok(format!(
                 "{}\n{}",
                 render_table1(&report),
@@ -806,8 +660,8 @@ pub fn run(command: &Command) -> std::result::Result<String, CliError> {
             ))
         }
         Command::Layer { layer, array } => {
-            let cmp = shared_engine()
-                .plan_layer_with(layer, *array, &MappingAlgorithm::all())
+            let cmp = PlanningEngine::with_algorithms(&MappingAlgorithm::all())
+                .plan_layer(layer, *array)
                 .map_err(|e| CliError::new(e.to_string()))?;
             let mut out = format!("{layer} on {array}\n\n");
             for plan in cmp.plans() {
@@ -877,23 +731,12 @@ pub fn run(command: &Command) -> std::result::Result<String, CliError> {
             ))
         }
         Command::Sweep {
-            networks,
-            spec,
-            arrays,
+            request,
             jobs,
             format,
         } => {
-            let mut resolved = resolve_networks(networks)?;
-            if let Some(path) = spec {
-                resolved.push(load_spec_network(path)?);
-            }
-            if resolved.is_empty() {
-                return Err(CliError::new("the sweep names no networks"));
-            }
             let engine = PlanningEngine::new().with_jobs(*jobs);
-            let reports = engine
-                .sweep_arrays(&resolved, arrays)
-                .map_err(|e| CliError::new(e.to_string()))?;
+            let reports = request.run(&engine)?;
             if *format == SweepFormat::Json {
                 // api::sweep_json is the same function POST /v1/sweep
                 // answers with, so file and wire output cannot drift.
@@ -937,23 +780,8 @@ pub fn run(command: &Command) -> std::result::Result<String, CliError> {
                 engine.stats()
             ))
         }
-        Command::Deploy {
-            network,
-            array,
-            arrays,
-            reprogram,
-            format,
-        } => {
-            let net = match network {
-                NetworkSource::Zoo(name) => lookup_network(name)?,
-                NetworkSource::SpecFile(path) => load_spec_network(path)?,
-            };
-            let chip = pim_chip::ChipConfig::new(*arrays, *array, *reprogram)
-                .map_err(|e| CliError::new(e.to_string()))?;
-            let deployment = shared_engine()
-                .deploy_network_with(&net, &chip, &MappingAlgorithm::paper_trio())
-                .map_err(|e| CliError::new(e.to_string()))?;
-            let report = pim_chip::report::DeploymentReport::with_defaults(net.name(), &deployment);
+        Command::Deploy { request, format } => {
+            let report = request.run(&PlanningEngine::new())?;
             if *format == SweepFormat::Json {
                 // api::deployment_json is the same function POST
                 // /v1/deploy answers with, byte for byte.
@@ -991,13 +819,13 @@ pub fn run(command: &Command) -> std::result::Result<String, CliError> {
                  arrays used: {} / {}   tiles: {}   fully resident: {}\n\
                  bottleneck: {} cycles ({})   latency: {} cycles\n\
                  throughput: {} images/s   energy: {} pJ/image\n",
-                net.name(),
-                chip.n_arrays(),
-                chip.array(),
-                chip.reprogram_cycles(),
+                report.network(),
+                report.n_arrays(),
+                report.array(),
+                report.reprogram_cycles(),
                 table.render(),
                 report.arrays_used(),
-                chip.n_arrays(),
+                report.n_arrays(),
                 report.tiles_demanded(),
                 if report.fully_resident() { "yes" } else { "no" },
                 report.bottleneck_cycles(),
@@ -1043,30 +871,15 @@ pub fn run(command: &Command) -> std::result::Result<String, CliError> {
             Ok(String::new())
         }
         Command::Simulate {
-            network,
-            array,
-            algorithm,
-            seed,
-            mode,
-            batch,
+            request,
             jobs,
             format,
-        } => {
-            let net = match network {
-                NetworkSource::Zoo(name) => lookup_network(name)?,
-                NetworkSource::SpecFile(path) => load_spec_network(path)?,
-            };
-            let report = shared_engine()
-                .simulate_network_batch_with(&net, *array, *algorithm, *seed, *mode, *batch, *jobs)
-                .map_err(|e| CliError::new(e.to_string()))?;
-            render_simulation(&report, *format)
-        }
+        } => render_simulation(&request.run(&PlanningEngine::new(), *jobs)?, *format),
         Command::Check {
             root,
             format,
             list_rules,
         } => {
-            use pim_report::json::JsonValue;
             if *list_rules {
                 if *format == SweepFormat::Json {
                     let rules = pim_lint::RULES.iter().map(|rule| {
@@ -1149,10 +962,12 @@ pub fn run(command: &Command) -> std::result::Result<String, CliError> {
             array,
             seed,
         } => {
-            let net = lookup_network(network)?;
-            let mut out = format!("functional verification of {} on {array}:\n", net.name());
+            let mut out = format!(
+                "functional verification of {} on {array}:\n",
+                network.name()
+            );
             let mut failed = false;
-            for layer in &net {
+            for layer in network {
                 for alg in MappingAlgorithm::paper_trio() {
                     let plan = alg
                         .plan(layer, *array)
@@ -1193,10 +1008,144 @@ pub fn run(command: &Command) -> std::result::Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_report::json::JsonValue;
+    use pim_nets::NetworkSpec;
+    use pim_sim::ExecMode;
 
     fn argv(text: &str) -> Vec<String> {
         text.split_whitespace().map(String::from).collect()
+    }
+
+    /// A spec file on disk: the repository's depthwise example network.
+    const SPEC: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/specs/edge_cnn.json");
+
+    /// The JSON value `--spec SPEC` inlines.
+    fn spec_json() -> JsonValue {
+        JsonValue::parse(&std::fs::read_to_string(SPEC).unwrap()).unwrap()
+    }
+
+    fn body(text: &str) -> JsonValue {
+        JsonValue::parse(text).unwrap()
+    }
+
+    /// Each command USAGE describes, with the flags its entry lists.
+    fn usage_commands() -> Vec<(&'static str, Vec<&'static str>)> {
+        let section = USAGE.split("COMMANDS").nth(1).unwrap();
+        let section = section.split("\n\n").next().unwrap();
+        let mut commands: Vec<(&'static str, Vec<&'static str>)> = Vec::new();
+        for line in section.lines().skip(1) {
+            if !line.starts_with("     ") {
+                commands.push((line.split_whitespace().next().unwrap(), Vec::new()));
+            }
+            let flags = &mut commands.last_mut().unwrap().1;
+            flags.extend(
+                line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .filter(|word| word.starts_with("--")),
+            );
+        }
+        for (_, flags) in &mut commands {
+            flags.sort_unstable();
+            flags.dedup();
+        }
+        commands
+    }
+
+    /// The flags USAGE's OPTIONS section documents.
+    fn usage_options() -> Vec<&'static str> {
+        let section = USAGE.split("OPTIONS:\n").nth(1).unwrap();
+        section
+            .lines()
+            .filter_map(|line| line.strip_prefix("    "))
+            .filter(|line| line.starts_with("--"))
+            .map(|line| line.split_whitespace().next().unwrap())
+            .collect()
+    }
+
+    /// `command` with the flags it needs, then `flag` with a valid value.
+    fn sample_args(command: &str, flag: &str) -> Vec<String> {
+        let base = match command {
+            "plan" | "verify" | "simulate" | "deploy" if flag != "--spec" => "--network tiny",
+            "layer" | "search" | "show" => "--input 8 --kernel 3 --ic 2 --oc 2",
+            _ => "",
+        };
+        let value = match (command, flag) {
+            (_, "--list-rules" | "--trace" | "--metrics-dump" | "--help") => "",
+            ("deploy", "--arrays") => "8",
+            (_, "--array" | "--arrays") => "64x64",
+            (_, "--network" | "--networks") => "tiny",
+            (_, "--spec") => SPEC,
+            (_, "--format") => "json",
+            (_, "--mode") => "exact",
+            (_, "--algorithm") => "im2col",
+            (_, "--addr") => "127.0.0.1:0",
+            (_, "--root") => ".",
+            (_, "--input") => "8",
+            (_, "--kernel") => "3",
+            _ => "2",
+        };
+        argv(&format!("{command} {base} {flag} {value}"))
+    }
+
+    #[test]
+    fn usage_lists_each_commands_own_flags() {
+        let commands = usage_commands();
+        assert_eq!(commands.len(), 11);
+        for (command, listed) in commands {
+            let mut own = own_flags(command).unwrap().to_vec();
+            own.sort_unstable();
+            assert_eq!(listed, own, "USAGE's {command} entry");
+        }
+    }
+
+    #[test]
+    fn every_command_rejects_the_flags_it_does_not_read() {
+        let options = usage_options();
+        assert!(options.len() > 20, "{options:?}");
+        for (command, _) in usage_commands() {
+            let own = own_flags(command).unwrap();
+            for &flag in &options {
+                let args = sample_args(command, flag);
+                let parsed = parse_invocation(&args);
+                let global = matches!(flag, "--trace" | "--metrics-dump" | "--help");
+                if global || own.contains(&flag) {
+                    assert!(parsed.is_ok(), "{args:?}: {:?}", parsed.err());
+                } else {
+                    let err = parsed.unwrap_err().to_string();
+                    assert!(
+                        err.contains(&format!("takes no {flag:?}")),
+                        "{args:?}: {err}"
+                    );
+                }
+            }
+        }
+        // Each of these exited 0 while `parse` took any flag for any
+        // command, answering a question the caller did not ask.
+        for line in [
+            "plan --network resnet18 --algorithm im2col --mode exact --batch 8",
+            "list --seed 7 --top 3",
+            "deploy --network tiny --networks x",
+            "serve --spec f.json",
+        ] {
+            assert!(parse(&argv(line)).is_err(), "{line}");
+        }
+    }
+
+    #[test]
+    fn sweep_all_counts_only_as_the_whole_value() {
+        // Inside a list, `all` is a network name, as it is on the wire.
+        let err = parse(&argv("sweep --networks tiny,all --arrays 64x64")).unwrap_err();
+        assert!(err.to_string().contains("unknown network \"all\""), "{err}");
+        let whole = body(r#"{"networks": "all", "arrays": ["64x64"]}"#);
+        let whole = api::SweepRequest::from_json(&whole).unwrap();
+        for spelling in ["all", "ALL"] {
+            match parse(&argv(&format!(
+                "sweep --networks {spelling} --arrays 64x64"
+            )))
+            .unwrap()
+            {
+                Command::Sweep { request, .. } => assert_eq!(request, whole, "{spelling}"),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1210,21 +1159,18 @@ mod tests {
     fn plan_requires_network_or_spec() {
         assert!(parse(&argv("plan")).is_err());
         let cmd = parse(&argv("plan --network resnet18 --array 256x256")).unwrap();
-        match cmd {
-            Command::Plan { network, array } => {
-                assert_eq!(network, NetworkSource::Zoo("resnet18".into()));
-                assert_eq!(array.to_string(), "256x256");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let cmd = parse(&argv("plan --spec nets/my.json")).unwrap();
-        match cmd {
-            Command::Plan { network, .. } => {
-                assert_eq!(network, NetworkSource::SpecFile("nets/my.json".into()));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let err = parse(&argv("plan --network tiny --spec my.json")).unwrap_err();
+        let expected = body(r#"{"network": "resnet18", "array": "256x256"}"#);
+        assert_eq!(
+            cmd,
+            Command::Plan(api::PlanRequest::from_json(&expected).unwrap())
+        );
+        let cmd = parse(&argv(&format!("plan --spec {SPEC}"))).unwrap();
+        let expected = JsonValue::object([("spec", spec_json())]);
+        assert_eq!(
+            cmd,
+            Command::Plan(api::PlanRequest::from_json(&expected).unwrap())
+        );
+        let err = parse(&argv(&format!("plan --network tiny --spec {SPEC}"))).unwrap_err();
         assert!(err.to_string().contains("not both"), "{err}");
     }
 
@@ -1335,23 +1281,23 @@ mod tests {
 
     #[test]
     fn sweep_defaults_cover_the_zoo_and_fig8b_arrays() {
-        let cmd = parse(&argv("sweep")).unwrap();
-        match &cmd {
+        let fig8b: Vec<JsonValue> = presets::fig8b_sweep()
+            .iter()
+            .map(|preset| JsonValue::from(preset.array.to_string()))
+            .collect();
+        assert_eq!(fig8b.len(), 5);
+        let whole_zoo = JsonValue::object([
+            ("networks", JsonValue::from("all")),
+            ("arrays", JsonValue::Array(fig8b)),
+        ]);
+        assert_eq!(
+            parse(&argv("sweep")).unwrap(),
             Command::Sweep {
-                networks,
-                spec,
-                arrays,
-                jobs,
-                format,
-            } => {
-                assert_eq!(networks, &["all".to_string()]);
-                assert_eq!(spec, &None);
-                assert_eq!(arrays.len(), 5);
-                assert_eq!(*jobs, 0);
-                assert_eq!(*format, SweepFormat::Text);
+                request: api::SweepRequest::from_json(&whole_zoo).unwrap(),
+                jobs: 0,
+                format: SweepFormat::Text,
             }
-            other => panic!("unexpected {other:?}"),
-        }
+        );
     }
 
     #[test]
@@ -1360,67 +1306,77 @@ mod tests {
             "sweep --networks vgg13,resnet18 --arrays 256x256,512x512 --jobs 4 --format json",
         ))
         .unwrap();
-        match &cmd {
+        let expected =
+            body(r#"{"networks": ["vgg13", "resnet18"], "arrays": ["256x256", "512x512"]}"#);
+        assert_eq!(
+            cmd,
             Command::Sweep {
-                networks,
-                arrays,
-                jobs,
-                format,
-                ..
-            } => {
-                assert_eq!(networks.len(), 2);
-                assert_eq!(arrays[1].to_string(), "512x512");
-                assert_eq!(*jobs, 4);
-                assert_eq!(*format, SweepFormat::Json);
+                request: api::SweepRequest::from_json(&expected).unwrap(),
+                jobs: 4,
+                format: SweepFormat::Json,
             }
-            other => panic!("unexpected {other:?}"),
-        }
+        );
         assert!(parse(&argv("sweep --arrays bogus")).is_err());
         assert!(parse(&argv("sweep --format yaml")).is_err());
     }
 
     #[test]
     fn sweep_with_a_spec_drops_the_zoo_default() {
-        let cmd = parse(&argv("sweep --spec my.json --arrays 64x64")).unwrap();
-        match &cmd {
-            Command::Sweep { networks, spec, .. } => {
-                assert!(networks.is_empty());
-                assert_eq!(spec.as_deref(), Some("my.json"));
-            }
+        let sweep_request = |cmd: Command| match cmd {
+            Command::Sweep { request, .. } => request,
             other => panic!("unexpected {other:?}"),
-        }
+        };
+        let cmd = parse(&argv(&format!("sweep --spec {SPEC} --arrays 64x64"))).unwrap();
+        let just_the_spec = JsonValue::object([
+            ("specs", JsonValue::array([spec_json()])),
+            ("arrays", JsonValue::array([JsonValue::from("64x64")])),
+        ]);
+        assert_eq!(
+            sweep_request(cmd.clone()),
+            api::SweepRequest::from_json(&just_the_spec).unwrap()
+        );
+        // One row, the spec's: no zoo network rides along.
+        let out = run(&cmd).unwrap();
+        assert_eq!(out.matches(" 64x64 ").count(), 1, "{out}");
+        assert!(!out.contains("VGG-13"), "{out}");
         // An explicit --networks list still rides along with the spec.
-        let cmd = parse(&argv("sweep --networks tiny --spec my.json")).unwrap();
-        match &cmd {
-            Command::Sweep { networks, .. } => assert_eq!(networks, &["tiny".to_string()]),
-            other => panic!("unexpected {other:?}"),
-        }
+        let cmd = parse(&argv(&format!("sweep --networks tiny --spec {SPEC}"))).unwrap();
+        let both = JsonValue::object([
+            ("networks", JsonValue::array([JsonValue::from("tiny")])),
+            ("specs", JsonValue::array([spec_json()])),
+        ]);
+        assert_eq!(
+            sweep_request(cmd),
+            api::SweepRequest::from_json(&both).unwrap()
+        );
     }
 
     #[test]
     fn deploy_parses_defaults_and_flags() {
-        let cmd = parse(&argv("deploy --network resnet18")).unwrap();
+        let defaults = body(
+            r#"{"network": "resnet18", "array": "512x512", "arrays": 128, "reprogram": 2000}"#,
+        );
         assert_eq!(
-            cmd,
+            parse(&argv("deploy --network resnet18")).unwrap(),
             Command::Deploy {
-                network: NetworkSource::Zoo("resnet18".into()),
-                array: PimArray::new(512, 512).unwrap(),
-                arrays: 128,
-                reprogram: 2_000,
+                request: api::DeployRequest::from_json(&defaults).unwrap(),
                 format: SweepFormat::Text,
             }
         );
-        let cmd = parse(&argv(
-            "deploy --spec my.json --arrays 32 --array 256x256 --reprogram 4000 --format json",
-        ))
+        let cmd = parse(&argv(&format!(
+            "deploy --spec {SPEC} --arrays 32 --array 256x256 --reprogram 4000 --format json"
+        )))
         .unwrap();
+        let every_flag = JsonValue::object([
+            ("spec", spec_json()),
+            ("arrays", JsonValue::from(32u64)),
+            ("array", JsonValue::from("256x256")),
+            ("reprogram", JsonValue::from(4_000u64)),
+        ]);
         assert_eq!(
             cmd,
             Command::Deploy {
-                network: NetworkSource::SpecFile("my.json".into()),
-                array: PimArray::new(256, 256).unwrap(),
-                arrays: 32,
-                reprogram: 4_000,
+                request: api::DeployRequest::from_json(&every_flag).unwrap(),
                 format: SweepFormat::Json,
             }
         );
@@ -1477,41 +1433,42 @@ mod tests {
         let cmd = parse(&argv("deploy --network resnet18 --arrays 3")).unwrap();
         let err = run(&cmd).unwrap_err();
         assert!(err.to_string().contains("3 arrays"), "{err}");
-        let cmd = parse(&argv("deploy --network tiny --arrays 0")).unwrap();
-        let err = run(&cmd).unwrap_err();
+        // A chip of no arrays is refused with the request, before planning.
+        let err = parse(&argv("deploy --network tiny --arrays 0")).unwrap_err();
         assert!(err.to_string().contains("at least 1 array"), "{err}");
     }
 
     #[test]
     fn simulate_parses_defaults_and_flags() {
-        let cmd = parse(&argv("simulate --network vgg13-sim")).unwrap();
+        let defaults = body(
+            r#"{"network": "vgg13-sim", "array": "512x512", "algorithm": "VW-SDK",
+                "seed": 2024, "mode": "quantized", "batch": 1}"#,
+        );
         assert_eq!(
-            cmd,
+            parse(&argv("simulate --network vgg13-sim")).unwrap(),
             Command::Simulate {
-                network: NetworkSource::Zoo("vgg13-sim".into()),
-                array: PimArray::new(512, 512).unwrap(),
-                algorithm: MappingAlgorithm::VwSdk,
-                seed: 2_024,
-                mode: ExecMode::Quantized,
-                batch: 1,
+                request: api::SimulateRequest::from_json(&defaults).unwrap(),
                 jobs: 0,
                 format: SweepFormat::Text,
             }
         );
-        let cmd = parse(&argv(
-            "simulate --spec my.json --array 64x64 --algorithm im2col \
-             --seed 7 --mode exact --batch 8 --jobs 2 --format json",
-        ))
+        let cmd = parse(&argv(&format!(
+            "simulate --spec {SPEC} --array 64x64 --algorithm im2col \
+             --seed 7 --mode exact --batch 8 --jobs 2 --format json"
+        )))
         .unwrap();
+        let every_flag = JsonValue::object([
+            ("spec", spec_json()),
+            ("array", JsonValue::from("64x64")),
+            ("algorithm", JsonValue::from("im2col")),
+            ("seed", JsonValue::from(7u64)),
+            ("mode", JsonValue::from("exact")),
+            ("batch", JsonValue::from(8u64)),
+        ]);
         assert_eq!(
             cmd,
             Command::Simulate {
-                network: NetworkSource::SpecFile("my.json".into()),
-                array: PimArray::new(64, 64).unwrap(),
-                algorithm: MappingAlgorithm::Im2col,
-                seed: 7,
-                mode: ExecMode::Exact,
-                batch: 8,
+                request: api::SimulateRequest::from_json(&every_flag).unwrap(),
                 jobs: 2,
                 format: SweepFormat::Json,
             }
@@ -1525,7 +1482,7 @@ mod tests {
     fn simulate_rejects_a_zero_batch() {
         let err = parse(&argv("simulate --network tiny --batch 0")).unwrap_err();
         assert!(
-            err.to_string().contains("--batch must be at least 1"),
+            err.to_string().contains("\"batch\" must be at least 1"),
             "{err}"
         );
         assert!(parse(&argv("simulate --network tiny --batch x")).is_err());
@@ -1732,18 +1689,13 @@ mod tests {
 
     #[test]
     fn sweep_rejects_unknown_networks() {
-        let cmd = parse(&argv("sweep --networks nonexistent")).unwrap();
-        let err = run(&cmd).unwrap_err();
+        let err = parse(&argv("sweep --networks nonexistent")).unwrap_err();
         assert!(err.to_string().contains("vwsdk list"));
     }
 
     #[test]
     fn unknown_network_reports_cleanly() {
-        let cmd = Command::Plan {
-            network: NetworkSource::Zoo("nonexistent".into()),
-            array: PimArray::new(64, 64).unwrap(),
-        };
-        let err = run(&cmd).unwrap_err();
+        let err = parse(&argv("plan --network nonexistent --array 64x64")).unwrap_err();
         assert!(err.to_string().contains("vwsdk list"));
     }
 
@@ -1752,19 +1704,13 @@ mod tests {
         let path = std::env::temp_dir().join("vwsdk-cli-spec-test.json");
         let spec = NetworkSpec::from_network(&zoo::tiny());
         std::fs::write(&path, spec.to_json_string()).unwrap();
-        let cmd = Command::Plan {
-            network: NetworkSource::SpecFile(path.to_string_lossy().into_owned()),
-            array: PimArray::new(64, 64).unwrap(),
-        };
+        let path = path.to_string_lossy().into_owned();
+        let cmd = parse(&argv(&format!("plan --spec {path} --array 64x64"))).unwrap();
         let out = run(&cmd).unwrap();
         assert!(out.contains("tiny on a 64x64 PIM array"), "{out}");
         std::fs::remove_file(&path).ok();
 
-        let missing = Command::Plan {
-            network: NetworkSource::SpecFile("/nonexistent/spec.json".into()),
-            array: PimArray::new(64, 64).unwrap(),
-        };
-        let err = run(&missing).unwrap_err();
+        let err = parse(&argv("plan --spec /nonexistent/spec.json --array 64x64")).unwrap_err();
         assert!(err.to_string().contains("cannot read spec"), "{err}");
     }
 
@@ -1865,8 +1811,8 @@ mod tests {
 
     #[test]
     fn plan_answers_are_byte_identical_to_the_engine_free_planner() {
-        // The shared-engine CLI path must render the same table a fresh
-        // sequential Planner produces.
+        // The request path must render the same table a fresh sequential
+        // Planner produces.
         let cmd = parse(&argv("plan --network vgg13")).unwrap();
         let out = run(&cmd).unwrap();
         let report = vw_sdk::Planner::new(PimArray::new(512, 512).unwrap())
