@@ -45,11 +45,6 @@ impl AdcSpec {
             columns_per_adc: 1,
         }
     }
-
-    /// Distinct output levels (`2^bits`).
-    pub fn levels(&self) -> u64 {
-        1u64 << self.bits.min(63)
-    }
 }
 
 /// Digital-to-analog converter driving each row.
@@ -83,11 +78,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn adc_validation_and_levels() {
+    fn adc_validation() {
         assert!(AdcSpec::new(0, 1).is_err());
         assert!(AdcSpec::new(8, 0).is_err());
-        let adc = AdcSpec::new(8, 1).unwrap();
-        assert_eq!(adc.levels(), 256);
+        assert_eq!(AdcSpec::new(8, 1).unwrap().bits, 8);
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl EnergyModel {
     }
 
     /// The conversion-only share of one cycle (pJ).
-    pub fn conversion_energy_pj(&self, active_rows: usize, active_cols: usize) -> f64 {
+    fn conversion_energy_pj(&self, active_rows: usize, active_cols: usize) -> f64 {
         active_cols as f64 * self.adc_pj + active_rows as f64 * self.dac_pj
     }
 

@@ -25,7 +25,7 @@ impl LatencyModel {
     }
 
     /// Time of one computing cycle (ns).
-    pub fn cycle_ns(&self) -> f64 {
+    fn cycle_ns(&self) -> f64 {
         self.array_read_ns + self.conversion_ns
     }
 

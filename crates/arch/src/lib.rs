@@ -12,9 +12,7 @@
 //!   conversions dominate, following Xia et al., DAC'16 \[3\] (">98 % of the
 //!   total PIM energy consumption");
 //! * [`latency`] — cycle-time model turning computing-cycle counts into
-//!   wall-clock estimates;
-//! * [`grid`] — an occupancy grid used to measure the paper's eq. (9)
-//!   array utilization.
+//!   wall-clock estimates.
 //!
 //! # Example
 //!
@@ -23,7 +21,7 @@
 //!
 //! let array = PimArray::new(512, 512)?;
 //! assert_eq!(array.cells(), 262_144);
-//! assert!(presets::paper_array_sizes().contains(&array));
+//! assert!(presets::fig8b_sweep().iter().any(|p| p.array == array));
 //! # Ok::<(), pim_arch::ArchError>(())
 //! ```
 
@@ -32,7 +30,6 @@
 
 pub mod device;
 pub mod energy;
-pub mod grid;
 pub mod latency;
 pub mod presets;
 
@@ -117,11 +114,6 @@ impl PimArray {
     pub fn cells(&self) -> usize {
         self.rows * self.cols
     }
-
-    /// `true` if a `rows × cols` rectangle fits inside this array.
-    pub fn fits(&self, rows: usize, cols: usize) -> bool {
-        rows <= self.rows && cols <= self.cols
-    }
 }
 
 impl fmt::Display for PimArray {
@@ -147,15 +139,6 @@ mod tests {
         assert_eq!(a.rows(), 512);
         assert_eq!(a.cols(), 256);
         assert_eq!(a.cells(), 131_072);
-    }
-
-    #[test]
-    fn fits_is_inclusive() {
-        let a = PimArray::new(4, 8).unwrap();
-        assert!(a.fits(4, 8));
-        assert!(a.fits(1, 1));
-        assert!(!a.fits(5, 8));
-        assert!(!a.fits(4, 9));
     }
 
     #[test]

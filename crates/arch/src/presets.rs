@@ -27,12 +27,12 @@ fn array(rows: usize, cols: usize) -> PimArray {
 }
 
 /// 128×128 RRAM crossbar (Zhu et al., ICCAD 2018 — paper ref. \[5\]).
-pub fn p128x128() -> ArrayPreset {
+fn p128x128() -> ArrayPreset {
     ArrayPreset::new(array(128, 128), "Zhu et al., ICCAD'18 [5]")
 }
 
 /// 256×256 RRAM crossbar (Zhu et al., ICCAD 2018 — paper ref. \[5\]).
-pub fn p256x256() -> ArrayPreset {
+fn p256x256() -> ArrayPreset {
     ArrayPreset::new(array(256, 256), "Zhu et al., ICCAD'18 [5]")
 }
 
@@ -45,12 +45,12 @@ pub fn p512x512() -> ArrayPreset {
 
 /// 512×256 6T-SRAM in-memory processor (Kang et al., JSSC 2018 — paper
 /// ref. \[8\]); also the array used by the Fig. 5 worked example.
-pub fn p512x256() -> ArrayPreset {
+fn p512x256() -> ArrayPreset {
     ArrayPreset::new(array(512, 256), "Kang et al., JSSC'18 [8]")
 }
 
 /// 128×256 array — included in the paper's Fig. 8(b) sweep.
-pub fn p128x256() -> ArrayPreset {
+fn p128x256() -> ArrayPreset {
     ArrayPreset::new(array(128, 256), "Fig. 8(b) sweep point")
 }
 
@@ -63,11 +63,6 @@ pub fn fig8b_sweep() -> Vec<ArrayPreset> {
 /// The four published sizes shown in Fig. 4 (no 128×256).
 pub fn fig4_sizes() -> Vec<ArrayPreset> {
     vec![p128x128(), p256x256(), p512x512(), p512x256()]
-}
-
-/// All distinct array geometries referenced anywhere in the paper.
-pub fn paper_array_sizes() -> Vec<PimArray> {
-    fig8b_sweep().into_iter().map(|p| p.array).collect()
 }
 
 /// Parses an `"RxC"` string (e.g. `"512x256"`) into an array geometry.

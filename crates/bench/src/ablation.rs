@@ -11,7 +11,7 @@ use vw_sdk::PlanningEngine;
 
 /// The algorithm set compared in the ablation table, in presentation
 /// order.
-pub fn ablation_algorithms() -> [MappingAlgorithm; 7] {
+fn ablation_algorithms() -> [MappingAlgorithm; 7] {
     [
         MappingAlgorithm::Im2col,
         MappingAlgorithm::Smd,
@@ -25,7 +25,7 @@ pub fn ablation_algorithms() -> [MappingAlgorithm; 7] {
 
 /// An engine configured for the ablation comparison, planning with one
 /// worker per core.
-pub fn ablation_engine() -> PlanningEngine {
+fn ablation_engine() -> PlanningEngine {
     PlanningEngine::with_algorithms(&ablation_algorithms()).with_jobs(0)
 }
 
@@ -35,7 +35,7 @@ pub fn totals(network: &Network) -> Vec<(MappingAlgorithm, u64)> {
 }
 
 /// [`totals`] through an existing engine (sharing its search memo).
-pub fn totals_with(engine: &PlanningEngine, network: &Network) -> Vec<(MappingAlgorithm, u64)> {
+fn totals_with(engine: &PlanningEngine, network: &Network) -> Vec<(MappingAlgorithm, u64)> {
     let report = engine
         .plan_network(network, array512())
         .expect("planning is total");
@@ -48,12 +48,7 @@ pub fn totals_with(engine: &PlanningEngine, network: &Network) -> Vec<(MappingAl
 /// Search-pruning statistics (A3): candidates evaluated with and without
 /// pruning, summed over a network's layers. Uses the engine's search
 /// cache, so repeated shapes are counted without re-searching.
-pub fn pruning_stats(network: &Network) -> (usize, usize) {
-    pruning_stats_with(&ablation_engine(), network)
-}
-
-/// [`pruning_stats`] through an existing engine's search cache.
-pub fn pruning_stats_with(engine: &PlanningEngine, network: &Network) -> (usize, usize) {
+fn pruning_stats_with(engine: &PlanningEngine, network: &Network) -> (usize, usize) {
     let mut full = 0;
     let mut pruned = 0;
     for layer in network {
@@ -142,7 +137,7 @@ mod tests {
     #[test]
     fn pruning_saves_work_on_paper_networks() {
         for network in [zoo::vgg13(), zoo::resnet18_table1()] {
-            let (full, pruned) = pruning_stats(&network);
+            let (full, pruned) = pruning_stats_with(&ablation_engine(), &network);
             assert!(pruned < full, "{}: {pruned} !< {full}", network.name());
         }
     }

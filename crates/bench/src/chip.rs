@@ -16,7 +16,7 @@ use pim_report::fmt_f64;
 use pim_report::table::{Align, TextTable};
 
 /// Chip sizes (number of 512×512 arrays) swept by the experiment.
-pub const CHIP_SIZES: [usize; 4] = [16, 32, 64, 128];
+const CHIP_SIZES: [usize; 4] = [16, 32, 64, 128];
 
 /// One experiment row.
 #[derive(Debug, Clone, PartialEq)]

@@ -43,7 +43,7 @@ pub enum Activity {
 /// # Panics
 ///
 /// Panics for grouped layers (no cell-level layout).
-pub fn plan_energy(
+fn plan_energy(
     plan: &MappingPlan,
     model: &EnergyModel,
     activity: Activity,
@@ -72,10 +72,7 @@ pub fn plan_energy(
 
 /// Network-level energy totals per algorithm: `(algorithm, total energy
 /// in microjoules, ADC conversions, conversion fraction)`.
-pub fn network_energy(
-    network: &Network,
-    activity: Activity,
-) -> Vec<(MappingAlgorithm, f64, u64, f64)> {
+fn network_energy(network: &Network, activity: Activity) -> Vec<(MappingAlgorithm, f64, u64, f64)> {
     let model = EnergyModel::isaac_like();
     MappingAlgorithm::paper_trio()
         .into_iter()

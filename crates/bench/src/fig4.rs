@@ -21,7 +21,7 @@ pub struct CapacityPoint {
 
 /// Computes every capacity point of the figure (3×3 kernels, SDK at
 /// `d = 2`, i.e. 4×4 parallel windows — the paper's configuration).
-pub fn points() -> Vec<CapacityPoint> {
+fn points() -> Vec<CapacityPoint> {
     let mut out = Vec::new();
     for preset in presets::fig4_sizes() {
         let im2col = capacity::im2col_capacity(preset.array, 3);

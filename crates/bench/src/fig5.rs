@@ -13,12 +13,12 @@ use pim_report::table::{Align, TextTable};
 use pim_report::{chart::BarChart, fmt_f64};
 
 /// IC/OC of the Fig. 5 example layer.
-pub const IC: usize = 42;
+const IC: usize = 42;
 /// Output channels of the Fig. 5 example layer.
-pub const OC: usize = 96;
+const OC: usize = 96;
 
 /// The IFM sizes of Fig. 5(b)'s x-axis (VGG feature-map sizes).
-pub const IFM_SIZES: [usize; 12] = [7, 8, 14, 16, 28, 32, 56, 64, 112, 128, 224, 256];
+const IFM_SIZES: [usize; 12] = [7, 8, 14, 16, 28, 32, 56, 64, 112, 128, 224, 256];
 
 fn example_layer(input: usize) -> ConvLayer {
     ConvLayer::square("fig5", input, 3, IC, OC).expect("valid example dimensions")
@@ -26,7 +26,7 @@ fn example_layer(input: usize) -> ConvLayer {
 
 /// Fig. 5(a): cycle breakdown of im2col, the 4×3 window and the 4×4
 /// window on a 4×4 input.
-pub fn part_a() -> String {
+fn part_a() -> String {
     let layer = example_layer(4);
     let array = array512x256();
     let mut table = TextTable::new(&["mapping", "N PWs", "AR", "AC", "cycles"]);
@@ -73,7 +73,7 @@ pub struct SweepRow {
 }
 
 /// Computes every row of Fig. 5(b).
-pub fn part_b_rows() -> Vec<SweepRow> {
+fn part_b_rows() -> Vec<SweepRow> {
     let array = array512x256();
     IFM_SIZES
         .iter()

@@ -8,16 +8,16 @@ use pim_cost::model;
 use pim_report::table::{Align, TextTable};
 
 /// Parallel-window areas on the paper's Fig. 7(a) x-axis.
-pub const PW_AREAS: [usize; 12] = [9, 16, 22, 28, 34, 40, 46, 52, 58, 64, 70, 76];
+const PW_AREAS: [usize; 12] = [9, 16, 22, 28, 34, 40, 46, 52, 58, 64, 70, 76];
 
 /// Windows-per-parallel-window counts on the paper's Fig. 7(b) x-axis.
-pub const NWP_VALUES: [usize; 8] = [1, 3, 5, 7, 9, 11, 13, 15];
+const NWP_VALUES: [usize; 8] = [1, 3, 5, 7, 9, 11, 13, 15];
 
 /// Array row/column counts swept in both panels.
-pub const ARRAY_DIMS: [usize; 3] = [128, 256, 512];
+const ARRAY_DIMS: [usize; 3] = [128, 256, 512];
 
 /// `ICt` for every (area, rows) pair of panel (a).
-pub fn tiled_ic_grid() -> Vec<(usize, [usize; 3])> {
+fn tiled_ic_grid() -> Vec<(usize, [usize; 3])> {
     PW_AREAS
         .iter()
         .map(|&area| {
@@ -31,7 +31,7 @@ pub fn tiled_ic_grid() -> Vec<(usize, [usize; 3])> {
 }
 
 /// `OCt` for every (NWP, cols) pair of panel (b).
-pub fn tiled_oc_grid() -> Vec<(usize, [usize; 3])> {
+fn tiled_oc_grid() -> Vec<(usize, [usize; 3])> {
     NWP_VALUES
         .iter()
         .map(|&nwp| {

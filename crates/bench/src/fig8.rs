@@ -17,7 +17,7 @@ fn networks() -> [Network; 2] {
 /// Per-layer speedups (SDK and VW-SDK over im2col) for one network on the
 /// 512×512 array, plus the network total in the last element — the bars
 /// of Fig. 8(a).
-pub fn part_a_series(network: &Network) -> (Vec<f64>, Vec<f64>) {
+fn part_a_series(network: &Network) -> (Vec<f64>, Vec<f64>) {
     let report = Planner::new(array512())
         .plan_network(network)
         .expect("planning is total");
@@ -42,7 +42,7 @@ pub fn part_a_series(network: &Network) -> (Vec<f64>, Vec<f64>) {
 
 /// Whole-network speedups over im2col for every Fig. 8(b) array size:
 /// `(array label, SDK speedup, VW speedup)` per entry.
-pub fn part_b_series(network: &Network) -> Vec<(String, f64, f64)> {
+fn part_b_series(network: &Network) -> Vec<(String, f64, f64)> {
     presets::fig8b_sweep()
         .into_iter()
         .map(|preset| {

@@ -14,19 +14,6 @@ use pim_nets::zoo;
 use pim_report::fmt_f64;
 use pim_report::table::{Align, TextTable};
 
-/// Utilization of one `(layer, algorithm)` pair on one array:
-/// `(mean_nonzero, peak_nonzero)` percentages.
-pub fn layer_utilization(
-    layer_index: usize,
-    algorithm: MappingAlgorithm,
-    array: pim_arch::PimArray,
-) -> (f64, f64) {
-    let layer = &zoo::vgg13().layers()[layer_index].clone();
-    let plan = algorithm.plan(layer, array).expect("planning is total");
-    let stats = utilization(&plan).expect("dense layers lay out");
-    (stats.mean_nonzero, stats.peak_nonzero)
-}
-
 /// The full printable Fig. 9 reproduction.
 pub fn report() -> String {
     let algorithms = MappingAlgorithm::paper_trio();
@@ -86,6 +73,19 @@ pub fn report() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Utilization of one VGG-13 `(layer, algorithm)` pair on one array:
+    /// `(mean_nonzero, peak_nonzero)` percentages.
+    fn layer_utilization(
+        layer_index: usize,
+        algorithm: MappingAlgorithm,
+        array: pim_arch::PimArray,
+    ) -> (f64, f64) {
+        let layer = &zoo::vgg13().layers()[layer_index].clone();
+        let plan = algorithm.plan(layer, array).expect("planning is total");
+        let stats = utilization(&plan).expect("dense layers lay out");
+        (stats.mean_nonzero, stats.peak_nonzero)
+    }
 
     #[test]
     fn layer5_vw_peak_is_73_8() {

@@ -31,7 +31,7 @@ pub fn run() -> Vec<SweepCell> {
 
 /// Runs the sweep through an existing engine (sharing its search memo —
 /// repeated shapes across networks and re-runs search once).
-pub fn run_with(engine: &PlanningEngine) -> Vec<SweepCell> {
+fn run_with(engine: &PlanningEngine) -> Vec<SweepCell> {
     let networks = zoo::all();
     let arrays: Vec<_> = presets::fig8b_sweep()
         .iter()

@@ -98,7 +98,7 @@ impl ChipConfig {
     /// `reprogram_cycles` by a tile count in `u64`; capping the cost at
     /// 2³² keeps that product far from overflow for every realistic
     /// tile count (itself bounded by array geometry and layer size).
-    pub const MAX_REPROGRAM_CYCLES: u64 = 1 << 32;
+    const MAX_REPROGRAM_CYCLES: u64 = 1 << 32;
 
     /// Creates a chip with `n_arrays` copies of `array`; reloading one
     /// array's weights costs `reprogram_cycles` computing-cycle
@@ -108,9 +108,8 @@ impl ChipConfig {
     /// # Errors
     ///
     /// Returns [`ChipError`] when `n_arrays` is zero (a chip with no
-    /// arrays cannot deploy anything) or `reprogram_cycles` exceeds
-    /// [`ChipConfig::MAX_REPROGRAM_CYCLES`] (cycle arithmetic could
-    /// overflow `u64`).
+    /// arrays cannot deploy anything) or `reprogram_cycles` exceeds 2^32
+    /// (cycle arithmetic could overflow `u64`).
     pub fn new(n_arrays: usize, array: PimArray, reprogram_cycles: u64) -> Result<Self> {
         if n_arrays == 0 {
             return Err(ChipError::new("a chip needs at least 1 array, got 0"));
@@ -142,11 +141,6 @@ impl ChipConfig {
     pub fn reprogram_cycles(&self) -> u64 {
         self.reprogram_cycles
     }
-
-    /// Total memory cells on the chip.
-    pub fn total_cells(&self) -> usize {
-        self.n_arrays * self.array.cells()
-    }
 }
 
 #[cfg(test)]
@@ -159,7 +153,6 @@ mod tests {
         assert_eq!(chip.n_arrays(), 8);
         assert_eq!(chip.array().rows(), 256);
         assert_eq!(chip.reprogram_cycles(), 100);
-        assert_eq!(chip.total_cells(), 8 * 65_536);
     }
 
     #[test]

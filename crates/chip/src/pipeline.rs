@@ -43,15 +43,6 @@ impl PipelineReport {
         self.stage_cycles.iter().position(|c| c == max)
     }
 
-    /// Total cycles to push `images` through the pipeline:
-    /// `latency + (images − 1) · bottleneck`.
-    pub fn batch_cycles(&self, images: u64) -> u64 {
-        if images == 0 {
-            return 0;
-        }
-        self.latency_cycles() + (images - 1) * self.bottleneck_cycles()
-    }
-
     /// Steady-state throughput in images per second under a cycle-time
     /// model.
     pub fn throughput_ips(&self, latency: &LatencyModel) -> f64 {
@@ -59,15 +50,6 @@ impl PipelineReport {
             return 0.0;
         }
         latency.cycles_per_second() / self.bottleneck_cycles() as f64
-    }
-
-    /// Pipelining speedup over unpipelined execution for a batch:
-    /// `images · latency / batch_cycles`.
-    pub fn pipelining_speedup(&self, images: u64) -> f64 {
-        if images == 0 {
-            return 1.0;
-        }
-        (images * self.latency_cycles()) as f64 / self.batch_cycles(images) as f64
     }
 }
 
@@ -92,31 +74,6 @@ mod tests {
         assert_eq!(report.latency_cycles(), 2_426);
         assert_eq!(report.bottleneck_cycles(), 1_431);
         assert_eq!(report.bottleneck_stage(), Some(0));
-    }
-
-    #[test]
-    fn batch_amortizes_to_bottleneck() {
-        let report = PipelineReport::new(&resident_deployment());
-        assert_eq!(report.batch_cycles(0), 0);
-        assert_eq!(report.batch_cycles(1), report.latency_cycles());
-        let thousand = report.batch_cycles(1_000);
-        assert_eq!(
-            thousand,
-            report.latency_cycles() + 999 * report.bottleneck_cycles()
-        );
-        // Per-image cost approaches the bottleneck.
-        let per_image = thousand as f64 / 1_000.0;
-        assert!((per_image - report.bottleneck_cycles() as f64) / per_image < 0.01);
-    }
-
-    #[test]
-    fn pipelining_speedup_approaches_latency_over_bottleneck() {
-        let report = PipelineReport::new(&resident_deployment());
-        let ideal = report.latency_cycles() as f64 / report.bottleneck_cycles() as f64;
-        let speedup = report.pipelining_speedup(10_000);
-        assert!(speedup > 0.99 * ideal && speedup <= ideal);
-        assert_eq!(report.pipelining_speedup(0), 1.0);
-        assert!((report.pipelining_speedup(1) - 1.0).abs() < 1e-12);
     }
 
     #[test]

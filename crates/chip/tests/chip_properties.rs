@@ -54,9 +54,7 @@ proptest! {
         }
     }
 
-    /// Pipeline identities: latency = Σ stages, bottleneck = max stage,
-    /// batch cost matches the closed form, speedup bounded by
-    /// latency/bottleneck.
+    /// Pipeline identities: latency = Σ stages, bottleneck = max stage.
     #[test]
     fn pipeline_identities(net in network_strategy(), n_arrays in 6usize..64) {
         let chip = ChipConfig::new(n_arrays, PimArray::new(128, 128).expect("positive"), 1_000).expect("valid");
@@ -64,15 +62,6 @@ proptest! {
             let p = PipelineReport::new(&d);
             prop_assert_eq!(p.latency_cycles(), p.stage_cycles().iter().sum::<u64>());
             prop_assert_eq!(p.bottleneck_cycles(), *p.stage_cycles().iter().max().unwrap());
-            for images in [1u64, 2, 17] {
-                prop_assert_eq!(
-                    p.batch_cycles(images),
-                    p.latency_cycles() + (images - 1) * p.bottleneck_cycles()
-                );
-            }
-            let ideal = p.latency_cycles() as f64 / p.bottleneck_cycles() as f64;
-            prop_assert!(p.pipelining_speedup(1_000) <= ideal + 1e-9);
-            prop_assert!(p.pipelining_speedup(1_000) >= 1.0 - 1e-9);
         }
     }
 

@@ -180,14 +180,12 @@ impl PlanningEngine {
     }
 
     /// Plans one layer under an explicit algorithm set, sharing this
-    /// engine's search memo. The request-serving tier uses this: one
-    /// process-wide engine answers queries for whatever algorithm subset
-    /// each request names.
+    /// engine's search memo.
     ///
     /// # Errors
     ///
     /// Propagates the first algorithm failure.
-    pub fn plan_layer_with(
+    fn plan_layer_with(
         &self,
         layer: &ConvLayer,
         array: PimArray,
@@ -200,8 +198,8 @@ impl PlanningEngine {
         Ok(LayerComparison::from_parts(layer.clone(), plans))
     }
 
-    /// Plans every layer of a network under an explicit algorithm set
-    /// (see [`PlanningEngine::plan_layer_with`]), fanning out across the
+    /// Plans every layer of a network under an explicit algorithm set,
+    /// sharing this engine's search memo and fanning out across the
     /// engine's workers. The report is byte-identical to what a
     /// [`crate::Planner`] configured with the same algorithms produces.
     ///
@@ -638,7 +636,7 @@ mod tests {
     #[test]
     fn sweep_orders_reports_network_major() {
         let engine = PlanningEngine::new().with_jobs(0);
-        let networks = [zoo::tiny(), zoo::resnet18_table1()];
+        let networks = [zoo::by_name("tiny").unwrap(), zoo::resnet18_table1()];
         let arrays = [arr(256, 256), arr(512, 512)];
         let reports = engine.sweep_arrays(&networks, &arrays).unwrap();
         assert_eq!(reports.len(), 4);
@@ -667,7 +665,9 @@ mod tests {
     fn custom_algorithm_set_flows_through() {
         let engine =
             PlanningEngine::with_algorithms(&[MappingAlgorithm::Smd, MappingAlgorithm::VwSdk]);
-        let report = engine.plan_network(&zoo::tiny(), arr(256, 256)).unwrap();
+        let report = engine
+            .plan_network(&zoo::by_name("tiny").unwrap(), arr(256, 256))
+            .unwrap();
         assert!(report.total_cycles(MappingAlgorithm::Smd).is_some());
         assert!(report.total_cycles(MappingAlgorithm::Im2col).is_none());
     }
@@ -705,7 +705,9 @@ mod tests {
     #[test]
     fn stats_render_readably() {
         let engine = PlanningEngine::new();
-        engine.plan_network(&zoo::tiny(), arr(64, 64)).unwrap();
+        engine
+            .plan_network(&zoo::by_name("tiny").unwrap(), arr(64, 64))
+            .unwrap();
         let text = engine.stats().to_string();
         assert!(text.starts_with("searches:"), "{text}");
         assert!(!text.contains("plans"), "{text}");
@@ -831,12 +833,13 @@ mod tests {
     #[test]
     fn simulate_network_is_bit_exact_and_feeds_the_memo() {
         let engine = PlanningEngine::new();
-        let report = simulate_one(&engine, &zoo::tiny(), arr(64, 64), 42).unwrap();
+        let report =
+            simulate_one(&engine, &zoo::by_name("tiny").unwrap(), arr(64, 64), 42).unwrap();
         assert!(report.is_fully_consistent(), "{report:?}");
         assert_eq!(report.stages.len(), 2);
         // A second simulation searches nothing.
         let before = engine.stats();
-        let again = simulate_one(&engine, &zoo::tiny(), arr(64, 64), 42).unwrap();
+        let again = simulate_one(&engine, &zoo::by_name("tiny").unwrap(), arr(64, 64), 42).unwrap();
         assert_eq!(report, again);
         let after = engine.stats();
         assert_eq!(after.search_misses, before.search_misses);
@@ -849,7 +852,7 @@ mod tests {
         let engine = PlanningEngine::new();
         let exact = engine
             .simulate_network_batch_with(
-                &zoo::tiny(),
+                &zoo::by_name("tiny").unwrap(),
                 arr(64, 64),
                 MappingAlgorithm::Im2col,
                 7,
@@ -868,7 +871,7 @@ mod tests {
         // Different seeds generate different tensors but stay exact.
         let other = engine
             .simulate_network_batch_with(
-                &zoo::tiny(),
+                &zoo::by_name("tiny").unwrap(),
                 arr(64, 64),
                 MappingAlgorithm::Im2col,
                 8,

@@ -296,7 +296,9 @@ mod tests {
 
     #[test]
     fn unconfigured_algorithm_returns_none() {
-        let report = planner512().plan_network(&zoo::tiny()).unwrap();
+        let report = planner512()
+            .plan_network(&zoo::by_name("tiny").unwrap())
+            .unwrap();
         assert_eq!(report.total_cycles(MappingAlgorithm::SdkOpt), None);
         assert!(report
             .speedup(MappingAlgorithm::SdkOpt, MappingAlgorithm::Im2col)
@@ -332,7 +334,9 @@ mod tests {
             PimArray::new(256, 256).unwrap(),
             &[MappingAlgorithm::Smd, MappingAlgorithm::VwSdk],
         );
-        let report = planner.plan_network(&zoo::tiny()).unwrap();
+        let report = planner
+            .plan_network(&zoo::by_name("tiny").unwrap())
+            .unwrap();
         assert!(report.total_cycles(MappingAlgorithm::Smd).is_some());
         assert!(report.total_cycles(MappingAlgorithm::Sdk).is_none());
         assert_eq!(report.algorithms().len(), 2);

@@ -14,23 +14,23 @@
 use pim_arch::PimArray;
 
 /// Maximum input channels mappable at once under im2col.
-pub fn im2col_max_ic(array: PimArray, kernel_w: usize, kernel_h: usize) -> usize {
+fn im2col_max_ic(array: PimArray, kernel_w: usize, kernel_h: usize) -> usize {
     array.rows() / (kernel_w * kernel_h)
 }
 
 /// Maximum output channels mappable at once under im2col.
-pub fn im2col_max_oc(array: PimArray) -> usize {
+fn im2col_max_oc(array: PimArray) -> usize {
     array.cols()
 }
 
 /// Maximum input channels mappable at once under SDK with duplication `d`.
-pub fn sdk_max_ic(array: PimArray, kernel_w: usize, kernel_h: usize, d: usize) -> usize {
+fn sdk_max_ic(array: PimArray, kernel_w: usize, kernel_h: usize, d: usize) -> usize {
     let pw_area = (kernel_w + d - 1) * (kernel_h + d - 1);
     array.rows() / pw_area
 }
 
 /// Maximum output channels mappable at once under SDK with duplication `d`.
-pub fn sdk_max_oc(array: PimArray, d: usize) -> usize {
+fn sdk_max_oc(array: PimArray, d: usize) -> usize {
     array.cols() / (d * d)
 }
 

@@ -33,7 +33,7 @@
 //! let array = PimArray::new(512, 512)?;
 //! let result = search::optimal_window(&layer, array);
 //! assert_eq!(result.best_cycles(), 504);
-//! assert_eq!(result.best_window(), Some(ParallelWindow::new(4, 3)?));
+//! assert_eq!(result.best().map(|b| b.window), Some(ParallelWindow::new(4, 3)?));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -162,7 +162,6 @@ pub struct SearchCache {
     tables: RwLock<HashMap<LayerShape, Arc<CandidateTable>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    coalesced: AtomicU64,
 }
 
 impl SearchCache {
@@ -199,7 +198,7 @@ impl SearchCache {
     }
 
     /// The memoized per-shape [`CandidateTable`], created on first use.
-    pub fn table_for(&self, layer: &ConvLayer) -> Arc<CandidateTable> {
+    fn table_for(&self, layer: &ConvLayer) -> Arc<CandidateTable> {
         let shape = layer.shape();
         {
             let tables = self.tables.read().expect("candidate tables lock poisoned");
@@ -286,7 +285,6 @@ impl SearchCache {
             match flight.wait() {
                 FlightOutcome::Done(result) => {
                     self.count_hit();
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
                     telemetry_coalesced().inc();
                     return result;
                 }
@@ -367,12 +365,6 @@ impl SearchCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of lookups that parked on another thread's in-flight
-    /// search instead of running their own (a subset of [`hits`](Self::hits)).
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced.load(Ordering::Relaxed)
-    }
-
     /// Number of distinct (shape, array, options) keys stored or in
     /// flight.
     pub fn len(&self) -> usize {
@@ -413,7 +405,8 @@ impl SearchCache {
     }
 
     /// Number of distinct layer shapes with a memoized candidate table.
-    pub fn table_shapes(&self) -> usize {
+    #[cfg(test)]
+    fn table_shapes(&self) -> usize {
         self.tables
             .read()
             .expect("candidate tables lock poisoned")
@@ -683,7 +676,7 @@ mod tests {
             }
         });
         // Exactly one leader ran the search; everyone else hit.
-        assert_eq!(cache.misses(), 1, "coalesced={}", cache.coalesced());
+        assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), threads as u64 - 1);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.hits() + cache.misses(), threads as u64);

@@ -28,6 +28,7 @@ pub fn windows_per_pw_axis(pw: usize, k: usize, stride: usize) -> usize {
 /// [`n_parallel_windows`] computes the same value through the equivalent
 /// `⌈windows / windows-per-PW⌉` form (the identity is unit-tested); this
 /// version exists so the reproduction contains the formula as printed.
+// lint:allow(unused-pub) oracle: crates/cost/tests/cost_properties.rs checks eq. (3) as printed
 pub fn n_parallel_windows_eq3(
     iw: usize,
     ih: usize,
@@ -247,6 +248,7 @@ pub struct SdkCost {
 /// Evaluates eq. (1) for a square duplication factor `d ≥ 1`.
 ///
 /// Returns `None` if the `(K+d−1)²` window exceeds the (padded) input.
+// lint:allow(unused-pub) seam: crates/cost/tests/cost_properties.rs scans every d for SDK-opt
 pub fn sdk_cost_for(layer: &ConvLayer, array: PimArray, d: usize) -> Option<SdkCost> {
     if d == 0 {
         return None;

@@ -106,34 +106,9 @@ impl SearchResult {
     }
 
     /// Minimum computing cycles found (`CC_min`).
+    // lint:allow(unused-pub) oracle: the search-equivalence tests compare CC_min
     pub fn best_cycles(&self) -> u64 {
         self.best.map_or(self.im2col.cycles, |b| b.cycles)
-    }
-
-    /// The optimal window, or `None` when im2col won.
-    pub fn best_window(&self) -> Option<ParallelWindow> {
-        self.best.map(|b| b.window)
-    }
-
-    /// The window to report for a layer: the optimal one, or the
-    /// kernel-sized window when im2col won (Table I's convention).
-    pub fn reported_window(&self, layer: &ConvLayer) -> ParallelWindow {
-        self.best_window()
-            .unwrap_or_else(|| ParallelWindow::kernel_sized(layer))
-    }
-
-    /// Tiled input channels to report: the winner's `ICt`, or the full
-    /// `IC` when im2col won.
-    pub fn reported_tiled_ic(&self, layer: &ConvLayer) -> usize {
-        self.best
-            .map_or(layer.in_channels_per_group(), |b| b.tiled_ic)
-    }
-
-    /// Tiled output channels to report: the winner's `OCt`, or the full
-    /// `OC` when im2col won.
-    pub fn reported_tiled_oc(&self, layer: &ConvLayer) -> usize {
-        self.best
-            .map_or(layer.out_channels_per_group(), |b| b.tiled_oc)
     }
 
     /// Number of candidate windows whose cost was evaluated.
@@ -176,7 +151,7 @@ impl SearchResult {
 /// // VGG-13 layer 1: the paper reports a 10x3 window at 6216 cycles.
 /// let layer = ConvLayer::square("conv1", 224, 3, 3, 64)?;
 /// let result = optimal_window(&layer, PimArray::new(512, 512)?);
-/// assert_eq!(result.best_window().unwrap().to_string(), "10x3");
+/// assert_eq!(result.best().unwrap().window.to_string(), "10x3");
 /// assert_eq!(result.best_cycles(), 6216);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -406,7 +381,7 @@ mod tests {
     #[test]
     fn vgg13_layer1_finds_10x3() {
         let r = optimal_window(&layer(224, 3, 3, 64), arr(512, 512));
-        assert_eq!(r.best_window().unwrap().to_string(), "10x3");
+        assert_eq!(r.best().unwrap().window.to_string(), "10x3");
         assert_eq!(r.best_cycles(), 6216);
     }
 
@@ -414,7 +389,7 @@ mod tests {
     fn vgg13_layer2_tie_break_keeps_4x4() {
         // 5x4 ties 4x4 at 24642 cycles; scan order must keep 4x4.
         let r = optimal_window(&layer(224, 3, 64, 64), arr(512, 512));
-        assert_eq!(r.best_window().unwrap().to_string(), "4x4");
+        assert_eq!(r.best().unwrap().window.to_string(), "4x4");
         assert_eq!(r.best_cycles(), 24_642);
         assert_eq!(r.best().unwrap().tiled_ic, 32);
     }
@@ -422,7 +397,7 @@ mod tests {
     #[test]
     fn resnet_stem_finds_10x8() {
         let r = optimal_window(&layer(112, 7, 3, 64), arr(512, 512));
-        assert_eq!(r.best_window().unwrap().to_string(), "10x8");
+        assert_eq!(r.best().unwrap().window.to_string(), "10x8");
         assert_eq!(r.best_cycles(), 1431);
     }
 
@@ -433,9 +408,6 @@ mod tests {
         let r = optimal_window(&l, arr(512, 512));
         assert!(r.best().is_none());
         assert_eq!(r.best_cycles(), 3380);
-        assert_eq!(r.reported_window(&l).to_string(), "3x3");
-        assert_eq!(r.reported_tiled_ic(&l), 256);
-        assert_eq!(r.reported_tiled_oc(&l), 512);
     }
 
     #[test]
@@ -453,14 +425,14 @@ mod tests {
     fn square_only_restriction_is_enforced() {
         let l = layer(56, 3, 128, 256);
         let r = optimal_window_with(&l, arr(512, 512), SearchOptions::square_windows_only());
-        if let Some(w) = r.best_window() {
+        if let Some(w) = r.best().map(|b| b.window) {
             assert!(w.is_square());
         }
         // Unrestricted search (which finds rectangular 4x3) must be at
         // least as good.
         let free = optimal_window(&l, arr(512, 512));
         assert!(free.best_cycles() <= r.best_cycles());
-        assert_eq!(free.best_window().unwrap().to_string(), "4x3");
+        assert_eq!(free.best().unwrap().window.to_string(), "4x3");
     }
 
     #[test]

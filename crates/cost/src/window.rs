@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 ///
 /// let pw = ParallelWindow::new(4, 3)?;
 /// assert_eq!(pw.area(), 12);
-/// assert_eq!(pw.windows_inside(3, 3), 2); // (4-3+1)*(3-3+1)
+/// assert!(!pw.is_square());
 /// # Ok::<(), pim_cost::CostError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -72,40 +72,6 @@ impl ParallelWindow {
     /// `true` when the window is square.
     pub fn is_square(&self) -> bool {
         self.width == self.height
-    }
-
-    /// Kernel windows along the width for a `kw`-wide kernel
-    /// (`PWw − Kw + 1`); zero if the kernel is wider than the window.
-    pub fn windows_w(&self, kw: usize) -> usize {
-        (self.width + 1).saturating_sub(kw)
-    }
-
-    /// Kernel windows along the height for a `kh`-tall kernel.
-    pub fn windows_h(&self, kh: usize) -> usize {
-        (self.height + 1).saturating_sub(kh)
-    }
-
-    /// Total kernel windows inside the parallel window — the paper's
-    /// `NWP`. Zero if the kernel does not fit.
-    pub fn windows_inside(&self, kw: usize, kh: usize) -> usize {
-        self.windows_w(kw) * self.windows_h(kh)
-    }
-
-    /// `true` if the window contains the layer's (dilated) kernel and
-    /// fits inside the layer's input feature map.
-    pub fn is_valid_for(&self, layer: &ConvLayer) -> bool {
-        self.width >= layer.effective_kernel_w()
-            && self.height >= layer.effective_kernel_h()
-            && self.width <= layer.input_w()
-            && self.height <= layer.input_h()
-    }
-
-    /// The transposed window (`height × width`).
-    pub fn transposed(&self) -> Self {
-        Self {
-            width: self.height,
-            height: self.width,
-        }
     }
 }
 
@@ -378,44 +344,6 @@ mod tests {
     fn new_rejects_zero() {
         assert!(ParallelWindow::new(0, 3).is_err());
         assert!(ParallelWindow::new(3, 0).is_err());
-    }
-
-    #[test]
-    fn windows_inside_matches_paper_examples() {
-        // 4x4 window over 3x3 kernel -> 4 windows (paper Fig. 1 middle).
-        assert_eq!(ParallelWindow::new(4, 4).unwrap().windows_inside(3, 3), 4);
-        // 4x5 window over 3x3 kernel -> 2x3=6 windows... the paper's Fig.1
-        // bottom shows a 4x5 window computing 2x4=8? No: Fig. 1 reports 8
-        // outputs for the "4x5 rectangular" window of a 3x3 kernel on a
-        // padded example; the pure arithmetic here is (4-3+1)*(5-3+1)=6.
-        assert_eq!(ParallelWindow::new(4, 5).unwrap().windows_inside(3, 3), 6);
-        // 8x8 window over 7x7 kernel -> 4 windows (ResNet stem, Table I).
-        assert_eq!(ParallelWindow::new(8, 8).unwrap().windows_inside(7, 7), 4);
-        // 10x8 over 7x7 -> 4x2 = 8 windows (VW-SDK ResNet stem).
-        assert_eq!(ParallelWindow::new(10, 8).unwrap().windows_inside(7, 7), 8);
-    }
-
-    #[test]
-    fn windows_are_zero_when_kernel_does_not_fit() {
-        let pw = ParallelWindow::new(3, 3).unwrap();
-        assert_eq!(pw.windows_inside(4, 3), 0);
-        assert_eq!(pw.windows_inside(3, 5), 0);
-    }
-
-    #[test]
-    fn validity_requires_kernel_le_window_le_input() {
-        let l = layer(8, 3);
-        assert!(ParallelWindow::new(3, 3).unwrap().is_valid_for(&l));
-        assert!(ParallelWindow::new(8, 8).unwrap().is_valid_for(&l));
-        assert!(!ParallelWindow::new(2, 3).unwrap().is_valid_for(&l));
-        assert!(!ParallelWindow::new(9, 3).unwrap().is_valid_for(&l));
-    }
-
-    #[test]
-    fn transpose_swaps_extents() {
-        let pw = ParallelWindow::new(4, 3).unwrap();
-        assert_eq!(pw.transposed(), ParallelWindow::new(3, 4).unwrap());
-        assert!(pw.transposed().transposed() == pw);
     }
 
     #[test]

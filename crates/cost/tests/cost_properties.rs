@@ -159,7 +159,7 @@ proptest! {
         let full = search::optimal_window(&layer, array);
         let pruned = search::optimal_window_with(&layer, array, SearchOptions::pruned());
         prop_assert_eq!(full.best_cycles(), pruned.best_cycles());
-        prop_assert_eq!(full.best_window(), pruned.best_window());
+        prop_assert_eq!(full.best(), pruned.best());
         prop_assert!(pruned.evaluated() <= full.evaluated());
         prop_assert_eq!(pruned.evaluated() + pruned.pruned(), full.evaluated());
         prop_assert!(pruned.feasible() <= full.feasible());

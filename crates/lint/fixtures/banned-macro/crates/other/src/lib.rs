@@ -2,7 +2,7 @@
 #![forbid(unsafe_code)]
 
 /// Never finished.
-pub fn later() {
+fn later() {
     todo!("finish the fixture");
 }
 

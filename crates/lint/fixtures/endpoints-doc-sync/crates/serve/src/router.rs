@@ -2,4 +2,4 @@
 //! routed but undocumented, and the doc table promises another.
 
 /// The path this fixture serves.
-pub const ROUTE: &str = "/v1/fixture-registered";
+const ROUTE: &str = "/v1/fixture-registered";

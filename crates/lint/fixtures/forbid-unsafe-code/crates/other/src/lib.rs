@@ -1,6 +1,6 @@
 //! Seeded violation: a crate root with no `#![forbid(unsafe_code)]`.
 
 /// Adds one.
-pub fn bump(x: u32) -> u32 {
+fn bump(x: u32) -> u32 {
     x + 1
 }

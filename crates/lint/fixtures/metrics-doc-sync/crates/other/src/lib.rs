@@ -3,4 +3,4 @@
 #![forbid(unsafe_code)]
 
 /// The counter name this fixture registers.
-pub const COUNTER: &str = "pim_fixture_registered_total";
+const COUNTER: &str = "pim_fixture_registered_total";

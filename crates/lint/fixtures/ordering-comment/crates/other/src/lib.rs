@@ -4,6 +4,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Flips the flag with an unjustified strong ordering.
-pub fn flip(flag: &AtomicBool) {
+fn flip(flag: &AtomicBool) {
     flag.store(true, Ordering::SeqCst);
 }

@@ -2,7 +2,7 @@
 //! `// SAFETY:` justification.
 
 /// Writes through a raw pointer with no safety argument.
-pub fn poke(ptr: *mut u8) {
+fn poke(ptr: *mut u8) {
     unsafe {
         *ptr = 0;
     }

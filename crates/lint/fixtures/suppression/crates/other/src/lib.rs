@@ -5,12 +5,12 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Not implemented, and saying so is explicitly allowed here.
-pub fn later() {
+fn later() {
     // lint:allow(banned-macro) — fixture exercising suppression
     todo!("suppressed");
 }
 
 /// A strong ordering suppressed on the same line.
-pub fn flip(flag: &AtomicBool) {
+fn flip(flag: &AtomicBool) {
     flag.store(true, Ordering::SeqCst); // lint:allow(ordering-comment)
 }

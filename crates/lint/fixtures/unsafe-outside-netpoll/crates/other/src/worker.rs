@@ -1,6 +1,6 @@
 //! Seeded violation: an `unsafe` block outside crates/netpoll.
 
 /// Reads through a raw pointer — not allowed in this crate.
-pub fn peek(ptr: *const u8) -> u8 {
+fn peek(ptr: *const u8) -> u8 {
     unsafe { *ptr }
 }

@@ -8,19 +8,24 @@
 //! match the code. This crate turns those conventions into
 //! machine-checked rules:
 //!
-//! 1. [`rules::UNSAFE_OUTSIDE`] — `unsafe` only in `crates/netpoll`;
-//! 2. [`rules::SAFETY_COMMENT`] — every `unsafe` there carries a
-//!    `// SAFETY:` justification;
-//! 3. [`rules::FORBID_UNSAFE`] — every other crate root declares
+//! 1. `unsafe-outside-netpoll` — `unsafe` only in `crates/netpoll`;
+//! 2. `safety-comment` — every `unsafe` there carries a `// SAFETY:`
+//!    justification;
+//! 3. `forbid-unsafe-code` — every other crate root declares
 //!    `#![forbid(unsafe_code)]`;
-//! 4. [`rules::ORDERING_COMMENT`] — every `Ordering::` stronger than
-//!    `Relaxed` in non-test code carries an `// ORDERING:` comment;
-//! 5. [`rules::BANNED_MACRO`] — no `todo!`/`unimplemented!`/`dbg!`
-//!    outside tests;
-//! 6. [`rules::METRICS_DOC_SYNC`] — registered metric names match the
-//!    table in `docs/OBSERVABILITY.md`, both directions;
-//! 7. [`rules::ENDPOINTS_DOC_SYNC`] — router endpoints match the route
-//!    table in `docs/HTTP_API.md`, both directions.
+//! 4. `ordering-comment` — every `Ordering::` stronger than `Relaxed`
+//!    in non-test code carries an `// ORDERING:` comment;
+//! 5. `banned-macro` — no `todo!`/`unimplemented!`/`dbg!` outside
+//!    tests;
+//! 6. `metrics-doc-sync` — registered metric names match the table in
+//!    `docs/OBSERVABILITY.md`, both directions;
+//! 7. `endpoints-doc-sync` — router endpoints match the route table in
+//!    `docs/HTTP_API.md`, both directions;
+//! 8. `unused-pub` — every bare-`pub` `fn`, `const` or `static` of a
+//!    library crate is named by another non-test file.
+//!
+//! The same walk counts each crate's non-test lines
+//! ([`CheckReport::lines`]), the size `vwsdk check` prints.
 //!
 //! Everything is hand-rolled on purpose (std only, per the workspace
 //! dependency policy): [`scan`] is a small Rust lexer that gets
@@ -41,7 +46,7 @@
 //!
 //! let bad = "unsafe { steal(); }";
 //! let findings = check_file("main.rs", bad, &scan(bad), &FileRole::default());
-//! assert_eq!(findings[0].rule, pim_lint::rules::UNSAFE_OUTSIDE);
+//! assert_eq!(findings[0].rule, "unsafe-outside-netpoll");
 //! ```
 
 #![forbid(unsafe_code)]

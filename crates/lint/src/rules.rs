@@ -8,13 +8,17 @@
 //! (metric names vs `docs/OBSERVABILITY.md`, router endpoints vs
 //! `docs/HTTP_API.md`) — drift in *either* direction is a violation.
 //!
-//! File-local findings can be suppressed with a
+//! One repo-level rule reads every file's identifiers instead: a
+//! bare-`pub` item of a library crate that no other non-test file names
+//! is dead public surface (`unused-pub`).
+//!
+//! File-local findings and `unused-pub` can be suppressed with a
 //! `// lint:allow(<rule>)` comment on the offending line or in the
-//! comment block directly above it. Repo-level rules cannot be
+//! comment block directly above it. The doc-sync rules cannot be
 //! suppressed — the fix is to update the code or the table.
 
 use crate::scan::{Scan, TokenKind};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One rule finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,22 +97,31 @@ pub const RULES: &[RuleInfo] = &[
                   docs/HTTP_API.md must match exactly, both directions",
         suppressible: false,
     },
+    RuleInfo {
+        name: UNUSED_PUB,
+        summary: "every bare-`pub` fn, const or static of a library crate \
+                  must be named by another non-test file under crates/, \
+                  src/, examples/ or e2ebench/",
+        suppressible: true,
+    },
 ];
 
 /// Rule name: `unsafe` outside the netpoll crate.
-pub const UNSAFE_OUTSIDE: &str = "unsafe-outside-netpoll";
+const UNSAFE_OUTSIDE: &str = "unsafe-outside-netpoll";
 /// Rule name: `unsafe` without a `// SAFETY:` comment.
-pub const SAFETY_COMMENT: &str = "safety-comment";
+const SAFETY_COMMENT: &str = "safety-comment";
 /// Rule name: crate root missing `#![forbid(unsafe_code)]`.
-pub const FORBID_UNSAFE: &str = "forbid-unsafe-code";
+const FORBID_UNSAFE: &str = "forbid-unsafe-code";
 /// Rule name: non-Relaxed `Ordering::` without `// ORDERING:`.
-pub const ORDERING_COMMENT: &str = "ordering-comment";
+const ORDERING_COMMENT: &str = "ordering-comment";
 /// Rule name: `todo!`/`unimplemented!`/`dbg!` in non-test code.
-pub const BANNED_MACRO: &str = "banned-macro";
+const BANNED_MACRO: &str = "banned-macro";
 /// Rule name: code metric names vs docs/OBSERVABILITY.md.
 pub const METRICS_DOC_SYNC: &str = "metrics-doc-sync";
 /// Rule name: router paths vs docs/HTTP_API.md.
 pub const ENDPOINTS_DOC_SYNC: &str = "endpoints-doc-sync";
+/// Rule name: a library's public item that no other non-test file names.
+const UNUSED_PUB: &str = "unused-pub";
 
 /// How a file participates in the rules — decided by the walker from
 /// the file's path, passed in so rules stay path-agnostic.
@@ -130,8 +143,7 @@ pub fn check_file(label: &str, source: &str, scan: &Scan, role: &FileRole) -> Ve
     let mut out = Vec::new();
     let source_lines: Vec<&str> = source.lines().collect();
     let spans = test_spans(scan);
-    let in_test =
-        |line: usize| role.test_file || spans.iter().any(|&(a, b)| a <= line && line <= b);
+    let in_test = |line: usize| role.test_file || in_spans(&spans, line);
 
     // Rules 1 and 2: `unsafe` placement and SAFETY justification.
     for token in &scan.tokens {
@@ -313,7 +325,7 @@ fn forbids_unsafe(scan: &Scan) -> bool {
 
 /// Line spans `(first, last)` covered by `#[cfg(test)]` items — the
 /// attribute's line through the closing brace of the item it gates.
-pub fn test_spans(scan: &Scan) -> Vec<(usize, usize)> {
+fn test_spans(scan: &Scan) -> Vec<(usize, usize)> {
     let tokens = &scan.tokens;
     let mut spans = Vec::new();
     let mut i = 0;
@@ -388,11 +400,7 @@ pub fn collect_metric_names(label: &str, scan: &Scan, role: &FileRole, sites: &m
         let TokenKind::Str(text) = &token.kind else {
             continue;
         };
-        if !is_metric_name(text)
-            || spans
-                .iter()
-                .any(|&(a, b)| a <= token.line && token.line <= b)
-        {
+        if !is_metric_name(text) || in_spans(&spans, token.line) {
             continue;
         }
         sites
@@ -418,11 +426,7 @@ pub fn collect_route_paths(label: &str, scan: &Scan, sites: &mut NameSites) {
         let TokenKind::Str(text) = &token.kind else {
             continue;
         };
-        if !is_route_path(text)
-            || spans
-                .iter()
-                .any(|&(a, b)| a <= token.line && token.line <= b)
-        {
+        if !is_route_path(text) || in_spans(&spans, token.line) {
             continue;
         }
         sites
@@ -535,6 +539,134 @@ pub fn check_doc_sync(
     out
 }
 
+/// Whether `line` falls inside one of `spans` (see [`test_spans`]).
+fn in_spans(spans: &[(usize, usize)], line: usize) -> bool {
+    spans.iter().any(|&(a, b)| a <= line && line <= b)
+}
+
+/// The bare-`pub` `fn`, `const` and `static` items of one file, as
+/// `(name, line)`: outside `#[cfg(test)]` items and not suppressed by an
+/// `unused-pub` allow comment. Restricted visibility
+/// (`pub(crate)`, `pub(super)`) keeps an item inside its crate, so such
+/// items are never listed.
+pub fn pub_items(source: &str, scan: &Scan) -> Vec<(String, usize)> {
+    let source_lines: Vec<&str> = source.lines().collect();
+    let spans = test_spans(scan);
+    let marker = format!("lint:allow({UNUSED_PUB})");
+    let tokens = &scan.tokens;
+    let ident = |i: usize| match tokens.get(i).map(|t| &t.kind) {
+        Some(TokenKind::Ident(name)) => Some(name.as_str()),
+        _ => None,
+    };
+    let mut out = Vec::new();
+    for (i, token) in tokens.iter().enumerate() {
+        if ident(i) != Some("pub") || in_spans(&spans, token.line) {
+            continue;
+        }
+        // Step over the qualifiers between `pub` and the item keyword
+        // (`pub const unsafe fn`).
+        let mut j = i + 1;
+        let name = loop {
+            match ident(j) {
+                Some("async" | "unsafe") => j += 1,
+                Some("const") if matches!(ident(j + 1), Some("fn" | "async" | "unsafe")) => j += 1,
+                Some("fn" | "const") => break ident(j + 1),
+                Some("static") if ident(j + 1) == Some("mut") => break ident(j + 2),
+                Some("static") => break ident(j + 1),
+                _ => break None,
+            }
+        };
+        let Some(name) = name.filter(|name| *name != "_") else {
+            continue;
+        };
+        if !has_marker(scan, &source_lines, token.line, &marker) {
+            out.push((name.to_string(), token.line));
+        }
+    }
+    out
+}
+
+/// The identifiers one file uses: every identifier token outside
+/// `#[cfg(test)]` items and outside `pub use` re-exports, which name an
+/// item without using it. Comments and string contents are not tokens,
+/// so they never count.
+pub fn used_idents(scan: &Scan) -> BTreeSet<String> {
+    let spans = test_spans(scan);
+    let tokens = &scan.tokens;
+    let mut out = BTreeSet::new();
+    let mut i = 0;
+    while let Some(token) = tokens.get(i) {
+        i += 1;
+        let TokenKind::Ident(name) = &token.kind else {
+            continue;
+        };
+        if name == "pub" {
+            // `pub use …;` and `pub(crate) use …;`: skip to the `;`.
+            let mut j = i;
+            if tokens.get(j).map(|t| &t.kind) == Some(&TokenKind::Punct('(')) {
+                while tokens
+                    .get(j)
+                    .is_some_and(|t| t.kind != TokenKind::Punct(')'))
+                {
+                    j += 1;
+                }
+                j += 1;
+            }
+            if tokens.get(j).map(|t| &t.kind) == Some(&TokenKind::Ident("use".to_string())) {
+                while tokens
+                    .get(j)
+                    .is_some_and(|t| t.kind != TokenKind::Punct(';'))
+                {
+                    j += 1;
+                }
+                i = j;
+            }
+            continue;
+        }
+        if !in_spans(&spans, token.line) {
+            out.insert(name.clone());
+        }
+    }
+    out
+}
+
+/// Reports each public item (`(name, file, line)`, from [`pub_items`])
+/// whose name no *other* file in `users` (`(file, identifiers)`, from
+/// [`used_idents`]) uses.
+pub fn check_unused_pub(
+    items: Vec<(String, String, usize)>,
+    users: &[(String, BTreeSet<String>)],
+) -> Vec<Violation> {
+    items
+        .into_iter()
+        .filter(|(name, file, _)| {
+            !users
+                .iter()
+                .any(|(user, idents)| user != file && idents.contains(name))
+        })
+        .map(|(name, file, line)| Violation {
+            rule: UNUSED_PUB,
+            file,
+            line,
+            message: format!(
+                "`{name}` is public, but no other non-test file under crates/, \
+                 src/, examples/ or e2ebench/ names it: delete it or narrow its \
+                 visibility"
+            ),
+        })
+        .collect()
+}
+
+/// Non-blank lines of one file outside `#[cfg(test)]` items.
+pub fn non_test_lines(source: &str, scan: &Scan) -> usize {
+    let spans = test_spans(scan);
+    source
+        .lines()
+        .enumerate()
+        .filter(|(index, line)| !line.trim().is_empty() && !in_spans(&spans, index + 1))
+        .count()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,6 +723,39 @@ mod tests {
             &code,
         );
         assert_eq!(violations.len(), 2);
+    }
+
+    #[test]
+    fn pub_items_read_through_qualifiers_and_skip_restricted_ones() {
+        let source = "pub fn a() {}\npub const fn b() {}\npub(crate) fn c() {}\n\
+                      pub static mut D: u8 = 0;\npub const E: u8 = 1;\npub const _: () = ();\n\
+                      pub struct F;\npub unsafe fn g() {}\n\
+                      // lint:allow(unused-pub) seam for a test\npub fn h() {}\n\
+                      #[cfg(test)]\nmod tests {\n    pub fn i() {}\n}\n";
+        let names: Vec<String> = pub_items(source, &scan(source))
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        assert_eq!(names, ["a", "b", "D", "E", "g"]);
+    }
+
+    #[test]
+    fn used_idents_skip_reexports_comments_strings_and_tests() {
+        let source = "pub use a::b;\npub(crate) use c::{d, e};\nuse f::g;\n\
+                      // h\nlet x = \"i\";\n#[cfg(test)]\nmod tests { fn j() {} }\n";
+        let idents = used_idents(&scan(source));
+        for name in ["use", "f", "g", "let", "x"] {
+            assert!(idents.contains(name), "{name}");
+        }
+        for name in ["b", "d", "e", "h", "i", "j"] {
+            assert!(!idents.contains(name), "{name}");
+        }
+    }
+
+    #[test]
+    fn non_test_lines_skip_blanks_and_test_items() {
+        let source = "fn a() {}\n\n   \n#[cfg(test)]\nmod tests {\n    fn b() {}\n}\nfn c() {}\n";
+        assert_eq!(non_test_lines(source, &scan(source)), 2);
     }
 
     #[test]

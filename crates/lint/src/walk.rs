@@ -5,25 +5,34 @@
 //! `target/`, `.git/` and the lint crate's own seeded-violation
 //! `fixtures/`), classifies each file's [`FileRole`] from its path,
 //! runs the file-local rules, and accumulates the evidence the
-//! repo-level doc-sync rules compare against the two documentation
-//! tables.
+//! repo-level rules compare: metric and route names against the two
+//! documentation tables, and each library's public items against the
+//! identifiers every other file uses. It also counts each crate's
+//! non-test lines.
 
 use crate::rules::{self, FileRole, NameSites, Violation};
 use crate::scan;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Path (from the repo root) of the crate allowed to contain `unsafe`.
-pub const UNSAFE_CRATE: &str = "crates/netpoll";
+const UNSAFE_CRATE: &str = "crates/netpoll";
+/// Stand-ins for external crates: they count as lines and as users, but
+/// their public items mirror an outside API and are never reported.
+const SHIMS_DIR: &str = "crates/shims/";
 /// Path of the router whose endpoints the doc-sync rule reads.
-pub const ROUTER_FILE: &str = "crates/serve/src/router.rs";
+const ROUTER_FILE: &str = "crates/serve/src/router.rs";
 /// Doc table the metric names are checked against.
-pub const METRICS_DOC: &str = "docs/OBSERVABILITY.md";
+const METRICS_DOC: &str = "docs/OBSERVABILITY.md";
 /// Doc table the endpoints are checked against.
-pub const ENDPOINTS_DOC: &str = "docs/HTTP_API.md";
+const ENDPOINTS_DOC: &str = "docs/HTTP_API.md";
 /// The lint's own rule fixtures: intentionally violating sources that
 /// must never be scanned as part of the repo.
-pub const FIXTURES_DIR: &str = "crates/lint/fixtures";
+const FIXTURES_DIR: &str = "crates/lint/fixtures";
+/// The end-to-end benchmark's crate: its files use library items and
+/// count as lines, but its own items are never reported.
+const E2EBENCH: &str = "e2ebench";
 
 /// The outcome of one `vwsdk check` run.
 #[derive(Debug, Clone, Default)]
@@ -32,12 +41,32 @@ pub struct CheckReport {
     pub files_scanned: usize,
     /// Every finding, sorted by file, then line, then rule.
     pub violations: Vec<Violation>,
+    /// Non-test lines per crate directory (`crates/arch`,
+    /// `crates/shims/rand`, `e2ebench`, `src`): the non-blank lines of
+    /// its `.rs` files outside `tests/`, `benches/` and `#[cfg(test)]`
+    /// items.
+    pub lines: BTreeMap<String, usize>,
 }
 
 impl CheckReport {
     /// Whether the run found nothing.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// Non-test lines of the library and binary code: `crates/` and
+    /// `src/`, without the benchmark.
+    pub fn library_lines(&self) -> usize {
+        self.lines
+            .iter()
+            .filter(|(krate, _)| krate.as_str() != E2EBENCH)
+            .map(|(_, count)| count)
+            .sum()
+    }
+
+    /// Non-test lines of every counted crate.
+    pub fn total_lines(&self) -> usize {
+        self.lines.values().sum()
     }
 }
 
@@ -77,6 +106,8 @@ pub fn check_repo(root: &Path) -> io::Result<CheckReport> {
     let mut report = CheckReport::default();
     let mut metric_sites = NameSites::new();
     let mut route_sites = NameSites::new();
+    let mut items: Vec<(String, String, usize)> = Vec::new();
+    let mut users: Vec<(String, BTreeSet<String>)> = Vec::new();
 
     for path in &rs_files {
         let label = relative_label(root, path);
@@ -95,7 +126,25 @@ pub fn check_repo(root: &Path) -> io::Result<CheckReport> {
         if label == ROUTER_FILE {
             rules::collect_route_paths(&label, &scanned, &mut route_sites);
         }
+        if role.test_file {
+            continue;
+        }
+        let top = label.split('/').next().unwrap_or_default();
+        if (top == "crates" && !label.starts_with(SHIMS_DIR)) || top == "src" {
+            for (name, line) in rules::pub_items(&source, &scanned) {
+                items.push((name, label.clone(), line));
+            }
+        }
+        if matches!(top, "crates" | "src" | "examples" | E2EBENCH) {
+            users.push((label.clone(), rules::used_idents(&scanned)));
+        }
+        if let Some(krate) = counted_crate(&label) {
+            *report.lines.entry(krate).or_default() += rules::non_test_lines(&source, &scanned);
+        }
     }
+    report
+        .violations
+        .extend(rules::check_unused_pub(items, &users));
 
     report.violations.extend(doc_sync(
         root,
@@ -180,6 +229,20 @@ fn relative_label(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
+/// The crate directory whose line count a file adds to: `crates/<name>`
+/// (`crates/shims/<name>` for a shim), `src` or `e2ebench`; `None` for
+/// files outside those trees.
+fn counted_crate(label: &str) -> Option<String> {
+    let parts: Vec<&str> = label.split('/').collect();
+    let depth = match parts.as_slice() {
+        ["crates", "shims", ..] => 3,
+        ["crates", ..] => 2,
+        ["src" | E2EBENCH, ..] => 1,
+        _ => return None,
+    };
+    (parts.len() > depth).then(|| parts[..depth].join("/"))
+}
+
 /// Whether a repo-relative path is test/bench code by location.
 fn is_test_path(label: &str) -> bool {
     let mut components: Vec<&str> = label.split('/').collect();
@@ -198,6 +261,25 @@ mod tests {
         assert!(is_test_path("tests/engine_equivalence.rs"));
         assert!(!is_test_path("crates/sim/src/tests.rs"));
         assert!(!is_test_path("src/cli.rs"));
+    }
+
+    #[test]
+    fn lines_count_toward_their_crate_directory() {
+        assert_eq!(
+            counted_crate("crates/sim/src/lib.rs").as_deref(),
+            Some("crates/sim")
+        );
+        assert_eq!(
+            counted_crate("crates/shims/rand/src/lib.rs").as_deref(),
+            Some("crates/shims/rand")
+        );
+        assert_eq!(counted_crate("src/bin/vwsdk.rs").as_deref(), Some("src"));
+        assert_eq!(
+            counted_crate("e2ebench/src/main.rs").as_deref(),
+            Some("e2ebench")
+        );
+        assert_eq!(counted_crate("examples/quickstart.rs"), None);
+        assert_eq!(counted_crate("build.rs"), None);
     }
 
     #[test]

@@ -112,6 +112,41 @@ fn endpoints_doc_sync_fires_in_both_directions() {
 }
 
 #[test]
+fn unused_pub_fires_only_on_the_item_no_other_file_uses() {
+    // `used_by_app` is cleared by the app crate, `BENCH_LIMIT` by the
+    // benchmark and `EXAMPLE_NAME` by an example; `seam` is suppressed;
+    // the shim's and the benchmark's own items are never candidates.
+    // `only_tested` is named only by a test file, a `#[cfg(test)]`
+    // module, a comment, a string and a `pub use`.
+    let violations = expect_only("unused-pub", "unused-pub", 1);
+    assert_eq!(violations[0].file, "crates/lib/src/lib.rs");
+    assert_eq!(violations[0].line, 11);
+    assert!(violations[0].message.contains("`only_tested`"));
+}
+
+#[test]
+fn non_test_lines_are_counted_per_crate() {
+    // Blank lines, the `#[cfg(test)]` modules and `tests/` and
+    // `examples/` files do not count.
+    let report = check_fixture("unused-pub");
+    let lines: Vec<(&str, usize)> = report
+        .lines
+        .iter()
+        .map(|(krate, &count)| (krate.as_str(), count))
+        .collect();
+    assert_eq!(
+        lines,
+        [
+            ("crates/app", 8),
+            ("crates/lib", 24),
+            ("crates/shims/fake", 5),
+            ("e2ebench", 6)
+        ]
+    );
+    assert_eq!((report.library_lines(), report.total_lines()), (37, 43));
+}
+
+#[test]
 fn lint_allow_suppressions_scan_clean() {
     let report = check_fixture("suppression");
     let listing: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();

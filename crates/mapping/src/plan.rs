@@ -298,16 +298,14 @@ impl fmt::Display for MappingPlan {
 }
 
 /// Plans a VW-SDK mapping with an explicitly chosen parallel window,
-/// bypassing the Algorithm 1 search.
-///
-/// Useful for design-space exploration (Fig. 5(b) sweeps fixed window
-/// shapes across IFM sizes) and for functional tests of specific layouts.
+/// bypassing the Algorithm 1 search, for tests of specific layouts.
 ///
 /// # Errors
 ///
 /// Returns [`MappingError`] if the window is infeasible for the layer and
 /// array (does not satisfy `K ≤ PW ≤ I`, or `ICt`/`OCt` would be zero).
-pub fn plan_with_window(
+#[cfg(test)]
+pub(crate) fn plan_with_window(
     layer: &ConvLayer,
     array: PimArray,
     window: ParallelWindow,

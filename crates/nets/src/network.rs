@@ -17,8 +17,8 @@ use std::fmt;
 ///   and consecutive layers chain on channel counts only — exactly the
 ///   paper's accounting, where pooling between the rows of Table I is
 ///   elided.
-/// * **Executable networks** (built with [`Network::push_stage`] /
-///   [`Network::from_stages`]): each stage carries the [`InterOp`]
+/// * **Executable networks** (built with [`Network::from_stages`]):
+///   each stage carries the [`InterOp`]
 ///   sequence applied after its convolution, and [`Network::check_chain`]
 ///   verifies the stages chain *spatially* — which is what lets the
 ///   functional simulator stream one input feature map through the whole
@@ -29,9 +29,13 @@ use std::fmt;
 /// ```
 /// use pim_nets::{ConvLayer, InterOp, Network};
 ///
-/// let mut net = Network::new("toy");
-/// net.push_stage(ConvLayer::square("c1", 28, 3, 1, 8)?, vec![InterOp::Relu, InterOp::max_pool(2)]);
-/// net.push_stage(ConvLayer::square("c2", 13, 3, 8, 16)?, vec![InterOp::Relu]);
+/// let net = Network::from_stages(
+///     "toy",
+///     vec![
+///         (ConvLayer::square("c1", 28, 3, 1, 8)?, vec![InterOp::Relu, InterOp::max_pool(2)]),
+///         (ConvLayer::square("c2", 13, 3, 8, 16)?, vec![InterOp::Relu]),
+///     ],
+/// );
 /// assert_eq!(net.len(), 2);
 /// net.check_chain()?; // 28 -> conv -> 26 -> pool -> 13 == c2's input
 /// # Ok::<(), pim_nets::NetError>(())
@@ -68,11 +72,12 @@ impl Network {
 
     /// Creates a network from `(layer, post-operators)` stages.
     pub fn from_stages(name: impl Into<String>, stages: Vec<(ConvLayer, Vec<InterOp>)>) -> Self {
-        let mut net = Self::new(name);
-        for (layer, ops) in stages {
-            net.push_stage(layer, ops);
+        let (layers, ops) = stages.into_iter().unzip();
+        Self {
+            name: name.into(),
+            layers,
+            ops,
         }
-        net
     }
 
     /// Network name.
@@ -84,12 +89,6 @@ impl Network {
     pub fn push(&mut self, layer: ConvLayer) {
         self.layers.push(layer);
         self.ops.push(Vec::new());
-    }
-
-    /// Appends a layer followed by the given operator sequence.
-    pub fn push_stage(&mut self, layer: ConvLayer, ops: Vec<InterOp>) {
-        self.layers.push(layer);
-        self.ops.push(ops);
     }
 
     /// The layers, in inference order.
@@ -309,10 +308,12 @@ mod tests {
 
     #[test]
     fn display_shows_inter_ops() {
-        let mut net = Network::new("toy");
-        net.push_stage(
-            layer("a", 8, 1, 4),
-            vec![InterOp::Relu, InterOp::max_pool(2)],
+        let net = Network::from_stages(
+            "toy",
+            vec![(
+                layer("a", 8, 1, 4),
+                vec![InterOp::Relu, InterOp::max_pool(2)],
+            )],
         );
         let text = net.to_string();
         assert!(text.contains("-> relu -> max_pool2/2"), "{text}");
@@ -321,12 +322,16 @@ mod tests {
     #[test]
     fn spatial_chain_is_validated() {
         // 8 -> conv -> 6 -> pool/2 -> 3, so the next layer must take 3x3.
-        let mut net = Network::new("n");
-        net.push_stage(
-            layer("a", 8, 1, 4),
-            vec![InterOp::Relu, InterOp::max_pool(2)],
+        let net = Network::from_stages(
+            "n",
+            vec![
+                (
+                    layer("a", 8, 1, 4),
+                    vec![InterOp::Relu, InterOp::max_pool(2)],
+                ),
+                (layer("b", 3, 4, 8), Vec::new()),
+            ],
         );
-        net.push(layer("b", 3, 4, 8));
         assert!(net.check_chain().is_ok());
         assert_eq!(net.ops_after(0).len(), 2);
         assert!(net.ops_after(1).is_empty());
@@ -344,9 +349,9 @@ mod tests {
 
     #[test]
     fn inapplicable_ops_are_reported() {
-        let mut net = Network::new("n");
         // 8 -> conv -> 6; a 7-wide pool cannot apply.
-        net.push_stage(layer("a", 8, 1, 4), vec![InterOp::max_pool(7)]);
+        let net =
+            Network::from_stages("n", vec![(layer("a", 8, 1, 4), vec![InterOp::max_pool(7)])]);
         let err = net.check_chain().unwrap_err();
         assert!(err.to_string().contains("\"a\""), "{err}");
     }

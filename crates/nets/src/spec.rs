@@ -45,7 +45,7 @@
 //! }"#)?;
 //! let network = spec.to_network()?;
 //! assert_eq!(network.layers()[0].name(), "conv1");
-//! assert_eq!(NetworkSpec::parse(&spec.to_json_string())?, spec);
+//! assert_eq!(NetworkSpec::parse(&spec.to_json().render_pretty())?, spec);
 //! # Ok::<(), pim_nets::NetError>(())
 //! ```
 
@@ -88,7 +88,7 @@ pub struct LayerSpec {
 impl LayerSpec {
     /// The spec of an existing layer (no post-operators; see
     /// [`NetworkSpec::from_network`] for the stage-aware path).
-    pub fn from_layer(layer: &ConvLayer) -> Self {
+    fn from_layer(layer: &ConvLayer) -> Self {
         Self {
             name: layer.name().to_string(),
             input_h: layer.input_h(),
@@ -112,7 +112,7 @@ impl LayerSpec {
     /// Returns [`NetError`] if the geometry is impossible (zero
     /// dimensions, kernel exceeding the padded input, indivisible
     /// groups).
-    pub fn to_layer(&self) -> Result<ConvLayer> {
+    fn to_layer(&self) -> Result<ConvLayer> {
         ConvLayer::builder(self.name.clone())
             .input(self.input_h, self.input_w)
             .kernel(self.kernel_h, self.kernel_w)
@@ -318,12 +318,6 @@ impl NetworkSpec {
             ),
         ])
     }
-
-    /// The canonical JSON text, pretty-printed (the form `--spec` files
-    /// are written in).
-    pub fn to_json_string(&self) -> String {
-        self.to_json().render_pretty()
-    }
 }
 
 /// Reads a required-or-defaulted positive-integer field.
@@ -410,7 +404,7 @@ mod tests {
     fn zoo_networks_round_trip_through_specs() {
         for net in zoo::all() {
             let spec = NetworkSpec::from_network(&net);
-            let text = spec.to_json_string();
+            let text = spec.to_json().render_pretty();
             let reparsed = NetworkSpec::parse(&text).unwrap();
             assert_eq!(reparsed, spec);
             assert_eq!(reparsed.to_network().unwrap(), net);
@@ -441,7 +435,10 @@ mod tests {
         let net = spec.to_network().unwrap();
         net.check_chain().unwrap(); // 8 -> 6 -> pool/3 -> 2
         assert_eq!(NetworkSpec::from_network(&net), spec);
-        assert_eq!(NetworkSpec::parse(&spec.to_json_string()).unwrap(), spec);
+        assert_eq!(
+            NetworkSpec::parse(&spec.to_json().render_pretty()).unwrap(),
+            spec
+        );
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub fn resnet18_table1() -> Network {
 ///
 /// Not paper form — used by the extension experiments that exercise the
 /// generalized (strided/padded) cost model.
-pub fn resnet18_full() -> Network {
+fn resnet18_full() -> Network {
     let mut net = Network::new("ResNet-18-full");
     let conv = |name: &str, input: usize, k: usize, ic: usize, oc: usize, s: usize, p: usize| {
         ConvLayer::builder(name)
@@ -112,7 +112,7 @@ pub fn resnet18_full() -> Network {
 }
 
 /// VGG-16 convolutional layers in paper form (13 layers).
-pub fn vgg16() -> Network {
+fn vgg16() -> Network {
     Network::from_layers(
         "VGG-16",
         vec![
@@ -134,7 +134,7 @@ pub fn vgg16() -> Network {
 }
 
 /// AlexNet convolutional layers with their true strides and paddings.
-pub fn alexnet() -> Network {
+fn alexnet() -> Network {
     let conv = |name: &str, input: usize, k: usize, ic: usize, oc: usize, s: usize, p: usize| {
         ConvLayer::builder(name)
             .input(input, input)
@@ -161,7 +161,7 @@ pub fn alexnet() -> Network {
 /// classic ReLU + 2×2 average-pooling stages so the network chains
 /// spatially (32 → 28 → pool → 14 → 10 → pool → 5) and can be executed
 /// end to end by the functional simulator.
-pub fn lenet5() -> Network {
+fn lenet5() -> Network {
     Network::from_stages(
         "LeNet-5",
         vec![
@@ -179,7 +179,7 @@ pub fn lenet5() -> Network {
 
 /// A MobileNet-style stack of depthwise-separable pairs (depthwise 3×3,
 /// then pointwise 1×1), for the grouped-convolution extension experiments.
-pub fn mobilenet_like() -> Network {
+fn mobilenet_like() -> Network {
     let dw = |name: &str, input: usize, ch: usize| {
         ConvLayer::builder(name)
             .input(input, input)
@@ -207,7 +207,7 @@ pub fn mobilenet_like() -> Network {
 
 /// A DeepLab-style dilated context stack (atrous convolutions with
 /// dilation 1 → 2 → 4), for the dilation extension experiments.
-pub fn dilated_context() -> Network {
+fn dilated_context() -> Network {
     let atrous = |name: &str, input: usize, ch: usize, dilation: usize| {
         ConvLayer::builder(name)
             .input(input, input)
@@ -231,7 +231,7 @@ pub fn dilated_context() -> Network {
 /// A two-layer toy network for quick tests and doc examples. The layers
 /// chain spatially (8 → 6 == c2's input) with a ReLU between them, so
 /// `tiny` is also the smallest executable network.
-pub fn tiny() -> Network {
+fn tiny() -> Network {
     Network::from_stages(
         "tiny",
         vec![
@@ -332,6 +332,7 @@ pub fn all() -> Vec<Network> {
 /// The executable subset of the zoo: networks whose stages chain
 /// spatially ([`Network::check_chain`] passes), i.e. every network a
 /// whole-network simulation can stream one input through.
+// lint:allow(unused-pub) seam: the simulation equivalence tests run every chainable network
 pub fn executable() -> Vec<Network> {
     all()
         .into_iter()

@@ -97,7 +97,7 @@ proptest! {
     fn parse_after_serialize_is_identity(spec in spec_strategy()) {
         let compact = spec.to_json().render();
         prop_assert_eq!(&NetworkSpec::parse(&compact).expect("own output parses"), &spec);
-        let pretty = spec.to_json_string();
+        let pretty = spec.to_json().render_pretty();
         prop_assert_eq!(&NetworkSpec::parse(&pretty).expect("own output parses"), &spec);
         // The JSON value itself survives a text round trip too.
         let value = spec.to_json();

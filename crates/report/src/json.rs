@@ -17,9 +17,10 @@
 //! * The parser is a recursive-descent parser with a nesting-depth
 //!   limit; it reports errors with 1-based line and column. It accepts
 //!   exactly RFC 8259 JSON (no comments, no trailing commas).
-//! * Numbers are stored as `f64`. Integers up to 2^53 round-trip
-//!   exactly and serialize without a fractional part; non-finite floats
-//!   cannot be produced by the parser and serialize as `null`.
+//! * Numbers are stored as `f64`. Integers below 2^53 round-trip
+//!   exactly and serialize without a fractional part. A literal past
+//!   `f64`'s range is refused, so the parser never produces a non-finite
+//!   float; a computed one serializes as `null`.
 //!
 //! # Example
 //!
@@ -36,6 +37,11 @@
 
 use std::error::Error;
 use std::fmt;
+
+/// 2^53, the first integer that two different integer literals parse to
+/// (2^53 + 1 rounds down to it), so the integer accessors refuse it and
+/// everything above.
+pub const MAX_EXACT_INTEGER: u64 = 1 << 53;
 
 /// Maximum nesting depth the parser accepts; deeper documents are
 /// rejected instead of overflowing the stack (the server parses
@@ -64,11 +70,6 @@ impl JsonError {
     /// 1-based line number where parsing failed.
     pub fn line(&self) -> usize {
         self.line
-    }
-
-    /// 1-based column number where parsing failed.
-    pub fn column(&self) -> usize {
-        self.column
     }
 }
 
@@ -148,30 +149,17 @@ impl JsonValue {
         }
     }
 
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The payload as a `u64`, if this is a non-negative integral number
-    /// small enough to be exact.
+    /// below [`MAX_EXACT_INTEGER`]: the values whose integer literal is
+    /// the only one that parses to them.
     pub fn as_u64(&self) -> Option<u64> {
-        let n = self.as_f64()?;
-        if n.fract() == 0.0 && (0.0..=9007199254740992.0).contains(&n) {
-            Some(n as u64)
-        } else {
-            None
+        match *self {
+            JsonValue::Number(n)
+                if n.fract() == 0.0 && (0.0..MAX_EXACT_INTEGER as f64).contains(&n) =>
+            {
+                Some(n as u64)
+            }
+            _ => None,
         }
     }
 
@@ -604,9 +592,12 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| self.error(format!("number {text:?} out of range")))
+        // `str::parse` answers `Ok(inf)` past f64's range; JSON has no
+        // spelling for that, so it is out of range like a parse failure.
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(JsonValue::Number(n)),
+            _ => Err(self.error(format!("number {text:?} out of range"))),
+        }
     }
 }
 
@@ -672,7 +663,7 @@ mod tests {
     #[test]
     fn malformed_documents_report_positions() {
         let err = JsonValue::parse("{\"a\": }").unwrap_err();
-        assert_eq!((err.line(), err.column()), (1, 7));
+        assert_eq!((err.line(), err.column), (1, 7));
         let err = JsonValue::parse("[1,\n 2,]").unwrap_err();
         assert_eq!(err.line(), 2);
         assert!(JsonValue::parse("").is_err());
@@ -714,7 +705,29 @@ mod tests {
         assert_eq!(parse("7").as_usize(), Some(7));
         assert_eq!(parse("-1").as_u64(), None);
         assert_eq!(parse("1.5").as_u64(), None);
-        assert_eq!(parse("true").as_f64(), None);
+        assert_eq!(parse("true").as_u64(), None);
+    }
+
+    #[test]
+    fn integers_stop_below_two_to_the_53() {
+        assert_eq!(
+            parse("9007199254740991").as_u64(),
+            Some(MAX_EXACT_INTEGER - 1)
+        );
+        // 2^53, 2^53 + 1 and 2^53 + 0.5 all parse to the same f64.
+        for text in ["9007199254740992", "9007199254740993", "9007199254740992.5"] {
+            assert_eq!(parse(text).as_u64(), None, "{text}");
+        }
+    }
+
+    #[test]
+    fn numbers_past_the_f64_range_are_refused() {
+        for text in ["1e400", "-1e400", "[1, 2e999]"] {
+            let err = JsonValue::parse(text).unwrap_err();
+            assert!(err.to_string().contains("out of range"), "{text}: {err}");
+        }
+        // Underflow is not overflow: a tiny literal is a finite zero.
+        assert_eq!(parse("1e-400"), JsonValue::Number(0.0));
     }
 
     #[test]

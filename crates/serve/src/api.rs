@@ -529,7 +529,7 @@ pub fn algorithm_by_label(label: &str) -> Result<MappingAlgorithm, String> {
 /// # Errors
 ///
 /// Returns a message naming the malformed field.
-pub fn array_from_json(value: &JsonValue) -> Result<PimArray, String> {
+fn array_from_json(value: &JsonValue) -> Result<PimArray, String> {
     match value {
         JsonValue::String(text) => presets::parse_array(text).map_err(|e| e.to_string()),
         JsonValue::Object(_) => {
@@ -560,7 +560,7 @@ fn speedup_number(ratio: f64) -> JsonValue {
 }
 
 /// One mapping plan as JSON: window, tiling, cycle breakdown.
-pub fn plan_json(plan: &MappingPlan) -> JsonValue {
+fn plan_json(plan: &MappingPlan) -> JsonValue {
     JsonValue::object([
         ("algorithm", JsonValue::from(plan.algorithm().label())),
         ("window", JsonValue::from(plan.window().to_string())),
@@ -577,7 +577,7 @@ pub fn plan_json(plan: &MappingPlan) -> JsonValue {
 }
 
 /// One layer's comparison: the layer descriptor plus every plan.
-pub fn layer_json(comparison: &LayerComparison) -> JsonValue {
+fn layer_json(comparison: &LayerComparison) -> JsonValue {
     let layer = comparison.layer();
     JsonValue::object([
         ("layer", JsonValue::from(layer.name())),
@@ -638,7 +638,7 @@ pub fn report_json(report: &NetworkReport) -> JsonValue {
 
 /// A condensed report — identity, totals, speedups, no per-layer detail.
 /// `POST /v1/sweep` and `vwsdk sweep --format json` emit lists of these.
-pub fn report_summary_json(report: &NetworkReport) -> JsonValue {
+fn report_summary_json(report: &NetworkReport) -> JsonValue {
     let (totals, speedups) = totals_json(report);
     JsonValue::object([
         ("network", JsonValue::from(report.network_name())),
@@ -947,10 +947,7 @@ mod tests {
                     && s.get("baseline").and_then(JsonValue::as_str) == Some("im2col")
             })
             .unwrap();
-        assert_eq!(
-            headline.get("speedup").and_then(JsonValue::as_f64),
-            Some(4.67)
-        );
+        assert_eq!(headline.get("speedup"), Some(&JsonValue::Number(4.67)));
         // conv4 appears with the paper's 4x3x42x256 descriptor.
         assert!(json.render().contains("4x3x42x256"));
     }
@@ -958,7 +955,7 @@ mod tests {
     #[test]
     fn rendering_is_deterministic() {
         let report = Planner::new(arr(256, 256))
-            .plan_network(&zoo::tiny())
+            .plan_network(&zoo::by_name("tiny").unwrap())
             .unwrap();
         assert_eq!(report_json(&report).render(), report_json(&report).render());
         assert_eq!(
@@ -970,7 +967,7 @@ mod tests {
     #[test]
     fn summary_drops_layers_but_keeps_totals() {
         let report = Planner::new(arr(256, 256))
-            .plan_network(&zoo::tiny())
+            .plan_network(&zoo::by_name("tiny").unwrap())
             .unwrap();
         let summary = report_summary_json(&report);
         assert!(summary.get("layers").is_none());

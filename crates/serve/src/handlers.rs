@@ -177,11 +177,10 @@ mod tests {
             v.get("version").and_then(JsonValue::as_str),
             Some(env!("CARGO_PKG_VERSION"))
         );
-        let uptime = v
-            .get("uptime_seconds")
-            .and_then(JsonValue::as_f64)
-            .expect("uptime_seconds present");
-        assert!(uptime >= 0.0);
+        assert!(
+            matches!(v.get("uptime_seconds"), Some(JsonValue::Number(up)) if *up >= 0.0),
+            "{v}"
+        );
     }
 
     #[test]
@@ -496,14 +495,8 @@ mod tests {
             br#"{"network": "tiny", "array": "64x64", "seed": 42}"#,
         )
         .unwrap();
-        assert_eq!(
-            response.get("bit_exact").and_then(JsonValue::as_bool),
-            Some(true)
-        );
-        assert_eq!(
-            response.get("cycles_match").and_then(JsonValue::as_bool),
-            Some(true)
-        );
+        assert_eq!(response.get("bit_exact"), Some(&JsonValue::Bool(true)));
+        assert_eq!(response.get("cycles_match"), Some(&JsonValue::Bool(true)));
         assert_eq!(response.get("seed").and_then(JsonValue::as_u64), Some(42));
         assert_eq!(
             response.get("mode").and_then(JsonValue::as_str),
@@ -514,7 +507,7 @@ mod tests {
         let expected = s
             .engine()
             .simulate_network_batch_with(
-                &zoo::tiny(),
+                &zoo::by_name("tiny").unwrap(),
                 PimArray::new(64, 64).unwrap(),
                 MappingAlgorithm::VwSdk,
                 42,
@@ -548,10 +541,7 @@ mod tests {
         assert!(stages
             .iter()
             .all(|s| s.get("algorithm").and_then(JsonValue::as_str) == Some("im2col")));
-        assert_eq!(
-            response.get("bit_exact").and_then(JsonValue::as_bool),
-            Some(true)
-        );
+        assert_eq!(response.get("bit_exact"), Some(&JsonValue::Bool(true)));
     }
 
     #[test]
@@ -564,10 +554,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(response.get("batch").and_then(JsonValue::as_u64), Some(3));
-        assert_eq!(
-            response.get("bit_exact").and_then(JsonValue::as_bool),
-            Some(true)
-        );
+        assert_eq!(response.get("bit_exact"), Some(&JsonValue::Bool(true)));
         let single = simulate(
             &s,
             0,
@@ -702,7 +689,10 @@ mod tests {
         // The same reports `vwsdk sweep --format json` prints.
         let engine = vw_sdk::PlanningEngine::new();
         let reports = engine
-            .sweep_arrays(&[zoo::tiny()], &[PimArray::new(256, 256).unwrap()])
+            .sweep_arrays(
+                &[zoo::by_name("tiny").unwrap()],
+                &[PimArray::new(256, 256).unwrap()],
+            )
             .unwrap();
         let cli = api::sweep_json(&reports, &engine.stats(), &engine);
         assert_eq!(
@@ -715,7 +705,10 @@ mod tests {
     fn sweep_search_effort_survives_a_trimmed_memo() {
         let engine = vw_sdk::PlanningEngine::new();
         let reports = engine
-            .sweep_arrays(&[zoo::tiny()], &[PimArray::new(256, 256).unwrap()])
+            .sweep_arrays(
+                &[zoo::by_name("tiny").unwrap()],
+                &[PimArray::new(256, 256).unwrap()],
+            )
             .unwrap();
         // A trim between planning and rendering, from this request or a
         // concurrent one, empties the memo.

@@ -279,7 +279,7 @@ fn parse_complete(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpError> {
 }
 
 /// Standard reason phrase for the status codes the service emits.
-pub fn reason_phrase(status: u16) -> &'static str {
+fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -300,7 +300,7 @@ pub fn reason_phrase(status: u16) -> &'static str {
 /// Renders one complete response with explicit framing. `close`
 /// selects the `connection:` header — under keep-alive the
 /// `content-length` is what tells the client where the body ends.
-pub fn render_response(status: u16, content_type: &str, body: &str, close: bool) -> Vec<u8> {
+fn render_response(status: u16, content_type: &str, body: &str, close: bool) -> Vec<u8> {
     format!(
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n{}",
         status,
@@ -313,12 +313,13 @@ pub fn render_response(status: u16, content_type: &str, body: &str, close: bool)
     .into_bytes()
 }
 
-/// [`render_response`] with the JSON content type.
+/// One complete response with the JSON content type. `close` selects
+/// the `connection:` header.
 pub fn render_json_response(status: u16, body: &str, close: bool) -> Vec<u8> {
     render_response(status, "application/json", body, close)
 }
 
-/// [`render_response`] with the Prometheus text exposition
+/// One complete response with the Prometheus text exposition
 /// content-type (version 0.0.4).
 pub fn render_text_response(status: u16, body: &str, close: bool) -> Vec<u8> {
     render_response(

@@ -115,11 +115,8 @@ fn metrics_counters_advance_across_a_scripted_sequence() {
     assert_eq!(status, 200);
     let health = JsonValue::parse(&health).expect("healthz is JSON");
     assert!(
-        health
-            .get("uptime_seconds")
-            .and_then(JsonValue::as_f64)
-            .unwrap()
-            >= 0.0
+        matches!(health.get("uptime_seconds"), Some(JsonValue::Number(up)) if *up >= 0.0),
+        "{health}"
     );
     assert_eq!(
         health.get("version").and_then(JsonValue::as_str),

@@ -61,15 +61,19 @@ fn concurrent_plans_are_byte_identical_to_the_sequential_planner() {
 
     // Zoo-name and inline-spec queries, interleaved, 4 threads x 6 requests.
     let resnet_body = r#"{"network": "resnet18", "array": "512x512"}"#.to_string();
-    let spec_json = NetworkSpec::from_network(&zoo::tiny()).to_json().render();
+    let spec_json = NetworkSpec::from_network(&zoo::by_name("tiny").unwrap())
+        .to_json()
+        .render();
     let spec_body = format!("{{\"spec\": {spec_json}, \"array\": \"256x256\"}}");
 
     let resnet_expected = expected_plan_prefix(
         &zoo::resnet18_table1(),
         PimArray::new(512, 512).expect("positive"),
     );
-    let tiny_expected =
-        expected_plan_prefix(&zoo::tiny(), PimArray::new(256, 256).expect("positive"));
+    let tiny_expected = expected_plan_prefix(
+        &zoo::by_name("tiny").unwrap(),
+        PimArray::new(256, 256).expect("positive"),
+    );
 
     std::thread::scope(|scope| {
         for worker in 0..4 {
@@ -223,7 +227,7 @@ fn simulate_round_trips_the_shared_simulation_schema() {
     let engine = vw_sdk::PlanningEngine::new();
     let expected = engine
         .simulate_network_batch_with(
-            &zoo::lenet5(),
+            &zoo::by_name("lenet5").unwrap(),
             PimArray::new(96, 64).expect("positive"),
             pim_mapping::MappingAlgorithm::VwSdk,
             7,
@@ -234,14 +238,8 @@ fn simulate_round_trips_the_shared_simulation_schema() {
         .expect("executable network");
     assert_eq!(payload, api::simulation_json(&expected).render());
     let body = JsonValue::parse(&payload).expect("simulate body is JSON");
-    assert_eq!(
-        body.get("bit_exact").and_then(JsonValue::as_bool),
-        Some(true)
-    );
-    assert_eq!(
-        body.get("cycles_match").and_then(JsonValue::as_bool),
-        Some(true)
-    );
+    assert_eq!(body.get("bit_exact"), Some(&JsonValue::Bool(true)));
+    assert_eq!(body.get("cycles_match"), Some(&JsonValue::Bool(true)));
 
     // Unchained networks answer a structured 422.
     let (status, payload) = request(addr, "POST", "/v1/simulate", r#"{"network": "mobilenet"}"#);

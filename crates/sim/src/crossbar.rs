@@ -7,7 +7,7 @@ use pim_tensor::{Scalar, Tensor4};
 /// One crossbar array holding programmed weights.
 ///
 /// The convention throughout the project: rows are inputs, columns are
-/// outputs, and one [`Crossbar::mvm`] — the per-column accumulation of
+/// outputs, and one matrix-vector multiply — the per-column accumulation of
 /// `input × conductance` — is one computing cycle.
 ///
 /// Only programmed cells are stored. Each row keeps them as runs of
@@ -33,7 +33,9 @@ use pim_tensor::{Scalar, Tensor4};
 ///     weight: WeightCoord { oc, ic: 0, ky: 0, kx: 0 },
 /// };
 /// let xbar = Crossbar::program(2, 2, &[cell(0, 0, 0), cell(1, 1, 1)], &bank).unwrap();
-/// assert_eq!(xbar.mvm(&[10, 100]).unwrap(), vec![30, 500]);
+/// let mut out = Vec::new();
+/// xbar.mvm_batch_into(&[10, 100], 1, &mut out).unwrap();
+/// assert_eq!(out, vec![30, 500]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Crossbar<T> {
@@ -190,7 +192,8 @@ impl<T: Scalar> Crossbar<T> {
     /// # Errors
     ///
     /// Returns [`SimError`] if `input.len() != rows`.
-    pub fn mvm(&self, input: &[T]) -> Result<Vec<T>> {
+    #[cfg(test)]
+    fn mvm(&self, input: &[T]) -> Result<Vec<T>> {
         let mut out = Vec::new();
         self.mvm_batch_into(input, 1, &mut out)?;
         Ok(out)
@@ -263,7 +266,7 @@ mod tests {
 
     #[test]
     fn mvm_rejects_wrong_input_length() {
-        let bank = gen::ramp4::<i32>(1, 1, 1, 1);
+        let bank = gen::random4::<i32>(1, 1, 1, 1, 7);
         let x = Crossbar::program(3, 2, &[], &bank).unwrap();
         assert!(x.mvm(&[1, 2]).is_err());
         assert_eq!(x.mvm(&[1, 2, 3]).unwrap(), vec![0, 0]);
@@ -271,7 +274,7 @@ mod tests {
 
     #[test]
     fn program_reads_weight_bank_and_last_write_wins() {
-        let weights = gen::ramp4::<i64>(2, 1, 2, 2);
+        let weights = gen::random4::<i64>(2, 1, 2, 2, 7);
         let cells = [
             cell(0, 0, 0, 0, 0, 0),
             cell(3, 1, 0, 0, 1, 0),
@@ -285,7 +288,7 @@ mod tests {
 
     #[test]
     fn batched_mvm_matches_per_element_mvm() {
-        let weights = gen::ramp4::<i64>(4, 2, 2, 2);
+        let weights = gen::random4::<i64>(4, 2, 2, 2, 7);
         let cells: Vec<_> = (0..8)
             .flat_map(|r| (0..4).map(move |c| cell(r, c, c, r % 2, (r / 2) % 2, r / 4)))
             .collect();
@@ -361,7 +364,7 @@ mod tests {
 
     #[test]
     fn program_validates_bounds() {
-        let weights = gen::ramp4::<i64>(1, 1, 2, 2);
+        let weights = gen::random4::<i64>(1, 1, 2, 2, 7);
         assert!(Crossbar::program(2, 2, &[cell(2, 0, 0, 0, 0, 0)], &weights).is_err());
         assert!(Crossbar::program(2, 2, &[cell(0, 2, 0, 0, 0, 0)], &weights).is_err());
         assert!(Crossbar::program(2, 2, &[cell(0, 0, 1, 0, 0, 0)], &weights).is_err());

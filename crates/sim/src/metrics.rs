@@ -47,21 +47,6 @@ impl RunStats {
         self.array_programmings += 1;
     }
 
-    /// Accumulates another run's counters into this one (used when one
-    /// logical layer executes as several sub-runs, e.g. the per-group
-    /// executions of a grouped convolution).
-    pub fn absorb(&mut self, other: &RunStats) {
-        self.computing_cycles += other.computing_cycles;
-        self.macs += other.macs;
-        self.adc_conversions += other.adc_conversions;
-        self.dac_conversions += other.dac_conversions;
-        self.array_programmings += other.array_programmings;
-        self.energy.adc_pj += other.energy.adc_pj;
-        self.energy.dac_pj += other.energy.dac_pj;
-        self.energy.cell_pj += other.energy.cell_pj;
-        self.energy.digital_pj += other.energy.digital_pj;
-    }
-
     /// Total energy in picojoules.
     pub fn energy_pj(&self) -> f64 {
         self.energy.total_pj()

@@ -163,6 +163,7 @@ impl NetworkExecutor {
     }
 
     /// Sets the inter-stage value policy.
+    // lint:allow(unused-pub) seam: crates/sim/tests/batch_equivalence.rs runs both modes
     pub fn with_mode(mut self, mode: ExecMode) -> Self {
         self.mode = mode;
         self
@@ -195,6 +196,7 @@ impl NetworkExecutor {
     /// Returns [`SimError`] for an empty batch, if the plan list or
     /// weight banks do not match the network, the network does not
     /// chain spatially, or a stage fails to simulate.
+    // lint:allow(unused-pub) seam: crates/sim/tests/batch_equivalence.rs streams its own inputs
     pub fn execute_batch<T: Scalar + Send + Sync>(
         &self,
         network: &Network,
@@ -466,8 +468,8 @@ fn ifm_seed(seed: u64, element: usize) -> u64 {
 /// # Errors
 ///
 /// Returns [`SimError`] under the same conditions as
-/// [`NetworkExecutor::execute_batch`] and [`ScalarWidth::for_stages`],
-/// for an empty network, or when `batch == 0`.
+/// [`NetworkExecutor::execute_batch`], when a stage's bound exceeds the
+/// `i128` budget, for an empty network, or when `batch == 0`.
 pub fn simulate_network_batch(
     network: &Network,
     plans: &[MappingPlan],
@@ -556,7 +558,7 @@ impl ScalarWidth {
     /// the `i128` budget: in release builds integer overflow wraps
     /// *identically* on the executor and reference sides, which would
     /// report "bit-exact" over garbage values.
-    pub fn for_stages(network: &Network, mode: ExecMode) -> Result<Vec<Self>> {
+    fn for_stages(network: &Network, mode: ExecMode) -> Result<Vec<Self>> {
         let magnitude_bits = f64::from(gen::MAGNITUDE).log2();
         let limit_bits = Self::I128.budget_bits();
         let mut bound = magnitude_bits;
@@ -834,7 +836,7 @@ mod tests {
 
     #[test]
     fn tiny_network_is_bit_exact_under_every_paper_algorithm() {
-        let net = zoo::tiny();
+        let net = zoo::by_name("tiny").unwrap();
         let array = PimArray::new(64, 64).unwrap();
         for alg in MappingAlgorithm::paper_trio() {
             for mode in [ExecMode::Exact, ExecMode::Quantized] {
@@ -849,7 +851,7 @@ mod tests {
 
     #[test]
     fn lenet5_pools_between_stages_and_stays_exact() {
-        let net = zoo::lenet5();
+        let net = zoo::by_name("lenet5").unwrap();
         let array = PimArray::new(96, 64).unwrap();
         let plans = plans_for(&net, array, MappingAlgorithm::VwSdk);
         let report = simulate_network_batch(&net, &plans, 7, ExecMode::Exact, 1, 1).unwrap();
@@ -862,7 +864,7 @@ mod tests {
 
     #[test]
     fn executor_rejects_mismatched_plan_lists() {
-        let net = zoo::tiny();
+        let net = zoo::by_name("tiny").unwrap();
         let array = PimArray::new(64, 64).unwrap();
         let mut plans = plans_for(&net, array, MappingAlgorithm::VwSdk);
         plans.pop();
@@ -918,7 +920,7 @@ mod tests {
 
     #[test]
     fn batch_simulation_aggregates_and_counts_programmings_once() {
-        let net = zoo::lenet5();
+        let net = zoo::by_name("lenet5").unwrap();
         let array = PimArray::new(96, 64).unwrap();
         let plans = plans_for(&net, array, MappingAlgorithm::VwSdk);
         let single = simulate_network_batch(&net, &plans, 7, ExecMode::Exact, 1, 1).unwrap();
@@ -937,7 +939,7 @@ mod tests {
 
     #[test]
     fn batch_reports_are_jobs_invariant() {
-        let net = zoo::tiny();
+        let net = zoo::by_name("tiny").unwrap();
         let array = PimArray::new(64, 64).unwrap();
         let plans = plans_for(&net, array, MappingAlgorithm::VwSdk);
         let serial = simulate_network_batch(&net, &plans, 9, ExecMode::Quantized, 5, 1).unwrap();
@@ -950,7 +952,7 @@ mod tests {
 
     #[test]
     fn sharded_verification_counts_every_element_once() {
-        let net = zoo::tiny();
+        let net = zoo::by_name("tiny").unwrap();
         let array = PimArray::new(64, 64).unwrap();
         let plans = plans_for(&net, array, MappingAlgorithm::VwSdk);
         let (ifms, weights) = seeded_data::<i32>(&net, 9, 5);
@@ -1009,7 +1011,7 @@ mod tests {
 
     #[test]
     fn zero_batches_are_rejected() {
-        let net = zoo::tiny();
+        let net = zoo::by_name("tiny").unwrap();
         let array = PimArray::new(64, 64).unwrap();
         let plans = plans_for(&net, array, MappingAlgorithm::VwSdk);
         let err = simulate_network_batch(&net, &plans, 1, ExecMode::Quantized, 0, 1).unwrap_err();
@@ -1111,12 +1113,13 @@ mod tests {
         let chain = chain_with_bound(ScalarWidth::I128.budget_bits() - 2, 3);
         let widths = ScalarWidth::for_stages(&chain, ExecMode::Exact).unwrap();
         assert_eq!(widths.last(), Some(&ScalarWidth::I128));
-        let (last, body) = chain.layers().split_last().unwrap();
-        let mut net = Network::new("pooled");
-        for layer in body {
-            net.push(layer.clone());
-        }
-        net.push_stage(last.clone(), vec![InterOp::avg_pool(3)]);
+        let mut stages: Vec<_> = chain
+            .layers()
+            .iter()
+            .map(|l| (l.clone(), Vec::new()))
+            .collect();
+        stages.last_mut().unwrap().1.push(InterOp::avg_pool(3));
+        let net = Network::from_stages("pooled", stages);
         let array = PimArray::new(512, 512).unwrap();
         let plans = plans_for(&net, array, MappingAlgorithm::Im2col);
         let err = simulate_network_batch(&net, &plans, 1, ExecMode::Exact, 1, 1).unwrap_err();
@@ -1133,9 +1136,9 @@ mod tests {
         use ScalarWidth::{I128, I32, I64};
         // Each network's exact-mode schedule; quantized runs are all i32.
         let cases = [
-            (zoo::lenet5(), vec![I32, I32]),
-            (zoo::dilated_context(), vec![I32, I32, I64]),
-            (zoo::tiny(), vec![I32, I32]),
+            (zoo::by_name("lenet5").unwrap(), vec![I32, I32]),
+            (zoo::by_name("dilated").unwrap(), vec![I32, I32, I64]),
+            (zoo::by_name("tiny").unwrap(), vec![I32, I32]),
             (
                 zoo::vgg13_sim(),
                 [vec![I32, I32], vec![I64; 3], vec![I128; 5]].concat(),

@@ -487,16 +487,24 @@ impl<T: Scalar> ProgrammedStage<T> {
 mod tests {
     use super::*;
     use pim_arch::PimArray;
-    use pim_tensor::forward::conv_params;
-    use pim_tensor::{conv2d_grouped, gen};
+    use pim_nets::Network;
+    use pim_tensor::forward::{forward, ExecMode};
+    use pim_tensor::gen;
 
-    /// The reference convolution of `layer` (grouped for grouped layers).
+    /// The reference convolution of `layer`: a one-layer forward pass.
     fn reference<T: Scalar>(
         layer: &ConvLayer,
         ifm: &Tensor3<T>,
         weights: &Tensor4<T>,
     ) -> Tensor3<T> {
-        conv2d_grouped(ifm, weights, conv_params(layer), layer.groups()).unwrap()
+        let network = Network::from_layers("reference", vec![layer.clone()]);
+        forward(
+            &network,
+            ifm,
+            std::slice::from_ref(weights),
+            ExecMode::Exact,
+        )
+        .unwrap()
     }
 
     fn check_batched(plan: &MappingPlan, seed: u64) {
@@ -648,5 +656,57 @@ mod tests {
         assert_eq!(xbar.programmed_cells(), 51_744);
         let most = (0..xbar.rows()).map(|r| xbar.runs_in_row(r)).max();
         assert!(most <= Some(conv1.kernel_h()), "{most:?} runs in one row");
+    }
+
+    #[test]
+    fn programmed_cells_reproduce_eq_9_utilization_at_paper_scale() {
+        // Fig. 9's eq. (9), read back from the programmed crossbars: VGG-13
+        // conv5 and ResNet-18's five Table I layers under the paper trio on
+        // 512x512. A tile's crossbar keeps one entry per distinct cell, so
+        // equal counts also show that no layout cell is written twice.
+        let array = PimArray::new(512, 512).unwrap();
+        let total = (array.rows() * array.cols()) as f64;
+        let vgg13 = pim_nets::zoo::vgg13();
+        let resnet18 = pim_nets::zoo::resnet18_table1();
+        let vgg13_conv5 = std::iter::once((true, &vgg13.layers()[4]));
+        for (is_vgg13_conv5, layer) in
+            vgg13_conv5.chain(resnet18.layers().iter().map(|l| (false, l)))
+        {
+            let (oc, ic, kh, kw) = (
+                layer.out_channels(),
+                layer.in_channels(),
+                layer.kernel_h(),
+                layer.kernel_w(),
+            );
+            let weights = gen::random4::<i32>(oc, ic, kh, kw, 9);
+            for algorithm in MappingAlgorithm::paper_trio() {
+                let plan = algorithm.plan(layer, array).unwrap();
+                let stage =
+                    ProgrammedStage::program(&plan, &weights, &mut RunStats::new()).unwrap();
+                let StageKind::Windowed { tiles, .. } = &stage.kind else {
+                    panic!("{algorithm} programs windowed tiles");
+                };
+                let mut cells = Vec::with_capacity(tiles.len());
+                for tile in tiles {
+                    assert_eq!(tile.xbar.programmed_cells(), tile.used_cells);
+                    cells.push(tile.xbar.programmed_cells());
+                }
+                let mean = cells.iter().map(|&c| c as f64 / total).sum::<f64>()
+                    / tiles.len() as f64
+                    * 100.0;
+                let peak = cells.iter().copied().max().unwrap();
+                let expected = pim_mapping::utilization::utilization(&plan).unwrap();
+                let context = format!("{} {algorithm}", layer.name());
+                assert!((mean - expected.mean_nonzero).abs() < 1e-9, "{context}");
+                assert!(
+                    (peak as f64 / total * 100.0 - expected.peak_nonzero).abs() < 1e-9,
+                    "{context}"
+                );
+                if is_vgg13_conv5 && algorithm == MappingAlgorithm::VwSdk {
+                    // The paper's "up to 73.8 %": 9·42·512 / 512².
+                    assert_eq!(peak, 9 * 42 * 512, "{context}");
+                }
+            }
+        }
     }
 }

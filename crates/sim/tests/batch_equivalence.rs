@@ -136,7 +136,7 @@ fn batch_equals_sequential_across_the_executable_zoo() {
 
 #[test]
 fn batch_equals_sequential_under_every_paper_algorithm() {
-    let network = pim_nets::zoo::tiny();
+    let network = pim_nets::zoo::by_name("tiny").unwrap();
     let array = PimArray::new(64, 64).unwrap();
     for alg in MappingAlgorithm::all() {
         let plans = plans_for(&network, array, alg);

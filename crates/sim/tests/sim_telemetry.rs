@@ -6,16 +6,13 @@
 use pim_arch::PimArray;
 use pim_mapping::{MappingAlgorithm, MappingPlan};
 use pim_nets::zoo;
-use pim_sim::{simulate_network_batch, ExecMode, ScalarWidth};
+use pim_sim::{simulate_network_batch, ExecMode};
 
 #[test]
 fn a_two_segment_simulation_records_its_counters_once() {
-    use ScalarWidth::{I32, I64};
+    // Exact resnet18-sim runs two stages in i32, then three in i64; the
+    // simulator's width unit tests pin that schedule.
     let net = zoo::resnet18_sim();
-    assert_eq!(
-        ScalarWidth::for_stages(&net, ExecMode::Exact),
-        Ok(vec![I32, I32, I64, I64, I64])
-    );
     let array = PimArray::new(512, 512).expect("valid array");
     let plans: Vec<MappingPlan> = net
         .layers()

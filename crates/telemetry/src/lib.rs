@@ -58,7 +58,7 @@ pub use registry::{
     Buckets, Counter, CounterSample, Gauge, GaugeSample, Histogram, HistogramSample, MetricKind,
     Registry, Snapshot,
 };
-pub use span::{set_trace_sink, trace_enabled, trace_to_stderr, SpanGuard};
+pub use span::{set_trace_sink, trace_to_stderr, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;

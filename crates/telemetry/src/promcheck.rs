@@ -339,7 +339,6 @@ mod tests {
         let reg = Registry::new();
         reg.counter("ok_total", "things", &[("endpoint", "/v1/plan")])
             .inc();
-        reg.gauge("ok_gauge", "level", &[]).set(3.5);
         let h = reg.histogram(
             "ok_seconds",
             "latency",

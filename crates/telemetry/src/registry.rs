@@ -88,14 +88,6 @@ impl Buckets {
         ])
     }
 
-    /// Layout for payload/work sizes: powers of four from 1 to ~16 M.
-    pub fn sizes() -> Self {
-        Buckets::new(vec![
-            1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0, 262144.0, 1048576.0,
-            4194304.0, 16777216.0,
-        ])
-    }
-
     /// The finite upper bounds, ascending.
     pub fn bounds(&self) -> &[f64] {
         &self.bounds
@@ -153,14 +145,9 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// Sets the gauge. No-op while telemetry is disabled.
-    pub fn set(&self, value: f64) {
-        if crate::enabled() {
-            self.inner.bits.store(value.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    fn set_unchecked(&self, value: f64) {
+    /// Sets the gauge, enabled or not: the registry's only gauges are its
+    /// own process facts, not measurements the switch pauses.
+    fn set(&self, value: f64) {
         self.inner.bits.store(value.to_bits(), Ordering::Relaxed);
     }
 
@@ -370,13 +357,13 @@ impl Registry {
             "Unix timestamp at which this registry (and process) started.",
             &[],
         )
-        .set_unchecked(started_unix);
+        .set(started_unix);
         reg.gauge(
             "pim_build_info",
             "Constant 1, labelled with the build version.",
             &[("version", env!("CARGO_PKG_VERSION"))],
         )
-        .set_unchecked(1.0);
+        .set(1.0);
         reg
     }
 
@@ -419,7 +406,7 @@ impl Registry {
 
     /// Registers (or finds) a gauge series and returns its handle.
     /// Panics if `name` is already registered with a different kind.
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
+    fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
         let id = Registry::id(name, labels);
         if let Some(entry) = self.metrics.read().expect("registry lock").get(&id) {
             return Gauge {

@@ -7,26 +7,21 @@ use pim_telemetry::{global, set_enabled, Buckets};
 #[test]
 fn disabling_freezes_all_recording() {
     let counter = global().counter("disabled_test_total", "test", &[]);
-    let gauge = global().gauge("disabled_test_gauge", "test", &[]);
     let hist = global().histogram("disabled_test_seconds", "test", &[], Buckets::latency());
 
     counter.inc();
-    gauge.set(7.0);
     hist.observe(0.01);
     assert_eq!(counter.get(), 1);
-    assert_eq!(gauge.get(), 7.0);
     assert_eq!(hist.count(), 1);
 
     set_enabled(false);
     assert!(!pim_telemetry::enabled());
     counter.add(10);
-    gauge.set(99.0);
     hist.observe(0.5);
     {
         let _span = pim_telemetry::span!("disabled_test.span");
     }
     assert_eq!(counter.get(), 1, "counter frozen while disabled");
-    assert_eq!(gauge.get(), 7.0, "gauge frozen while disabled");
     assert_eq!(hist.count(), 1, "histogram frozen while disabled");
 
     // Rendering still works on frozen values.

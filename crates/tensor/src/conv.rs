@@ -329,7 +329,7 @@ mod tests {
     #[test]
     fn direct_single_pixel_identity() {
         // 1x1 kernel with weight 1 copies the input.
-        let ifm = gen::ramp3::<i32>(2, 3, 3);
+        let ifm = gen::random3::<i32>(2, 3, 3, 7);
         let w = Tensor4::from_vec(2, 2, 1, 1, vec![1, 0, 0, 1]).unwrap();
         let o = conv2d_direct(&ifm, &w, Conv2dParams::unit()).unwrap();
         assert_eq!(o, ifm);
@@ -350,7 +350,7 @@ mod tests {
         // A 5x5 kernel over a padded 1x1 input: every tap but the center
         // reads padding.
         let pixel = Tensor3::from_vec(1, 1, 1, vec![7]).unwrap();
-        let w = gen::ramp4::<i32>(1, 1, 5, 5);
+        let w = gen::random4::<i32>(1, 1, 5, 5, 7);
         let o = conv2d_direct(&pixel, &w, pad(2)).unwrap();
         assert_eq!(o.as_slice(), &[7 * w.get(0, 0, 2, 2)]);
     }
@@ -393,15 +393,15 @@ mod tests {
 
     #[test]
     fn grouped_rejects_indivisible_channels() {
-        let ifm = gen::ramp3::<i32>(3, 5, 5);
-        let w = gen::ramp4::<i32>(4, 1, 3, 3);
+        let ifm = gen::random3::<i32>(3, 5, 5, 7);
+        let w = gen::random4::<i32>(4, 1, 3, 3, 7);
         assert!(conv2d_grouped(&ifm, &w, Conv2dParams::unit(), 2).is_err());
     }
 
     #[test]
     fn channel_mismatch_is_rejected() {
-        let ifm = gen::ramp3::<i32>(3, 5, 5);
-        let w = gen::ramp4::<i32>(2, 4, 3, 3);
+        let ifm = gen::random3::<i32>(3, 5, 5, 7);
+        let w = gen::random4::<i32>(2, 4, 3, 3, 7);
         assert!(conv2d_direct(&ifm, &w, Conv2dParams::unit()).is_err());
     }
 }

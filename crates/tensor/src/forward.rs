@@ -77,7 +77,7 @@ impl std::fmt::Display for ExecMode {
 /// The convolution parameter block of a layer descriptor — the single
 /// place layer hyper-parameters turn into [`Conv2dParams`], shared by
 /// the reference kernels and the simulator.
-pub fn conv_params(layer: &ConvLayer) -> Conv2dParams {
+fn conv_params(layer: &ConvLayer) -> Conv2dParams {
     Conv2dParams {
         stride_h: layer.stride(),
         stride_w: layer.stride(),
@@ -93,7 +93,7 @@ pub fn conv_params(layer: &ConvLayer) -> Conv2dParams {
 /// # Errors
 ///
 /// Returns [`ShapeError`] if a pooling kernel does not fit.
-pub fn apply_op<T: Scalar>(op: InterOp, input: &Tensor3<T>) -> Result<Tensor3<T>> {
+fn apply_op<T: Scalar>(op: InterOp, input: &Tensor3<T>) -> Result<Tensor3<T>> {
     match op {
         InterOp::Identity => Ok(input.clone()),
         InterOp::Relu => Ok(relu(input)),
@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn forward_on_tiny_matches_manual_chain() {
-        let net = zoo::tiny();
+        let net = zoo::by_name("tiny").unwrap();
         let ifm = gen::random3::<i64>(2, 8, 8, 1);
         let weights = vec![
             gen::random4::<i64>(4, 2, 3, 3, 2),
@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn forward_validates_weight_count_and_chaining() {
-        let net = zoo::tiny();
+        let net = zoo::by_name("tiny").unwrap();
         let ifm = gen::random3::<i64>(2, 8, 8, 1);
         assert!(forward(&net, &ifm, &[], ExecMode::Exact).is_err());
         // Paper-form VGG-13 does not chain spatially.

@@ -27,22 +27,6 @@ fn next_value<T: Scalar>(rng: &mut StdRng) -> T {
     }
 }
 
-/// A `c × h × w` feature map with the deterministic ramp pattern.
-pub fn ramp3<T: Scalar>(c: usize, h: usize, w: usize) -> Tensor3<T> {
-    let data = (0..c * h * w)
-        .map(|i| T::from_u16((i % 251) as u16))
-        .collect();
-    Tensor3::from_vec(c, h, w, data).expect("ramp3 length is consistent by construction")
-}
-
-/// An `oc × ic × kh × kw` weight bank with the deterministic ramp pattern.
-pub fn ramp4<T: Scalar>(oc: usize, ic: usize, kh: usize, kw: usize) -> Tensor4<T> {
-    let data = (0..oc * ic * kh * kw)
-        .map(|i| T::from_u16((i % 251) as u16))
-        .collect();
-    Tensor4::from_vec(oc, ic, kh, kw, data).expect("ramp4 length is consistent by construction")
-}
-
 /// A seeded pseudo-random `c × h × w` feature map with values in [-8, 8].
 pub fn random3<T: Scalar>(c: usize, h: usize, w: usize, seed: u64) -> Tensor3<T> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -62,21 +46,6 @@ pub fn random4<T: Scalar>(oc: usize, ic: usize, kh: usize, kw: usize, seed: u64)
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ramps_are_deterministic() {
-        let a = ramp3::<i32>(2, 3, 3);
-        let b = ramp3::<i32>(2, 3, 3);
-        assert_eq!(a, b);
-        assert_eq!(a.get(0, 0, 1), 1);
-        assert_eq!(a.get(1, 0, 0), 9);
-    }
-
-    #[test]
-    fn ramp_values_wrap_below_251() {
-        let t = ramp3::<i32>(2, 13, 10);
-        assert!(t.as_slice().iter().all(|&v| (0..251).contains(&v)));
-    }
 
     #[test]
     fn random_is_seed_stable() {

@@ -25,8 +25,8 @@
 //! ```
 //! use pim_tensor::{conv, gen, Conv2dParams, Tensor3, Tensor4};
 //!
-//! let ifm: Tensor3<i64> = gen::ramp3(3, 8, 8);
-//! let weights: Tensor4<i64> = gen::ramp4(4, 3, 3, 3);
+//! let ifm: Tensor3<i64> = gen::random3(3, 8, 8, 7);
+//! let weights: Tensor4<i64> = gen::random4(4, 3, 3, 3, 7);
 //! let ofm = conv::conv2d_direct(&ifm, &weights, Conv2dParams::unit()).unwrap();
 //! assert_eq!(ofm.dims(), (4, 6, 6));
 //! ```

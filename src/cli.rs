@@ -29,7 +29,7 @@
 use pim_arch::{presets, PimArray};
 use pim_mapping::MappingAlgorithm;
 use pim_nets::{zoo, ConvLayer, Network};
-use pim_report::json::JsonValue;
+use pim_report::json::{JsonValue, MAX_EXACT_INTEGER};
 use pim_report::table::{Align, TextTable};
 use pim_report::{fmt_f64, fmt_speedup};
 use pim_sim::verify::verify_plan;
@@ -128,7 +128,9 @@ COMMANDS (each takes only the options listed with it, plus the global ones):
                                      runs the pim-lint rules over the
                                      workspace (unsafe placement, SAFETY:
                                      and ORDERING: justifications, banned
-                                     macros, doc-table drift); exits
+                                     macros, doc-table drift, public items
+                                     no other file names) and prints each
+                                     crate's non-test line count; exits
                                      nonzero on any violation — the same
                                      gate CI and the repo's own test
                                      suite enforce (docs/STATIC_ANALYSIS.md)
@@ -308,14 +310,18 @@ fn own_flags(command: &str) -> Option<Vec<&'static str>> {
     Some(flags.collect())
 }
 
-/// A flag's integer value. JSON numbers are exact up to 2^53, so the
-/// CLI takes no larger integer than a request body can carry.
+/// A flag's integer value. A request body's integers stop below 2^53
+/// ([`MAX_EXACT_INTEGER`]), so the CLI takes no larger one either.
 fn integer<T: TryFrom<u64>>(text: &str, flag: &str) -> Result<T, CliError> {
     text.parse::<u64>()
         .ok()
-        .filter(|&n| n <= 1 << 53)
+        .filter(|&n| n < MAX_EXACT_INTEGER)
         .and_then(|n| T::try_from(n).ok())
-        .ok_or_else(|| CliError::new(format!("{flag} expects an integer <= 2^53, got {text:?}")))
+        .ok_or_else(|| {
+            CliError::new(format!(
+                "{flag} expects an integer below 2^53, got {text:?}"
+            ))
+        })
 }
 
 /// One command line's flags, each with the last value given for it.
@@ -370,10 +376,11 @@ impl<'a> Flags<'a> {
     /// Lowers a request command's flags into the body of the matching
     /// `POST /v1/*` request: each flag becomes the member of its own name,
     /// a number when its value is all digits and a string otherwise, so
-    /// the request checks its types. `--spec FILE` inlines the file
-    /// (sweep: as the one-entry `"specs"` list), and sweep's `--networks`
-    /// and `--arrays` become lists, except that a whole `--networks all`
-    /// stays the string `"all"`. `--jobs` and `--format` are the CLI's own.
+    /// the request checks its types and integer ranges. `--spec FILE`
+    /// inlines the file (sweep: as the one-entry `"specs"` list), and
+    /// sweep's `--networks` and `--arrays` become lists, except that a
+    /// whole `--networks all` stays the string `"all"`. `--jobs` and
+    /// `--format` are the CLI's own.
     fn request_body(&self, command: &str) -> Result<JsonValue, CliError> {
         let mut members = Vec::with_capacity(self.0.len());
         for &(flag, value) in &self.0 {
@@ -389,7 +396,7 @@ impl<'a> Flags<'a> {
                     JsonValue::array(value.split(',').map(JsonValue::from)),
                 ),
                 (_, member) => match value.parse::<u64>() {
-                    Ok(_) => (member, JsonValue::from(integer::<u64>(value, flag)?)),
+                    Ok(n) => (member, JsonValue::from(n)),
                     Err(_) => (member, JsonValue::from(value)),
                 },
             });
@@ -935,9 +942,19 @@ pub fn run(command: &Command) -> std::result::Result<String, CliError> {
                         ("message", JsonValue::from(v.message.as_str())),
                     ])
                 });
+                let per_crate = report
+                    .lines
+                    .iter()
+                    .map(|(krate, &count)| (krate.as_str(), JsonValue::from(count)));
+                let lines = JsonValue::object([
+                    ("per_crate", JsonValue::object(per_crate)),
+                    ("crates_and_src", JsonValue::from(report.library_lines())),
+                    ("total", JsonValue::from(report.total_lines())),
+                ]);
                 let rendered = JsonValue::object([
                     ("files_scanned", JsonValue::from(report.files_scanned)),
                     ("clean", JsonValue::from(report.is_clean())),
+                    ("lines", lines),
                     ("violations", JsonValue::array(violations)),
                 ])
                 .render_pretty();
@@ -946,16 +963,29 @@ pub fn run(command: &Command) -> std::result::Result<String, CliError> {
                 }
                 return Err(CliError::new(rendered));
             }
-            if report.is_clean() {
-                return Ok(format!("checked {} files: clean\n", report.files_scanned));
+            let mut out: String = report.violations.iter().map(|v| format!("{v}\n")).collect();
+            out.push_str(
+                "non-test lines (non-blank, outside tests/, benches/ and #[cfg(test)] items):\n",
+            );
+            for (krate, count) in &report.lines {
+                out.push_str(&format!("  {krate:<22} {count:>6}\n"));
             }
-            let listing: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();
-            Err(CliError::new(format!(
-                "{}\nchecked {} files: {} violation(s)",
-                listing.join("\n"),
+            out.push_str(&format!(
+                "  {:<22} {:>6}\n",
+                "crates/ + src/",
+                report.library_lines()
+            ));
+            out.push_str(&format!("  {:<22} {:>6}\n", "total", report.total_lines()));
+            if report.is_clean() {
+                out.push_str(&format!("checked {} files: clean\n", report.files_scanned));
+                return Ok(out);
+            }
+            out.push_str(&format!(
+                "checked {} files: {} violation(s)",
                 report.files_scanned,
                 report.violations.len()
-            )))
+            ));
+            Err(CliError::new(out))
         }
         Command::Verify {
             network,
@@ -1541,7 +1571,7 @@ mod tests {
     fn simulate_fails_on_a_mismatch_or_a_cycle_disagreement() {
         let report = vw_sdk::PlanningEngine::new()
             .simulate_network_batch_with(
-                &zoo::tiny(),
+                &zoo::by_name("tiny").unwrap(),
                 PimArray::new(64, 64).unwrap(),
                 MappingAlgorithm::VwSdk,
                 42,
@@ -1581,7 +1611,7 @@ mod tests {
         let out = run(&cmd).unwrap();
         let expected = vw_sdk::PlanningEngine::new()
             .simulate_network_batch_with(
-                &zoo::lenet5(),
+                &zoo::by_name("lenet5").unwrap(),
                 PimArray::new(96, 64).unwrap(),
                 MappingAlgorithm::VwSdk,
                 7,
@@ -1702,8 +1732,8 @@ mod tests {
     #[test]
     fn plan_from_a_spec_file_runs() {
         let path = std::env::temp_dir().join("vwsdk-cli-spec-test.json");
-        let spec = NetworkSpec::from_network(&zoo::tiny());
-        std::fs::write(&path, spec.to_json_string()).unwrap();
+        let spec = NetworkSpec::from_network(&zoo::by_name("tiny").unwrap());
+        std::fs::write(&path, spec.to_json().render_pretty()).unwrap();
         let path = path.to_string_lossy().into_owned();
         let cmd = parse(&argv(&format!("plan --spec {path} --array 64x64"))).unwrap();
         let out = run(&cmd).unwrap();
@@ -1797,16 +1827,37 @@ mod tests {
         let root = env!("CARGO_MANIFEST_DIR");
         let out = run(&parse(&argv(&format!("check --root {root}"))).unwrap()).unwrap();
         assert!(out.contains("clean"), "{out}");
+        for krate in [
+            "crates/lint ",
+            "e2ebench ",
+            "src ",
+            "crates/ + src/ ",
+            "total ",
+        ] {
+            assert!(
+                out.contains(&format!("\n  {krate}")),
+                "no {krate:?} count:\n{out}"
+            );
+        }
 
-        let fixture = format!("{root}/crates/lint/fixtures/banned-macro");
+        // The counts print with the findings too.
+        let fixture = format!("{root}/crates/lint/fixtures/unused-pub");
         let err = run(&parse(&argv(&format!("check --root {fixture}"))).unwrap()).unwrap_err();
-        assert!(err.to_string().contains("[banned-macro]"), "{err}");
+        let err = err.to_string();
+        assert!(err.contains("[unused-pub]"), "{err}");
+        assert!(err.contains("\n  total                      43\n"), "{err}");
 
         let json_err =
             run(&parse(&argv(&format!("check --root {fixture} --format json"))).unwrap())
                 .unwrap_err();
         let json = JsonValue::parse(&json_err.to_string()).expect("violation JSON parses");
         assert_eq!(json.get("clean"), Some(&JsonValue::Bool(false)));
+        let lines = json.get("lines").expect("line counts");
+        assert_eq!(
+            lines.get("crates_and_src").and_then(JsonValue::as_u64),
+            Some(37)
+        );
+        assert_eq!(lines.get("total").and_then(JsonValue::as_u64), Some(43));
     }
 
     #[test]

@@ -78,7 +78,7 @@ fn sdk_degenerates_to_im2col_on_dilated_layers() {
 #[test]
 fn vw_still_beats_im2col_on_dilated_context_net() {
     let a = PimArray::new(256, 256).unwrap();
-    for layer in zoo::dilated_context().iter() {
+    for layer in zoo::by_name("dilated").unwrap().iter() {
         let vw = MappingAlgorithm::VwSdk.plan(layer, a).unwrap();
         let im2col = MappingAlgorithm::Im2col.plan(layer, a).unwrap();
         assert!(

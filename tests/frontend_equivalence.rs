@@ -107,6 +107,12 @@ const REFUSALS: &[(&str, &str, &str)] = &[
         "deploy",
         r#"{"network": "tiny", "reprogram": "lots"}"#,
     ),
+    // 2^53 + 1 parses to the same f64 as 2^53: no integer member takes it.
+    (
+        "simulate --network tiny --array 64x64 --seed 9007199254740993",
+        "simulate",
+        r#"{"network": "tiny", "array": "64x64", "seed": 9007199254740993}"#,
+    ),
     // Refused by the engine after validation, on both frontends.
     (
         "deploy --network resnet18 --arrays 3",

@@ -55,21 +55,6 @@ fn assert_equivalent(
     assert_eq!(exhaustive.best(), pruned.best(), "{context}");
     assert_eq!(exhaustive.best_cycles(), pruned.best_cycles(), "{context}");
     assert_eq!(
-        exhaustive.reported_window(layer),
-        pruned.reported_window(layer),
-        "{context}"
-    );
-    assert_eq!(
-        exhaustive.reported_tiled_ic(layer),
-        pruned.reported_tiled_ic(layer),
-        "{context}"
-    );
-    assert_eq!(
-        exhaustive.reported_tiled_oc(layer),
-        pruned.reported_tiled_oc(layer),
-        "{context}"
-    );
-    assert_eq!(
         pruned.evaluated() + pruned.pruned(),
         exhaustive.evaluated(),
         "candidate accounting broke for {context}"
@@ -204,8 +189,6 @@ fn search_cache_with_shared_tables_matches_direct_search() {
             assert_eq!(cached.pruned(), direct.pruned());
         }
     }
-    // One table per distinct shape, shared across the three geometries.
-    assert!(cache.table_shapes() <= zoo::vgg13().layers().len());
 }
 
 fn layer_strategy() -> impl Strategy<Value = ConvLayer> {

@@ -95,8 +95,8 @@ fn executable_zoo_networks_simulate_bit_exactly_under_all_algorithms() {
     let engine = PlanningEngine::new();
     let mut verified = 0usize;
     for network in [
-        zoo::tiny(),
-        zoo::lenet5(),
+        zoo::by_name("tiny").unwrap(),
+        zoo::by_name("lenet5").unwrap(),
         zoo::vgg13_sim(),
         zoo::resnet18_sim(),
     ] {
@@ -136,7 +136,7 @@ fn executable_zoo_networks_simulate_bit_exactly_under_all_algorithms() {
     // The dilated atrous stack exercises dilation at network scale.
     let dilated = engine
         .simulate_network_batch_with(
-            &zoo::dilated_context(),
+            &zoo::by_name("dilated").unwrap(),
             PimArray::new(256, 128).unwrap(),
             MappingAlgorithm::VwSdk,
             5,
