@@ -111,10 +111,9 @@ impl LayerCandidates {
 /// `deploy_network` reaches the same [`optimize_allocation`] through its
 /// shape-keyed search memo and produces a byte-identical deployment.
 /// Either way, each VW-SDK candidate plan routes through the
-/// bound-pruned Algorithm 1 scan, and on the engine path repeated
-/// shapes share one candidate table across the optimizer's nested
-/// binary searches — cold deploys pay a fraction of the exhaustive
-/// search cost for identical plans.
+/// bound-pruned Algorithm 1 scan, so cold deploys pay a fraction of the
+/// exhaustive search cost for identical plans; on the engine path a
+/// repeated (shape, array) pair is searched once.
 ///
 /// # Errors
 ///

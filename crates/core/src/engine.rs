@@ -491,7 +491,9 @@ impl PlanningEngine {
 
     /// Bounds memory: when the search memo holds more than
     /// `max_entries` results, it is cleared wholesale (counters are
-    /// kept). Returns `true` if anything was dropped.
+    /// kept). Returns `true` if anything was dropped. The entry count is
+    /// the memo's whole footprint: each entry is one search result, and
+    /// the memo keeps nothing per shape beside it.
     ///
     /// Searches are pure functions of their keys, so clearing only
     /// costs recomputation — which is what lets a long-running service

@@ -25,13 +25,14 @@
 //!
 //! ```
 //! use pim_arch::PimArray;
-//! use pim_cost::{search, window::ParallelWindow};
+//! use pim_cost::search::{self, SearchOptions};
+//! use pim_cost::window::ParallelWindow;
 //! use pim_nets::ConvLayer;
 //!
 //! // ResNet-18 layer 4 of Table I: 14x14, 3x3x256x256, 512x512 array.
 //! let layer = ConvLayer::square("conv4", 14, 3, 256, 256)?;
 //! let array = PimArray::new(512, 512)?;
-//! let result = search::optimal_window(&layer, array);
+//! let result = search::optimal_window_with(&layer, array, SearchOptions::paper());
 //! assert_eq!(result.best_cycles(), 504);
 //! assert_eq!(result.best().map(|b| b.window), Some(ParallelWindow::new(4, 3)?));
 //! # Ok::<(), Box<dyn std::error::Error>>(())

@@ -49,7 +49,6 @@
 //! ```
 
 use crate::search::{self, SearchOptions, SearchResult};
-use crate::window::CandidateTable;
 use pim_arch::PimArray;
 use pim_nets::{ConvLayer, LayerShape};
 use std::collections::HashMap;
@@ -155,11 +154,6 @@ impl Drop for AbortOnUnwind<'_> {
 #[derive(Debug, Default)]
 pub struct SearchCache {
     results: RwLock<HashMap<SearchKey, Slot>>,
-    /// Per-shape candidate tables: the array-*independent* half of a
-    /// search, shared across every array geometry that re-searches the
-    /// shape (deploy optimizer, `sweep_arrays`). Keyed by shape only —
-    /// a much coarser key than `results`.
-    tables: RwLock<HashMap<LayerShape, Arc<CandidateTable>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -177,9 +171,7 @@ impl SearchCache {
     ///
     /// Results are shared behind an [`Arc`] — a `SearchResult` can carry
     /// a full candidate trace, so hits hand out a reference instead of
-    /// deep-cloning it. Pruned searches reuse the shape's
-    /// [`CandidateTable`] across array geometries; only the leader of a
-    /// cold key fetches it, so a hit costs one read lock.
+    /// deep-cloning it. A hit costs one read lock.
     pub fn optimal_window_with(
         &self,
         layer: &ConvLayer,
@@ -191,27 +183,7 @@ impl SearchCache {
             array,
             options,
         };
-        self.get_or_compute(key, &|| {
-            let table = options.pruned.then(|| self.table_for(layer));
-            search::optimal_window_with_table(layer, array, options, table.as_deref())
-        })
-    }
-
-    /// The memoized per-shape [`CandidateTable`], created on first use.
-    fn table_for(&self, layer: &ConvLayer) -> Arc<CandidateTable> {
-        let shape = layer.shape();
-        {
-            let tables = self.tables.read().expect("candidate tables lock poisoned");
-            if let Some(table) = tables.get(&shape) {
-                return Arc::clone(table);
-            }
-        }
-        let mut tables = self.tables.write().expect("candidate tables lock poisoned");
-        Arc::clone(
-            tables
-                .entry(shape)
-                .or_insert_with(|| Arc::new(CandidateTable::for_layer(layer))),
-        )
+        self.get_or_compute(key, &|| search::optimal_window_with(layer, array, options))
     }
 
     /// Returns the memoized result for the key if it is already
@@ -349,11 +321,6 @@ impl SearchCache {
         telemetry_counter("hits").inc();
     }
 
-    /// Cached search under the paper's default options.
-    pub fn optimal_window(&self, layer: &ConvLayer, array: PimArray) -> Arc<SearchResult> {
-        self.optimal_window_with(layer, array, SearchOptions::paper())
-    }
-
     /// Number of lookups answered from the cache (including coalesced
     /// followers of an in-flight leader).
     pub fn hits(&self) -> u64 {
@@ -366,7 +333,8 @@ impl SearchCache {
     }
 
     /// Number of distinct (shape, array, options) keys stored or in
-    /// flight.
+    /// flight. This is the memo's whole footprint: it stores one result
+    /// per key and nothing else.
     pub fn len(&self) -> usize {
         self.results
             .read()
@@ -393,24 +361,9 @@ impl SearchCache {
         let dropped = results.len() as u64;
         results.clear();
         drop(results);
-        // Candidate tables are recomputable scratch too; clearing them
-        // keeps the memory cap meaningful for arbitrary shape streams.
-        self.tables
-            .write()
-            .expect("candidate tables lock poisoned")
-            .clear();
         if dropped > 0 {
             telemetry_counter("evictions").add(dropped);
         }
-    }
-
-    /// Number of distinct layer shapes with a memoized candidate table.
-    #[cfg(test)]
-    fn table_shapes(&self) -> usize {
-        self.tables
-            .read()
-            .expect("candidate tables lock poisoned")
-            .len()
     }
 }
 
@@ -503,15 +456,25 @@ mod tests {
         PimArray::new(512, 512).unwrap()
     }
 
+    /// The cached search on `arr()` under the paper's options.
+    fn cached(cache: &SearchCache, layer: &ConvLayer) -> Arc<SearchResult> {
+        cache.optimal_window_with(layer, arr(), SearchOptions::paper())
+    }
+
+    /// The direct, uncached search on `arr()` under the paper's options.
+    fn direct(layer: &ConvLayer) -> SearchResult {
+        search::optimal_window_with(layer, arr(), SearchOptions::paper())
+    }
+
     #[test]
     fn cached_result_equals_direct_search() {
         let cache = SearchCache::new();
         let layer = ConvLayer::square("c", 56, 3, 128, 256).unwrap();
-        let direct = search::optimal_window(&layer, arr());
-        let cached_cold = cache.optimal_window(&layer, arr());
-        let cached_warm = cache.optimal_window(&layer, arr());
-        assert_eq!(&direct, cached_cold.as_ref());
-        assert_eq!(&direct, cached_warm.as_ref());
+        let expected = direct(&layer);
+        let cached_cold = cached(&cache, &layer);
+        let cached_warm = cached(&cache, &layer);
+        assert_eq!(&expected, cached_cold.as_ref());
+        assert_eq!(&expected, cached_warm.as_ref());
         // Hits share the stored allocation rather than deep-cloning it.
         assert!(Arc::ptr_eq(&cached_cold, &cached_warm));
         assert_eq!(cache.hits(), 1);
@@ -524,8 +487,8 @@ mod tests {
         let cache = SearchCache::new();
         let a = ConvLayer::square("first", 14, 3, 256, 256).unwrap();
         let b = ConvLayer::square("second", 14, 3, 256, 256).unwrap();
-        cache.optimal_window(&a, arr());
-        cache.optimal_window(&b, arr());
+        cached(&cache, &a);
+        cached(&cache, &b);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
@@ -533,7 +496,7 @@ mod tests {
     fn options_and_array_split_the_key() {
         let cache = SearchCache::new();
         let layer = ConvLayer::square("c", 14, 3, 256, 256).unwrap();
-        cache.optimal_window_with(&layer, arr(), SearchOptions::paper());
+        cached(&cache, &layer);
         cache.optimal_window_with(&layer, arr(), SearchOptions::pruned());
         cache.optimal_window_with(
             &layer,
@@ -548,8 +511,8 @@ mod tests {
     fn telemetry_families_registered() {
         let cache = SearchCache::new();
         let layer = ConvLayer::square("c", 14, 3, 64, 64).unwrap();
-        cache.optimal_window(&layer, arr()); // miss
-        cache.optimal_window(&layer, arr()); // hit
+        cached(&cache, &layer); // miss
+        cached(&cache, &layer); // hit
         cache.clear(); // eviction
         let snap = pim_telemetry::global().snapshot();
         for family in [
@@ -570,38 +533,6 @@ mod tests {
                 .any(|h| h.name == "pim_search_seconds" && h.count >= 1),
             "search timing histogram missing"
         );
-    }
-
-    #[test]
-    fn candidate_table_is_shared_across_array_geometries() {
-        let cache = SearchCache::new();
-        let layer = ConvLayer::square("c", 56, 3, 128, 256).unwrap();
-        let first = cache.optimal_window_with(&layer, arr(), SearchOptions::pruned());
-        let table = cache.table_for(&layer);
-        assert!(!table.is_empty(), "pruned search must populate the table");
-        let grown = table.len();
-        // Re-searching the same shape on another geometry reuses the
-        // same table object and gives the same answer as a direct search.
-        let other = PimArray::new(256, 256).unwrap();
-        let second = cache.optimal_window_with(&layer, other, SearchOptions::pruned());
-        assert!(Arc::ptr_eq(&table, &cache.table_for(&layer)));
-        assert_eq!(cache.table_shapes(), 1);
-        assert!(table.len() >= grown);
-        assert_eq!(
-            first.as_ref(),
-            &search::optimal_window_with(&layer, arr(), SearchOptions::pruned())
-        );
-        assert_eq!(
-            second.as_ref(),
-            &search::optimal_window_with(&layer, other, SearchOptions::pruned())
-        );
-        // Exhaustive searches never touch the table layer.
-        let fresh = SearchCache::new();
-        fresh.optimal_window_with(&layer, arr(), SearchOptions::paper());
-        assert_eq!(fresh.table_shapes(), 0);
-        // clear() drops the tables along with the results.
-        cache.clear();
-        assert_eq!(cache.table_shapes(), 0);
     }
 
     #[test]
@@ -645,12 +576,12 @@ mod tests {
     fn concurrent_lookups_agree() {
         let cache = SearchCache::new();
         let layer = ConvLayer::square("c", 28, 3, 128, 128).unwrap();
-        let expected = search::optimal_window(&layer, arr());
+        let expected = direct(&layer);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..8 {
-                        assert_eq!(cache.optimal_window(&layer, arr()).as_ref(), &expected);
+                        assert_eq!(cached(&cache, &layer).as_ref(), &expected);
                     }
                 });
             }
@@ -666,12 +597,12 @@ mod tests {
         let layer = ConvLayer::square("herd", 56, 3, 256, 256).unwrap();
         let threads = 8;
         let barrier = std::sync::Barrier::new(threads);
-        let expected = search::optimal_window(&layer, arr());
+        let expected = direct(&layer);
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
                     barrier.wait();
-                    assert_eq!(cache.optimal_window(&layer, arr()).as_ref(), &expected);
+                    assert_eq!(cached(&cache, &layer).as_ref(), &expected);
                 });
             }
         });
@@ -692,7 +623,7 @@ mod tests {
             array: arr(),
             options: SearchOptions::paper(),
         };
-        let expected = search::optimal_window(&layer, arr());
+        let expected = direct(&layer);
         let attempts = AtomicUsize::new(0);
         let compute = |panic_first: bool| {
             let attempts = &attempts;
@@ -705,7 +636,7 @@ mod tests {
                     std::thread::sleep(std::time::Duration::from_millis(50));
                     panic!("injected leader panic");
                 }
-                search::optimal_window(layer, arr())
+                direct(layer)
             }
         };
         std::thread::scope(|scope| {
@@ -729,7 +660,7 @@ mod tests {
             doomed.join().expect("doomed thread observed its panic");
         });
         // The key is usable again afterwards and holds the real result.
-        assert_eq!(cache.optimal_window(&layer, arr()).as_ref(), &expected);
+        assert_eq!(cached(&cache, &layer).as_ref(), &expected);
         assert!(
             attempts.load(Ordering::SeqCst) >= 2,
             "a follower must have retried after the abort"
@@ -740,7 +671,7 @@ mod tests {
     fn clearing_mid_flight_keeps_the_leader_result() {
         let cache = SearchCache::new();
         let layer = ConvLayer::square("c", 28, 3, 128, 128).unwrap();
-        let expected = search::optimal_window(&layer, arr());
+        let expected = direct(&layer);
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 for _ in 0..50 {
@@ -751,7 +682,7 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..25 {
-                        assert_eq!(cache.optimal_window(&layer, arr()).as_ref(), &expected);
+                        assert_eq!(cached(&cache, &layer).as_ref(), &expected);
                     }
                 });
             }

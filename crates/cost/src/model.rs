@@ -51,7 +51,12 @@ pub fn n_parallel_windows(layer: &ConvLayer, pw: ParallelWindow) -> u64 {
     if wpp_w == 0 || wpp_h == 0 {
         return 0;
     }
-    let (oh, ow) = layer.output_dims();
+    npw_from(layer.output_dims(), wpp_w, wpp_h)
+}
+
+/// Eq. (3) from the output extent `(OH, OW)` and the kernel windows per
+/// parallel window along each axis: `⌈OW / NWPw⌉ · ⌈OH / NWPh⌉`.
+fn npw_from((oh, ow): (usize, usize), wpp_w: usize, wpp_h: usize) -> u64 {
     (ow as u64).div_ceil(wpp_w as u64) * (oh as u64).div_ceil(wpp_h as u64)
 }
 
@@ -117,83 +122,81 @@ pub struct VwCost {
 /// For grouped layers the per-group channels are used and the group count
 /// multiplies the total (groups are mapped sequentially).
 pub fn vw_cost(layer: &ConvLayer, array: PimArray, pw: ParallelWindow) -> Option<VwCost> {
-    let padded_w = layer.input_w() + 2 * layer.padding();
-    let padded_h = layer.input_h() + 2 * layer.padding();
-    if pw.width() < layer.effective_kernel_w()
-        || pw.height() < layer.effective_kernel_h()
-        || pw.width() > padded_w
-        || pw.height() > padded_h
-    {
-        return None;
-    }
-    let wpp_w = windows_per_pw_axis(pw.width(), layer.effective_kernel_w(), layer.stride());
-    let wpp_h = windows_per_pw_axis(pw.height(), layer.effective_kernel_h(), layer.stride());
-    let windows_in_pw = wpp_w * wpp_h;
-    if windows_in_pw == 0 {
-        return None;
-    }
-    let npw = n_parallel_windows(layer, pw);
-    vw_cost_tail(layer, array, pw, windows_in_pw, npw)
+    VwModel::new(layer, array).cost(pw)
 }
 
-/// Evaluates eq. (8) from a memoized [`CandidateGeom`] — the
-/// array-independent half of [`vw_cost`] (window validity, `NWP`,
-/// `NPW`) comes from the table, only the capacity-dependent terms are
-/// computed here. Byte-identical to [`vw_cost`] for any candidate the
-/// Algorithm 1 enumeration emits; the pruned search calls this so a
-/// shape re-searched on another array geometry skips the shared
-/// arithmetic.
-///
-/// [`CandidateGeom`]: crate::window::CandidateGeom
-pub fn vw_cost_from_geom(
-    layer: &ConvLayer,
-    array: PimArray,
-    height: usize,
-    geom: &crate::window::CandidateGeom,
-) -> Option<VwCost> {
-    if geom.windows_in_pw == 0 {
-        return None;
-    }
-    let pw = ParallelWindow::new(geom.width, height).expect("candidate dims are positive");
-    vw_cost_tail(
-        layer,
-        array,
-        pw,
-        geom.windows_in_pw,
-        geom.n_parallel_windows,
-    )
+/// [`vw_cost`] for one layer on one array, with the terms that do not
+/// depend on the window (padded input, output extent, per-group
+/// channels) computed once: a search builds one and pays only each
+/// candidate's own divisions.
+#[derive(Debug)]
+pub(crate) struct VwModel {
+    eff_kw: usize,
+    eff_kh: usize,
+    padded_w: usize,
+    padded_h: usize,
+    stride: usize,
+    out_dims: (usize, usize),
+    ic: usize,
+    oc: usize,
+    groups: u64,
+    rows: usize,
+    cols: usize,
 }
 
-/// The capacity-dependent tail of eq. (8), shared by [`vw_cost`] and
-/// [`vw_cost_from_geom`] so the two paths cannot drift.
-fn vw_cost_tail(
-    layer: &ConvLayer,
-    array: PimArray,
-    pw: ParallelWindow,
-    windows_in_pw: usize,
-    npw: u64,
-) -> Option<VwCost> {
-    let ic = layer.in_channels_per_group();
-    let oc = layer.out_channels_per_group();
-    let ic_t = tiled_ic(array.rows(), pw);
-    let oc_t = tiled_oc(array.cols(), windows_in_pw);
-    let ar = ar_cycles(ic, ic_t)?;
-    let ac = ac_cycles(oc, oc_t)?;
-    let cycles = npw
-        .checked_mul(ar)
-        .and_then(|v| v.checked_mul(ac))
-        .and_then(|v| v.checked_mul(layer.groups() as u64))
-        .expect("cycle count overflows u64");
-    Some(VwCost {
-        window: pw,
-        windows_in_pw,
-        n_parallel_windows: npw,
-        tiled_ic: ic_t.min(ic),
-        tiled_oc: oc_t.min(oc),
-        ar_cycles: ar,
-        ac_cycles: ac,
-        cycles,
-    })
+impl VwModel {
+    pub(crate) fn new(layer: &ConvLayer, array: PimArray) -> Self {
+        Self {
+            eff_kw: layer.effective_kernel_w(),
+            eff_kh: layer.effective_kernel_h(),
+            padded_w: layer.input_w() + 2 * layer.padding(),
+            padded_h: layer.input_h() + 2 * layer.padding(),
+            stride: layer.stride(),
+            out_dims: layer.output_dims(),
+            ic: layer.in_channels_per_group(),
+            oc: layer.out_channels_per_group(),
+            groups: layer.groups() as u64,
+            rows: array.rows(),
+            cols: array.cols(),
+        }
+    }
+
+    /// Eq. (8) for one candidate window; see [`vw_cost`].
+    pub(crate) fn cost(&self, pw: ParallelWindow) -> Option<VwCost> {
+        if pw.width() < self.eff_kw
+            || pw.height() < self.eff_kh
+            || pw.width() > self.padded_w
+            || pw.height() > self.padded_h
+        {
+            return None;
+        }
+        let wpp_w = windows_per_pw_axis(pw.width(), self.eff_kw, self.stride);
+        let wpp_h = windows_per_pw_axis(pw.height(), self.eff_kh, self.stride);
+        let windows_in_pw = wpp_w * wpp_h;
+        if windows_in_pw == 0 {
+            return None;
+        }
+        let npw = npw_from(self.out_dims, wpp_w, wpp_h);
+        let ic_t = tiled_ic(self.rows, pw);
+        let oc_t = tiled_oc(self.cols, windows_in_pw);
+        let ar = ar_cycles(self.ic, ic_t)?;
+        let ac = ac_cycles(self.oc, oc_t)?;
+        let cycles = npw
+            .checked_mul(ar)
+            .and_then(|v| v.checked_mul(ac))
+            .and_then(|v| v.checked_mul(self.groups))
+            .expect("cycle count overflows u64");
+        Some(VwCost {
+            window: pw,
+            windows_in_pw,
+            n_parallel_windows: npw,
+            tiled_ic: ic_t.min(self.ic),
+            tiled_oc: oc_t.min(self.oc),
+            ar_cycles: ar,
+            ac_cycles: ac,
+            cycles,
+        })
+    }
 }
 
 /// Cost breakdown of the im2col mapping (paper Fig. 2(a)).

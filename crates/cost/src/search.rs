@@ -19,8 +19,8 @@
 //! [`SearchResult::pruned`] so `evaluated + pruned` always equals the
 //! full candidate count of the exhaustive scan.
 
-use crate::model::{self, Im2colCost, VwCost};
-use crate::window::{CandidateTable, Candidates, CycleLowerBound, ParallelWindow};
+use crate::model::{self, Im2colCost, VwCost, VwModel};
+use crate::window::{Candidates, CycleLowerBound, ParallelWindow};
 use pim_arch::PimArray;
 use pim_nets::ConvLayer;
 
@@ -139,52 +139,32 @@ impl SearchResult {
     }
 }
 
-/// Runs Algorithm 1 with default options.
+/// Runs Algorithm 1 under the given [`SearchOptions`]: the exhaustive
+/// paper scan, or with [`SearchOptions::pruned`] the bound-pruned scan
+/// (see the module docs), which returns the same result.
 ///
 /// # Example
 ///
 /// ```
 /// use pim_arch::PimArray;
-/// use pim_cost::search::optimal_window;
+/// use pim_cost::search::{optimal_window_with, SearchOptions};
 /// use pim_nets::ConvLayer;
 ///
 /// // VGG-13 layer 1: the paper reports a 10x3 window at 6216 cycles.
 /// let layer = ConvLayer::square("conv1", 224, 3, 3, 64)?;
-/// let result = optimal_window(&layer, PimArray::new(512, 512)?);
+/// let result = optimal_window_with(&layer, PimArray::new(512, 512)?, SearchOptions::paper());
 /// assert_eq!(result.best().unwrap().window.to_string(), "10x3");
 /// assert_eq!(result.best_cycles(), 6216);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn optimal_window(layer: &ConvLayer, array: PimArray) -> SearchResult {
-    optimal_window_with(layer, array, SearchOptions::paper())
-}
-
-/// Runs Algorithm 1 with explicit [`SearchOptions`] (no candidate-table
-/// reuse — see [`optimal_window_with_table`]).
 pub fn optimal_window_with(
     layer: &ConvLayer,
     array: PimArray,
     options: SearchOptions,
 ) -> SearchResult {
-    optimal_window_with_table(layer, array, options, None)
-}
-
-/// Runs Algorithm 1 with an optional memoized [`CandidateTable`] (reused
-/// across array geometries by `memo::SearchCache`).
-///
-/// The table only applies to the pruned scan — the exhaustive scan is
-/// deliberately kept as the plain sequential reference loop. Results
-/// *and* the `evaluated`/`pruned`/`feasible` counters are independent of
-/// `table`, so memoized results stay deterministic.
-pub fn optimal_window_with_table(
-    layer: &ConvLayer,
-    array: PimArray,
-    options: SearchOptions,
-    table: Option<&CandidateTable>,
-) -> SearchResult {
     let im2col = model::im2col_cost(layer, array);
     if options.pruned {
-        pruned_search(layer, array, options, table, im2col)
+        pruned_search(layer, array, options, im2col)
     } else {
         exhaustive_search(layer, array, options, im2col)
     }
@@ -206,6 +186,7 @@ fn exhaustive_search(
     let mut feasible = 0;
     let mut trace = Vec::new();
 
+    let model = VwModel::new(layer, array);
     let padded_w = layer.input_w() + 2 * layer.padding();
     let padded_h = layer.input_h() + 2 * layer.padding();
     let eff_kw = layer.effective_kernel_w();
@@ -215,7 +196,7 @@ fn exhaustive_search(
         if options.square_only && !candidate.is_square() {
             continue;
         }
-        let Some(cost) = model::vw_cost(layer, array, candidate) else {
+        let Some(cost) = model.cost(candidate) else {
             continue;
         };
         if options.full_channels_only && cost.tiled_ic < layer.in_channels_per_group() {
@@ -264,16 +245,15 @@ fn pruned_search(
     layer: &ConvLayer,
     array: PimArray,
     options: SearchOptions,
-    table: Option<&CandidateTable>,
     im2col: Im2colCost,
 ) -> SearchResult {
     let bound = CycleLowerBound::new(layer, array);
+    let model = VwModel::new(layer, array);
     let eff_kw = layer.effective_kernel_w();
     let eff_kh = layer.effective_kernel_h();
     let padded_w = layer.input_w() + 2 * layer.padding();
     let padded_h = layer.input_h() + 2 * layer.padding();
     let rows_cap = array.rows();
-    let cols_cap = array.cols();
     let ic = layer.in_channels_per_group();
     let row_len = |h: usize| -> usize {
         let start = row_start(eff_kw, eff_kh, h);
@@ -303,8 +283,6 @@ fn pruned_search(
             pruned += (h..=padded_h).map(row_len).sum::<usize>();
             break;
         }
-        let cap_w = (rows_cap / h).min(padded_w);
-        let geoms = table.map(|t| t.row(h, cap_w));
         for w in start_w..=padded_w {
             // Within a row the area grows with the width, so both cuts
             // end the row, pruning the tail arithmetically.
@@ -312,36 +290,19 @@ fn pruned_search(
                 pruned += padded_w - w + 1;
                 break;
             }
-            let cost = if let Some(geoms) = &geoms {
-                let geom = &geoms[w - eff_kw];
-                // NWP also grows with the width: once it exceeds the
-                // columns (OCt = 0) the rest of the row is infeasible.
-                if geom.windows_in_pw > cols_cap {
-                    pruned += padded_w - w + 1;
-                    break;
-                }
-                evaluated += 1;
-                if options.square_only && w != h {
-                    continue;
-                }
-                model::vw_cost_from_geom(layer, array, h, geom)
-            } else {
-                let wpp_w = model::windows_per_pw_axis(w, eff_kw, layer.stride());
-                let wpp_h = model::windows_per_pw_axis(h, eff_kh, layer.stride());
-                if wpp_w * wpp_h > cols_cap {
-                    pruned += padded_w - w + 1;
-                    break;
-                }
-                evaluated += 1;
-                if options.square_only && w != h {
-                    continue;
-                }
-                let pw = ParallelWindow::new(w, h).expect("candidate dims are positive");
-                model::vw_cost(layer, array, pw)
+            // The window lies inside the input and the area cut keeps
+            // ICt >= 1, so eq. (8) fails here only when NWP exceeds the
+            // columns (OCt = 0). NWP also grows with the width, so the
+            // rest of the row is infeasible too.
+            let pw = ParallelWindow::new(w, h).expect("candidate dims are positive");
+            let Some(cost) = model.cost(pw) else {
+                pruned += padded_w - w + 1;
+                break;
             };
-            let Some(cost) = cost else {
+            evaluated += 1;
+            if options.square_only && w != h {
                 continue;
-            };
+            }
             if options.full_channels_only && cost.tiled_ic < ic {
                 continue;
             }
@@ -380,7 +341,7 @@ mod tests {
 
     #[test]
     fn vgg13_layer1_finds_10x3() {
-        let r = optimal_window(&layer(224, 3, 3, 64), arr(512, 512));
+        let r = optimal_window_with(&layer(224, 3, 3, 64), arr(512, 512), SearchOptions::paper());
         assert_eq!(r.best().unwrap().window.to_string(), "10x3");
         assert_eq!(r.best_cycles(), 6216);
     }
@@ -388,7 +349,11 @@ mod tests {
     #[test]
     fn vgg13_layer2_tie_break_keeps_4x4() {
         // 5x4 ties 4x4 at 24642 cycles; scan order must keep 4x4.
-        let r = optimal_window(&layer(224, 3, 64, 64), arr(512, 512));
+        let r = optimal_window_with(
+            &layer(224, 3, 64, 64),
+            arr(512, 512),
+            SearchOptions::paper(),
+        );
         assert_eq!(r.best().unwrap().window.to_string(), "4x4");
         assert_eq!(r.best_cycles(), 24_642);
         assert_eq!(r.best().unwrap().tiled_ic, 32);
@@ -396,7 +361,7 @@ mod tests {
 
     #[test]
     fn resnet_stem_finds_10x8() {
-        let r = optimal_window(&layer(112, 7, 3, 64), arr(512, 512));
+        let r = optimal_window_with(&layer(112, 7, 3, 64), arr(512, 512), SearchOptions::paper());
         assert_eq!(r.best().unwrap().window.to_string(), "10x8");
         assert_eq!(r.best_cycles(), 1431);
     }
@@ -405,7 +370,7 @@ mod tests {
     fn deep_layers_fall_back_to_im2col() {
         // VGG-13 layer 7 (28x28, 3x3x256x512): Table I keeps 3x3.
         let l = layer(28, 3, 256, 512);
-        let r = optimal_window(&l, arr(512, 512));
+        let r = optimal_window_with(&l, arr(512, 512), SearchOptions::paper());
         assert!(r.best().is_none());
         assert_eq!(r.best_cycles(), 3380);
     }
@@ -415,7 +380,7 @@ mod tests {
         for (i, k, ic, oc) in [(14, 3, 512, 512), (28, 5, 64, 96), (7, 7, 512, 64)] {
             let l = layer(i, k, ic, oc);
             for a in [arr(128, 128), arr(512, 256), arr(512, 512)] {
-                let r = optimal_window(&l, a);
+                let r = optimal_window_with(&l, a, SearchOptions::paper());
                 assert!(r.best_cycles() <= r.im2col().cycles);
             }
         }
@@ -430,7 +395,7 @@ mod tests {
         }
         // Unrestricted search (which finds rectangular 4x3) must be at
         // least as good.
-        let free = optimal_window(&l, arr(512, 512));
+        let free = optimal_window_with(&l, arr(512, 512), SearchOptions::paper());
         assert!(free.best_cycles() <= r.best_cycles());
         assert_eq!(free.best().unwrap().window.to_string(), "4x3");
     }
@@ -442,7 +407,7 @@ mod tests {
         if let Some(best) = r.best() {
             assert!(best.tiled_ic >= 128);
         }
-        let free = optimal_window(&l, arr(512, 512));
+        let free = optimal_window_with(&l, arr(512, 512), SearchOptions::paper());
         assert!(free.best_cycles() <= r.best_cycles());
     }
 
@@ -466,7 +431,7 @@ mod tests {
     fn small_array_forces_im2col_everywhere() {
         // 8 rows cannot hold any 3x3-or-larger window with channels.
         let l = layer(14, 3, 64, 64);
-        let r = optimal_window(&l, arr(8, 8));
+        let r = optimal_window_with(&l, arr(8, 8), SearchOptions::paper());
         assert!(r.best().is_none());
         assert_eq!(r.best_cycles(), r.im2col().cycles);
     }
@@ -491,17 +456,6 @@ mod tests {
                 assert!(p.feasible() <= full.feasible());
             }
         }
-    }
-
-    #[test]
-    fn pruned_results_and_counters_are_table_independent() {
-        let l = layer(224, 3, 3, 64);
-        let a = arr(512, 512);
-        let table = CandidateTable::for_layer(&l);
-        let base = optimal_window_with(&l, a, SearchOptions::pruned());
-        assert!(base.pruned() > 0);
-        let r = optimal_window_with_table(&l, a, SearchOptions::pruned(), Some(&table));
-        assert_eq!(r, base);
     }
 
     #[test]

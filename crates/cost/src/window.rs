@@ -1,12 +1,10 @@
 //! Parallel-window geometry and the Algorithm 1 candidate enumeration,
-//! plus the capacity lower bound and the array-independent candidate
-//! table the pruned search is built on.
+//! plus the capacity lower bound the pruned search is built on.
 
 use crate::{CostError, Result};
 use pim_arch::PimArray;
 use pim_nets::ConvLayer;
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 /// A parallel window: the `PWw × PWh` patch of the input feature map shared
 /// by a group of shifted, duplicated kernels (paper §II-A).
@@ -108,18 +106,8 @@ pub struct Candidates {
 }
 
 impl Candidates {
-    /// Candidate windows for a layer (see type-level docs for the order).
-    /// Dilated layers scan from the effective kernel extent upward.
-    pub fn for_layer(layer: &ConvLayer) -> Self {
-        Self::new(
-            layer.effective_kernel_w(),
-            layer.effective_kernel_h(),
-            layer.input_w(),
-            layer.input_h(),
-        )
-    }
-
-    /// Candidate windows for explicit kernel and input extents.
+    /// Candidate windows for explicit kernel and input extents (the
+    /// search passes the effective kernel and the padded input).
     pub fn new(kernel_w: usize, kernel_h: usize, input_w: usize, input_h: usize) -> Self {
         // First emitted candidate: (Kw+1, Kh), matching Algorithm 1's
         // increment-before-evaluate loop.
@@ -217,128 +205,9 @@ impl CycleLowerBound {
     }
 }
 
-/// The array-independent geometry of one candidate window for one layer
-/// shape: everything eq. (8) needs except the row/column capacities.
-///
-/// Enumerating these is the part of the search that is *identical*
-/// across array geometries, so [`CandidateTable`] memoizes them per
-/// layer shape and the deploy optimizer / `sweep_arrays` re-searching
-/// the same shape on another array reuses them instead of recomputing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CandidateGeom {
-    /// Window width (`PWw`); the height is the row's.
-    pub width: usize,
-    /// Kernel windows inside the candidate (`NWP`, stride-aware).
-    pub windows_in_pw: usize,
-    /// Parallel windows covering the layer (`NPW`, eq. (3)).
-    pub n_parallel_windows: u64,
-}
-
-/// Per-shape memo of [`CandidateGeom`] rows, grown lazily.
-///
-/// One row per candidate height `h`, holding geometries for widths
-/// `Kw ..= w` in scan order; a row is only materialized up to the
-/// largest width a caller has asked for (the pruned search caps that at
-/// the area-feasible width `⌊R/h⌋`, so a table stays at roughly
-/// `R · ln` entries rather than the full `|IFM|²` rectangle). Shared
-/// behind an `Arc` by `pim_cost::memo::SearchCache` across every array
-/// geometry that re-searches the shape.
-#[derive(Debug)]
-pub struct CandidateTable {
-    layer: ConvLayer,
-    eff_kw: usize,
-    eff_kh: usize,
-    padded_w: usize,
-    padded_h: usize,
-    /// `rows[h - eff_kh]` = geometries for widths `eff_kw ..= eff_kw + len - 1`.
-    rows: Vec<Mutex<Arc<Vec<CandidateGeom>>>>,
-}
-
-impl CandidateTable {
-    /// An empty table for the layer's shape (no rows materialized yet).
-    pub fn for_layer(layer: &ConvLayer) -> Self {
-        let eff_kh = layer.effective_kernel_h();
-        let padded_h = layer.input_h() + 2 * layer.padding();
-        let row_count = (padded_h + 1).saturating_sub(eff_kh);
-        Self {
-            layer: layer.clone(),
-            eff_kw: layer.effective_kernel_w(),
-            eff_kh,
-            padded_w: layer.input_w() + 2 * layer.padding(),
-            padded_h,
-            rows: (0..row_count)
-                .map(|_| Mutex::new(Arc::new(Vec::new())))
-                .collect(),
-        }
-    }
-
-    /// Widest candidate of any row (the padded input width).
-    pub fn padded_w(&self) -> usize {
-        self.padded_w
-    }
-
-    /// Tallest candidate row (the padded input height).
-    pub fn padded_h(&self) -> usize {
-        self.padded_h
-    }
-
-    /// The geometries of row `h`, materialized at least up to width
-    /// `up_to_w` (clamped to the padded input width). Entry `i` is the
-    /// candidate `(eff_kw + i) × h`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` is outside `eff_kh ..= padded_h`.
-    pub fn row(&self, h: usize, up_to_w: usize) -> Arc<Vec<CandidateGeom>> {
-        let want = (up_to_w.min(self.padded_w) + 1).saturating_sub(self.eff_kw);
-        let slot = &self.rows[h - self.eff_kh];
-        let mut guard = slot.lock().expect("candidate table lock poisoned");
-        if guard.len() < want {
-            let mut grown = Vec::with_capacity(want);
-            grown.extend_from_slice(guard.as_slice());
-            for i in guard.len()..want {
-                let width = self.eff_kw + i;
-                let pw = ParallelWindow { width, height: h };
-                let wpp_w =
-                    crate::model::windows_per_pw_axis(width, self.eff_kw, self.layer.stride());
-                let wpp_h = crate::model::windows_per_pw_axis(h, self.eff_kh, self.layer.stride());
-                let windows_in_pw = wpp_w * wpp_h;
-                grown.push(CandidateGeom {
-                    width,
-                    windows_in_pw,
-                    n_parallel_windows: if windows_in_pw == 0 {
-                        0
-                    } else {
-                        crate::model::n_parallel_windows(&self.layer, pw)
-                    },
-                });
-            }
-            *guard = Arc::new(grown);
-        }
-        Arc::clone(&guard)
-    }
-
-    /// Total geometries currently materialized (for memory accounting).
-    pub fn len(&self) -> usize {
-        self.rows
-            .iter()
-            .map(|r| r.lock().expect("candidate table lock poisoned").len())
-            .sum()
-    }
-
-    /// Whether nothing has been materialized yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn layer(input: usize, kernel: usize) -> ConvLayer {
-        ConvLayer::square("t", input, kernel, 4, 4).unwrap()
-    }
 
     #[test]
     fn new_rejects_zero() {
@@ -383,13 +252,6 @@ mod tests {
         // All (w,h) with Kw<=w<=Iw, Kh<=h<=Ih except the kernel itself.
         let n = Candidates::new(3, 3, 10, 7).count();
         assert_eq!(n, (10 - 3 + 1) * (7 - 3 + 1) - 1);
-    }
-
-    #[test]
-    fn for_layer_uses_layer_extents() {
-        let l = layer(6, 3);
-        let n = Candidates::for_layer(&l).count();
-        assert_eq!(n, 4 * 4 - 1);
     }
 
     #[test]

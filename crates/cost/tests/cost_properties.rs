@@ -44,6 +44,17 @@ fn general_layer_strategy() -> impl Strategy<Value = ConvLayer> {
         )
 }
 
+/// Algorithm 1's candidates over the layer's input: for the unpadded,
+/// undilated layers of `layer_strategy`, exactly the search's scan.
+fn candidates(layer: &ConvLayer) -> Candidates {
+    Candidates::new(
+        layer.kernel_w(),
+        layer.kernel_h(),
+        layer.input_w(),
+        layer.input_h(),
+    )
+}
+
 fn array_strategy() -> impl Strategy<Value = PimArray> {
     (
         prop_oneof![Just(64usize), Just(128), Just(256), Just(512), 16usize..600],
@@ -58,7 +69,7 @@ proptest! {
     /// Algorithm 1 initializes with im2col, so it can never do worse.
     #[test]
     fn vw_never_exceeds_im2col(layer in layer_strategy(), array in array_strategy()) {
-        let r = search::optimal_window(&layer, array);
+        let r = search::optimal_window_with(&layer, array, SearchOptions::paper());
         prop_assert!(r.best_cycles() <= r.im2col().cycles);
     }
 
@@ -84,7 +95,7 @@ proptest! {
     /// Restricting the search space can only hurt (ablation sanity).
     #[test]
     fn restricted_searches_are_never_better(layer in layer_strategy(), array in array_strategy()) {
-        let free = search::optimal_window(&layer, array).best_cycles();
+        let free = search::optimal_window_with(&layer, array, SearchOptions::paper()).best_cycles();
         let square = search::optimal_window_with(&layer, array, SearchOptions::square_windows_only()).best_cycles();
         let full = search::optimal_window_with(&layer, array, SearchOptions::no_channel_tiling()).best_cycles();
         prop_assert!(free <= square);
@@ -95,7 +106,7 @@ proptest! {
     /// cover all kernel windows of the layer.
     #[test]
     fn parallel_windows_cover_all_windows(layer in layer_strategy(), array in array_strategy()) {
-        for pw in Candidates::for_layer(&layer).take(200) {
+        for pw in candidates(&layer).take(200) {
             if let Some(cost) = model::vw_cost(&layer, array, pw) {
                 prop_assert!(cost.n_parallel_windows * cost.windows_in_pw as u64 >= layer.n_windows());
             }
@@ -105,7 +116,7 @@ proptest! {
     /// Tiled channels never overflow the physical array.
     #[test]
     fn tiles_respect_array_bounds(layer in layer_strategy(), array in array_strategy()) {
-        for pw in Candidates::for_layer(&layer).take(200) {
+        for pw in candidates(&layer).take(200) {
             if let Some(cost) = model::vw_cost(&layer, array, pw) {
                 prop_assert!(cost.tiled_ic * pw.area() <= array.rows());
                 prop_assert!(cost.tiled_oc * cost.windows_in_pw <= array.cols());
@@ -120,7 +131,7 @@ proptest! {
     /// The literal eq. (3) and the generalized form agree at unit stride.
     #[test]
     fn eq3_identity(layer in layer_strategy()) {
-        for pw in Candidates::for_layer(&layer).take(300) {
+        for pw in candidates(&layer).take(300) {
             let lit = model::n_parallel_windows_eq3(
                 layer.input_w(), layer.input_h(), layer.kernel_w(), layer.kernel_h(), pw);
             let gen = model::n_parallel_windows(&layer, pw);
@@ -139,8 +150,8 @@ proptest! {
         array in array_strategy(),
     ) {
         let layer = ConvLayer::square("bf", k + extra, k, ic, oc).unwrap();
-        let result = search::optimal_window(&layer, array);
-        let brute = Candidates::for_layer(&layer)
+        let result = search::optimal_window_with(&layer, array, SearchOptions::paper());
+        let brute = candidates(&layer)
             .filter_map(|pw| model::vw_cost(&layer, array, pw))
             .map(|c| c.cycles)
             .chain(std::iter::once(model::im2col_cost(&layer, array).cycles))
@@ -156,7 +167,7 @@ proptest! {
     /// only shrink.
     #[test]
     fn pruned_search_is_equivalent(layer in layer_strategy(), array in array_strategy()) {
-        let full = search::optimal_window(&layer, array);
+        let full = search::optimal_window_with(&layer, array, SearchOptions::paper());
         let pruned = search::optimal_window_with(&layer, array, SearchOptions::pruned());
         prop_assert_eq!(full.best_cycles(), pruned.best_cycles());
         prop_assert_eq!(full.best(), pruned.best());

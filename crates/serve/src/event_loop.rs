@@ -69,12 +69,13 @@ fn count_timeout() {
         .inc();
 }
 
-/// Counts one request shed with `503` because the worker queue is full.
-fn count_shed() {
+/// Counts one request shed with `503`: the worker queue is full here, or
+/// the connection is over the accept cap in `shed_connection`.
+pub(super) fn count_shed() {
     pim_telemetry::global()
         .counter(
             "pim_sheds_total",
-            "Connections answered 503 because the worker queue was full.",
+            "Requests answered 503 (worker queue full, or connection over the accept cap).",
             &[],
         )
         .inc();

@@ -331,13 +331,7 @@ fn shed_connection(mut stream: TcpStream) {
             &[],
         )
         .inc();
-    pim_telemetry::global()
-        .counter(
-            "pim_sheds_total",
-            "Connections answered 503 because the worker queue was full.",
-            &[],
-        )
-        .inc();
+    event_loop::count_shed();
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     let body = api::error_json(503, "server overloaded; retry later").render();
     let _ = stream.write_all(&http::render_json_response(503, &body, true));

@@ -61,8 +61,8 @@ pub use crossbar::Crossbar;
 pub use engine::Engine;
 pub use metrics::RunStats;
 pub use network::{
-    simulate_deployment_batch, simulate_network_batch, BatchRun, NetworkExecutor, ScalarWidth,
-    SimulationReport, StageExecution,
+    simulate_deployment_batch, simulate_network_batch, BatchRun, NetworkExecutor, SimulationReport,
+    StageExecution,
 };
 pub use pim_tensor::ExecMode;
 pub use programmed::ProgrammedStage;

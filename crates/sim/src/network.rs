@@ -458,9 +458,9 @@ fn ifm_seed(seed: u64, element: usize) -> u64 {
 /// pass on the same workers and batch shards. Batch element 0 uses
 /// `seed` itself.
 ///
-/// Stage `i` runs in `ScalarWidth::for_stages(network, mode)[i]`: the
-/// narrowest of `i32` / `i64` / `i128` that provably holds every value
-/// the stage computes in `mode`, never narrower than the stage before.
+/// Each stage runs in the narrowest of `i32` / `i64` / `i128` that
+/// provably holds every value the stage computes in `mode`, never
+/// narrower than the stage before.
 /// Integer arithmetic that never overflows gives the same values at any
 /// width, so the report does not depend on the widths, and "matches"
 /// means bit-exact.
@@ -515,7 +515,7 @@ pub fn simulate_deployment_batch(
 /// `i32` and `i64` keep 3 bits below their 31 / 63 value bits, `i128`
 /// keeps 7. Widths order from narrow to wide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ScalarWidth {
+pub(crate) enum ScalarWidth {
     /// `i32`, for worst-case magnitudes up to 2²⁸.
     I32,
     /// `i64`, for worst-case magnitudes up to 2⁶⁰.

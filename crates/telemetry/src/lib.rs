@@ -55,8 +55,8 @@ pub mod registry;
 pub mod span;
 
 pub use registry::{
-    Buckets, Counter, CounterSample, Gauge, GaugeSample, Histogram, HistogramSample, MetricKind,
-    Registry, Snapshot,
+    Buckets, Counter, CounterSample, GaugeSample, Histogram, HistogramSample, MetricKind, Registry,
+    Snapshot,
 };
 pub use span::{set_trace_sink, trace_to_stderr, SpanGuard};
 

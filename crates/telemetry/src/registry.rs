@@ -137,10 +137,10 @@ impl Counter {
     }
 }
 
-/// Handle to a registered gauge. Cloning is cheap; all clones share the
-/// same atomic.
-#[derive(Clone)]
-pub struct Gauge {
+/// Handle to a registered gauge. The registry's own process facts are
+/// its only gauges, so the handle stays inside the crate; scrapes read
+/// them through [`Registry::snapshot`] and the exposition text.
+struct Gauge {
     inner: Arc<GaugeInner>,
 }
 
@@ -149,11 +149,6 @@ impl Gauge {
     /// own process facts, not measurements the switch pauses.
     fn set(&self, value: f64) {
         self.inner.bits.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.inner.bits.load(Ordering::Relaxed))
     }
 }
 

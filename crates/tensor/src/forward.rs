@@ -24,12 +24,12 @@
 //!   executor applies the identical function, integer comparisons remain
 //!   exact equalities.
 //!
-//! `pim_sim::ScalarWidth::for_stages` bounds every value each stage
-//! computes in either mode and picks, stage by stage, the narrowest of
-//! `i32` / `i64` / `i128` that holds it, never narrower than the stage
-//! before. The simulator runs [`forward`] once per run of equal-width
-//! stages and widens its output exactly at each boundary; arithmetic
-//! that never overflows gives the same values at any width.
+//! The simulator (`pim-sim`) bounds every value each stage computes in
+//! either mode and picks, stage by stage, the narrowest of `i32` /
+//! `i64` / `i128` that holds it, never narrower than the stage before.
+//! It runs [`forward`] once per run of equal-width stages and widens
+//! its output exactly at each boundary; arithmetic that never overflows
+//! gives the same values at any width.
 
 use crate::ops::{avg_pool2d, max_pool2d, relu, requant8};
 use crate::{
