@@ -15,12 +15,21 @@
 //!   memoized search and im2col / SMD / SDK / SDK-opt in closed form.
 //!   VGG-13 and ResNet-18 repeat shapes heavily, so a network plan
 //!   searches far fewer distinct keys than it has layers.
-//! * **Parallelism** — layer planning fans out across
-//!   `std::thread::scope` workers (`jobs` of them; the dependency policy
-//!   stays std-only). Work is claimed from an atomic counter and results
-//!   are reassembled by index, so output order — and therefore every
-//!   report — is byte-identical to the sequential path no matter the
-//!   interleaving.
+//! * **Parallelism** — layer planning fans out across up to `jobs`
+//!   workers (the dependency policy stays std-only). The calling thread
+//!   is worker 0 and spawns at most `jobs − 1` `std::thread::scope`
+//!   helpers, and only for searches the memo does not hold yet: on a
+//!   2-core container a scope that spawns one no-op thread costs about
+//!   16 µs and one that spawns two about 36 µs, while a warm task (a
+//!   memo hit plus the closed-form plans) costs 2–4 µs. So a
+//!   multi-worker fan-out first counts its tasks that need a search the
+//!   memo lacks ([`SearchCache::peek`], which counts no hit or miss),
+//!   stops at `jobs`, and uses that many workers, at least one: a fully
+//!   memoized call runs inline and spawns nothing. A one-worker engine
+//!   (the daemon's) never peeks. Work is claimed from an atomic counter
+//!   and results are reassembled by index, so output order — and
+//!   therefore every report — is byte-identical to the sequential path
+//!   no matter the interleaving.
 //! * **Batching** — [`plan_networks`](PlanningEngine::plan_networks) and
 //!   [`sweep_arrays`](PlanningEngine::sweep_arrays) plan whole workloads
 //!   through one shared memo, which is what the `vw-sdk-bench` sweep,
@@ -213,12 +222,10 @@ impl PlanningEngine {
         algorithms: &[MappingAlgorithm],
     ) -> Result<NetworkReport> {
         let tasks: Vec<&ConvLayer> = network.layers().iter().collect();
-        let _span = pim_telemetry::span!(
-            "engine.plan_network",
-            jobs = self.effective_jobs(tasks.len()),
-            layers = tasks.len()
-        );
-        let planned = self.parallel_map(&tasks, |&layer| {
+        let workers = self.workers(&tasks, |&layer| (layer, array, algorithms));
+        let _span =
+            pim_telemetry::span!("engine.plan_network", jobs = workers, layers = tasks.len());
+        let planned = parallel_map(&tasks, workers, |&layer| {
             self.plan_layer_with(layer, array, algorithms)
         });
         let mut layers = Vec::with_capacity(network.len());
@@ -297,14 +304,15 @@ impl PlanningEngine {
                 }
             }
         }
+        let workers = self.workers(&tasks, |&(layer, array)| (layer, array, algorithms));
         let _span = pim_telemetry::span!(
             "engine.sweep_arrays",
-            jobs = self.effective_jobs(tasks.len()),
+            jobs = workers,
             networks = networks.len(),
             arrays = arrays.len(),
             tasks = tasks.len()
         );
-        let planned = self.parallel_map(&tasks, |&(layer, array)| {
+        let planned = parallel_map(&tasks, workers, |&(layer, array)| {
             self.plan_layer_with(layer, array, algorithms)
         });
 
@@ -370,13 +378,16 @@ impl PlanningEngine {
                 tasks.push((layer, algorithm));
             }
         }
+        let workers = self.workers(&tasks, |(layer, algorithm)| {
+            (*layer, chip.array(), std::slice::from_ref(algorithm))
+        });
         let _span = pim_telemetry::span!(
             "engine.deploy_network",
-            jobs = self.effective_jobs(tasks.len()),
+            jobs = workers,
             layers = network.len(),
             algorithms = algorithms.len()
         );
-        let planned = self.parallel_map(&tasks, |&(layer, algorithm)| {
+        let planned = parallel_map(&tasks, workers, |&(layer, algorithm)| {
             self.plan(layer, chip.array(), algorithm)
         });
         let mut results = planned.into_iter();
@@ -427,13 +438,15 @@ impl PlanningEngine {
     ) -> Result<pim_sim::SimulationReport> {
         network.check_chain()?;
         let tasks: Vec<&ConvLayer> = network.layers().iter().collect();
+        let searched = std::slice::from_ref(&algorithm);
+        let workers = self.workers(&tasks, |&layer| (layer, array, searched));
         let _span = pim_telemetry::span!(
             "engine.simulate_network_batch",
-            jobs = self.effective_jobs(tasks.len()),
+            jobs = workers,
             layers = tasks.len(),
             batch = batch
         );
-        let planned = self.parallel_map(&tasks, |&layer| self.plan(layer, array, algorithm));
+        let planned = parallel_map(&tasks, workers, |&layer| self.plan(layer, array, algorithm));
         let mut plans = Vec::with_capacity(network.len());
         for plan in planned {
             plans.push(plan?);
@@ -517,46 +530,76 @@ impl PlanningEngine {
         }
     }
 
-    /// Applies `f` to every item, fanning out across scoped worker
-    /// threads, and returns results in item order.
-    ///
-    /// Workers claim items from an atomic cursor (cheap dynamic load
-    /// balancing — layer search costs vary by orders of magnitude) and
-    /// push `(index, result)` pairs; reassembly by index makes the
-    /// output independent of scheduling.
-    fn parallel_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let jobs = self.effective_jobs(items.len());
-        if jobs <= 1 {
-            return items.iter().map(f).collect();
+    /// Workers for one fan-out over `tasks` (see the module docs): the
+    /// engine's worker count, capped by the tasks with a search the memo
+    /// does not hold yet, and at least one. `searches` names a task's
+    /// layer, array and algorithms. Counting stops at the worker count,
+    /// and a one-worker engine never peeks.
+    fn workers<T>(
+        &self,
+        tasks: &[T],
+        searches: impl Fn(&T) -> (&ConvLayer, PimArray, &[MappingAlgorithm]),
+    ) -> usize {
+        let jobs = self.effective_jobs(tasks.len());
+        if jobs == 1 {
+            return 1;
         }
-        let cursor = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(index) else {
-                        break;
-                    };
-                    let result = f(item);
-                    collected
-                        .lock()
-                        .expect("result collection lock poisoned")
-                        .push((index, result));
-                });
-            }
-        });
-        let mut pairs = collected
-            .into_inner()
-            .expect("result collection lock poisoned");
-        pairs.sort_by_key(|&(index, _)| index);
-        pairs.into_iter().map(|(_, result)| result).collect()
+        let cold = tasks
+            .iter()
+            .filter(|task| {
+                let (layer, array, algorithms) = searches(task);
+                algorithms
+                    .iter()
+                    .filter_map(MappingAlgorithm::search_options)
+                    .any(|options| self.searches.peek(layer, array, options).is_none())
+            })
+            .take(jobs)
+            .count();
+        cold.max(1)
     }
+}
+
+/// Applies `f` to every item on `jobs` workers and returns results in
+/// item order. The calling thread is worker 0 and spawns `jobs − 1`
+/// scoped helpers; one worker runs inline and spawns nothing.
+///
+/// Workers claim items from an atomic cursor (cheap dynamic load
+/// balancing — layer search costs vary by orders of magnitude) and push
+/// `(index, result)` pairs; reassembly by index makes the output
+/// independent of scheduling.
+fn parallel_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    if jobs <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
+    let work = || loop {
+        let index = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(index) else {
+            break;
+        };
+        let result = f(item);
+        collected
+            .lock()
+            .expect("result collection lock poisoned")
+            .push((index, result));
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..jobs {
+            scope.spawn(work);
+        }
+        work();
+    });
+    let mut pairs = collected
+        .into_inner()
+        .expect("result collection lock poisoned");
+    pairs.sort_by_key(|&(index, _)| index);
+    pairs.into_iter().map(|(_, result)| result).collect()
 }
 
 impl From<pim_nets::NetError> for VwSdkError {
@@ -900,5 +943,44 @@ mod tests {
         let pinned = PlanningEngine::new().with_jobs(3);
         assert_eq!(pinned.effective_jobs(1000), 3);
         assert_eq!(pinned.effective_jobs(2), 2);
+    }
+
+    #[test]
+    fn fan_outs_spawn_threads_only_for_cold_searches() {
+        use std::collections::HashSet;
+        use std::thread::ThreadId;
+
+        let engine = PlanningEngine::new().with_jobs(4);
+        let network = zoo::vgg13();
+        let tasks: Vec<&ConvLayer> = network.layers().iter().collect();
+        let algorithms = MappingAlgorithm::paper_trio();
+        let array = arr(512, 512);
+        // One fan-out, the way `plan_network_with` runs it; returns its
+        // worker count and the threads its tasks ran on.
+        let fan_out = || -> (usize, HashSet<ThreadId>) {
+            let workers = engine.workers(&tasks, |&layer| (layer, array, &algorithms[..]));
+            let threads = Mutex::new(HashSet::new());
+            parallel_map(&tasks, workers, |&layer| {
+                threads.lock().unwrap().insert(std::thread::current().id());
+                engine.plan_layer_with(layer, array, &algorithms).unwrap()
+            });
+            (workers, threads.into_inner().unwrap())
+        };
+
+        // Ten layers, nine cold shapes: all four workers, the caller
+        // among them.
+        let (workers, threads) = fan_out();
+        assert_eq!(workers, 4);
+        assert!((1..=4).contains(&threads.len()), "{threads:?}");
+        let cold = engine.stats();
+
+        // Every search memoized: the caller runs every task, and sizing
+        // the fan-out counted no hit or miss.
+        let (workers, threads) = fan_out();
+        assert_eq!(workers, 1);
+        assert_eq!(threads, HashSet::from([std::thread::current().id()]));
+        let warm = engine.stats();
+        assert_eq!(warm.search_misses, cold.search_misses);
+        assert_eq!(warm.search_hits - cold.search_hits, tasks.len() as u64);
     }
 }

@@ -51,13 +51,15 @@ pub fn n_parallel_windows(layer: &ConvLayer, pw: ParallelWindow) -> u64 {
     if wpp_w == 0 || wpp_h == 0 {
         return 0;
     }
-    npw_from(layer.output_dims(), wpp_w, wpp_h)
+    let (oh, ow) = layer.output_dims();
+    axis_tiles(ow, wpp_w) * axis_tiles(oh, wpp_h)
 }
 
-/// Eq. (3) from the output extent `(OH, OW)` and the kernel windows per
-/// parallel window along each axis: `⌈OW / NWPw⌉ · ⌈OH / NWPh⌉`.
-fn npw_from((oh, ow): (usize, usize), wpp_w: usize, wpp_h: usize) -> u64 {
-    (ow as u64).div_ceil(wpp_w as u64) * (oh as u64).div_ceil(wpp_h as u64)
+/// One factor of eq. (3) from the output extent along an axis and the
+/// kernel windows per parallel window along it: `NPW = ⌈OW / NWPw⌉ ·
+/// ⌈OH / NWPh⌉`.
+fn axis_tiles(outputs: usize, windows_per_pw: usize) -> u64 {
+    (outputs as u64).div_ceil(windows_per_pw as u64)
 }
 
 /// Eq. (4): input channels of one layer mappable in a single cycle,
@@ -163,35 +165,63 @@ impl VwModel {
 
     /// Eq. (8) for one candidate window; see [`vw_cost`].
     pub(crate) fn cost(&self, pw: ParallelWindow) -> Option<VwCost> {
-        if pw.width() < self.eff_kw
-            || pw.height() < self.eff_kh
-            || pw.width() > self.padded_w
-            || pw.height() > self.padded_h
-        {
+        self.row(pw.height())?.cost(pw.width())
+    }
+
+    /// The windows of one height: `None` when the height is below the
+    /// kernel's or above the padded input's.
+    pub(crate) fn row(&self, height: usize) -> Option<VwRow<'_>> {
+        if height < self.eff_kh || height > self.padded_h {
             return None;
         }
-        let wpp_w = windows_per_pw_axis(pw.width(), self.eff_kw, self.stride);
-        let wpp_h = windows_per_pw_axis(pw.height(), self.eff_kh, self.stride);
-        let windows_in_pw = wpp_w * wpp_h;
-        if windows_in_pw == 0 {
+        let wpp_h = windows_per_pw_axis(height, self.eff_kh, self.stride);
+        Some(VwRow {
+            model: self,
+            height,
+            wpp_h,
+            oh_tiles: axis_tiles(self.out_dims.0, wpp_h),
+        })
+    }
+}
+
+/// The windows of one height of a [`VwModel`], with the height's terms
+/// (`NWPh` and `⌈OH / NWPh⌉`) computed once: a scan row pays only each
+/// width's own divisions.
+#[derive(Debug)]
+pub(crate) struct VwRow<'a> {
+    model: &'a VwModel,
+    height: usize,
+    wpp_h: usize,
+    oh_tiles: u64,
+}
+
+impl VwRow<'_> {
+    /// Eq. (8) for the window of this height and `width`; see
+    /// [`vw_cost`].
+    pub(crate) fn cost(&self, width: usize) -> Option<VwCost> {
+        let model = self.model;
+        if width < model.eff_kw || width > model.padded_w {
             return None;
         }
-        let npw = npw_from(self.out_dims, wpp_w, wpp_h);
-        let ic_t = tiled_ic(self.rows, pw);
-        let oc_t = tiled_oc(self.cols, windows_in_pw);
-        let ar = ar_cycles(self.ic, ic_t)?;
-        let ac = ac_cycles(self.oc, oc_t)?;
+        let pw = ParallelWindow::new(width, self.height).expect("window dims reach the kernel's");
+        let wpp_w = windows_per_pw_axis(width, model.eff_kw, model.stride);
+        let windows_in_pw = wpp_w * self.wpp_h;
+        let npw = axis_tiles(model.out_dims.1, wpp_w) * self.oh_tiles;
+        let ic_t = tiled_ic(model.rows, pw);
+        let oc_t = tiled_oc(model.cols, windows_in_pw);
+        let ar = ar_cycles(model.ic, ic_t)?;
+        let ac = ac_cycles(model.oc, oc_t)?;
         let cycles = npw
             .checked_mul(ar)
             .and_then(|v| v.checked_mul(ac))
-            .and_then(|v| v.checked_mul(self.groups))
+            .and_then(|v| v.checked_mul(model.groups))
             .expect("cycle count overflows u64");
         Some(VwCost {
             window: pw,
             windows_in_pw,
             n_parallel_windows: npw,
-            tiled_ic: ic_t.min(self.ic),
-            tiled_oc: oc_t.min(self.oc),
+            tiled_ic: ic_t.min(model.ic),
+            tiled_oc: oc_t.min(model.oc),
             ar_cycles: ar,
             ac_cycles: ac,
             cycles,

@@ -20,7 +20,7 @@
 //! full candidate count of the exhaustive scan.
 
 use crate::model::{self, Im2colCost, VwCost, VwModel};
-use crate::window::{Candidates, CycleLowerBound, ParallelWindow};
+use crate::window::{Candidates, CycleLowerBound};
 use pim_arch::PimArray;
 use pim_nets::ConvLayer;
 
@@ -283,6 +283,7 @@ fn pruned_search(
             pruned += (h..=padded_h).map(row_len).sum::<usize>();
             break;
         }
+        let row = model.row(h).expect("scan heights lie in the padded input");
         for w in start_w..=padded_w {
             // Within a row the area grows with the width, so both cuts
             // end the row, pruning the tail arithmetically.
@@ -294,8 +295,7 @@ fn pruned_search(
             // ICt >= 1, so eq. (8) fails here only when NWP exceeds the
             // columns (OCt = 0). NWP also grows with the width, so the
             // rest of the row is infeasible too.
-            let pw = ParallelWindow::new(w, h).expect("candidate dims are positive");
-            let Some(cost) = model.cost(pw) else {
+            let Some(cost) = row.cost(w) else {
                 pruned += padded_w - w + 1;
                 break;
             };

@@ -112,8 +112,9 @@ impl<T> BatchRun<T> {
 /// Runs `work` over contiguous shards of `0..len`, one per worker, and
 /// returns the shard results in shard order. `jobs = 0` means all
 /// available cores, and the worker count never exceeds `len` (matching
-/// the planning engine's convention). With one worker, `work` runs on
-/// the calling thread and no thread is spawned.
+/// the planning engine's convention). The calling thread is a worker:
+/// it runs the last shard and spawns one scoped thread per other shard,
+/// so one worker spawns nothing.
 fn on_shards<R: Send>(
     len: usize,
     jobs: usize,
@@ -127,14 +128,11 @@ fn on_shards<R: Send>(
         jobs
     };
     let workers = requested.min(len).max(1);
-    if workers == 1 {
-        return Ok(vec![work(0..len)?]);
-    }
     let (base, extra) = (len / workers, len % workers);
     let work = &work;
     std::thread::scope(|scope| {
         let mut lo = 0;
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (0..workers - 1)
             .map(|w| {
                 let hi = lo + base + usize::from(w < extra);
                 let shard = lo..hi;
@@ -142,10 +140,13 @@ fn on_shards<R: Send>(
                 scope.spawn(move || work(shard))
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("shard worker panicked"))
-            .collect()
+        let last = work(lo..len);
+        let mut results = Vec::with_capacity(workers);
+        for handle in handles {
+            results.push(handle.join().expect("shard worker panicked")?);
+        }
+        results.push(last?);
+        Ok(results)
     })
 }
 

@@ -11,8 +11,11 @@
 
 use proptest::prelude::*;
 use vw_sdk_repro::pim_arch::PimArray;
+use vw_sdk_repro::pim_chip::allocate::Deployment;
+use vw_sdk_repro::pim_chip::ChipConfig;
+use vw_sdk_repro::pim_mapping::MappingAlgorithm;
 use vw_sdk_repro::pim_nets::{zoo, Network};
-use vw_sdk_repro::vw_sdk::{Planner, PlanningEngine};
+use vw_sdk_repro::vw_sdk::{NetworkReport, Planner, PlanningEngine};
 
 fn network_strategy() -> impl Strategy<Value = Network> {
     let all = zoo::all();
@@ -21,6 +24,39 @@ fn network_strategy() -> impl Strategy<Value = Network> {
 
 fn array_strategy() -> impl Strategy<Value = PimArray> {
     (128usize..1025, 128usize..1025).prop_map(|(r, c)| PimArray::new(r, c).expect("positive"))
+}
+
+/// What one engine answered and counted over a sequence of operations.
+type Transcript = (Vec<NetworkReport>, Vec<Deployment>, Vec<(u64, u64, usize)>);
+
+/// The e2ebench sweep-cold op on a fresh engine: sweep the whole zoo on
+/// a never-seen array and deploy one zoo network on that array, then
+/// both again on the warm memo. Records the search counters after each
+/// step.
+fn sweep_cold_op(jobs: usize, array: PimArray, network: &Network) -> Transcript {
+    let engine = PlanningEngine::with_algorithms(&MappingAlgorithm::all()).with_jobs(jobs);
+    let networks = zoo::all();
+    let chip = ChipConfig::new(2 * network.len(), array, 2_000).expect("valid chip config");
+    let counters = || {
+        let stats = engine.stats();
+        (stats.search_hits, stats.search_misses, stats.search_entries)
+    };
+    let (mut reports, mut deployments, mut counts) = Transcript::default();
+    for _ in 0..2 {
+        reports.extend(
+            engine
+                .sweep_arrays(&networks, &[array])
+                .expect("planning is total"),
+        );
+        counts.push(counters());
+        deployments.push(
+            engine
+                .deploy_network(network, &chip)
+                .expect("one array per layer and more"),
+        );
+        counts.push(counters());
+    }
+    (reports, deployments, counts)
 }
 
 proptest! {
@@ -74,5 +110,25 @@ proptest! {
         // Re-planning from the warm cache changes nothing.
         let warm = engine.sweep_arrays(&networks, &arrays).expect("planning is total");
         prop_assert_eq!(batch, warm);
+    }
+
+    /// Sizing a fan-out by its cold searches changes neither what the
+    /// engine answers nor what its memo counts: the sweep-cold op gives
+    /// the same reports, deployments and search counters at 1, 2 and 8
+    /// workers, where only the multi-worker engines peek at the memo.
+    #[test]
+    fn sweep_cold_op_is_the_same_at_every_worker_count(
+        array in array_strategy(),
+        network in network_strategy(),
+    ) {
+        let inline = sweep_cold_op(1, array, &network);
+        // The warm pass searched nothing new.
+        prop_assert_eq!(inline.2[1].1, inline.2[3].1);
+        for jobs in [2, 8] {
+            let fanned = sweep_cold_op(jobs, array, &network);
+            prop_assert_eq!(&fanned.0, &inline.0);
+            prop_assert_eq!(&fanned.1, &inline.1);
+            prop_assert_eq!(&fanned.2, &inline.2);
+        }
     }
 }
