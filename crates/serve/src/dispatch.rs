@@ -11,6 +11,7 @@
 use crate::state::ServerState;
 use crate::{api, handlers, http, router};
 use router::Route;
+use std::io::Write;
 use std::time::Instant;
 
 /// One fully rendered response, ready to hand to the connection's
@@ -175,13 +176,17 @@ pub fn respond(
         )
         .observe(seconds);
     if state.access_log() {
-        eprintln!(
-            "{{\"event\":\"access\",\"method\":\"{}\",\"path\":\"{}\",\"status\":{},\"seconds\":{:.6}}}",
+        // Formatted first, so the line goes out in one write(2) on the
+        // unbuffered stderr, where `eprintln!` writes each piece on its
+        // own. A line stderr refuses is dropped.
+        let line = format!(
+            "{{\"event\":\"access\",\"method\":\"{}\",\"path\":\"{}\",\"status\":{},\"seconds\":{:.6}}}\n",
             log_escape(&method),
             log_escape(&path),
             status,
             seconds
         );
+        let _ = std::io::stderr().lock().write_all(line.as_bytes());
     }
     Response {
         status,

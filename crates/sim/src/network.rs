@@ -34,6 +34,7 @@ use pim_tensor::forward::{self, ExecMode};
 use pim_tensor::{gen, ops, Scalar, Tensor3, Tensor4};
 use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Execution record of one pipeline stage (= one convolutional layer).
 #[derive(Debug, Clone, PartialEq)]
@@ -109,45 +110,80 @@ impl<T> BatchRun<T> {
     }
 }
 
-/// Runs `work` over contiguous shards of `0..len`, one per worker, and
-/// returns the shard results in shard order. `jobs = 0` means all
-/// available cores, and the worker count never exceeds `len` (matching
-/// the planning engine's convention). The calling thread is a worker:
-/// it runs the last shard and spawns one scoped thread per other shard,
-/// so one worker spawns nothing.
-fn on_shards<R: Send>(
-    len: usize,
-    jobs: usize,
-    work: impl Fn(Range<usize>) -> Result<R> + Sync,
-) -> Result<Vec<R>> {
-    let requested = if jobs == 0 {
+/// The worker count `jobs` asks for: `0` means one per available core.
+fn requested_workers(jobs: usize) -> usize {
+    if jobs == 0 {
         std::thread::available_parallelism()
             .map(NonZeroUsize::get)
             .unwrap_or(1)
     } else {
         jobs
-    };
-    let workers = requested.min(len).max(1);
-    let (base, extra) = (len / workers, len % workers);
-    let work = &work;
-    std::thread::scope(|scope| {
-        let mut lo = 0;
-        let handles: Vec<_> = (0..workers - 1)
-            .map(|w| {
-                let hi = lo + base + usize::from(w < extra);
-                let shard = lo..hi;
-                lo = hi;
-                scope.spawn(move || work(shard))
-            })
-            .collect();
-        let last = work(lo..len);
-        let mut results = Vec::with_capacity(workers);
-        for handle in handles {
-            results.push(handle.join().expect("shard worker panicked")?);
+    }
+}
+
+/// Runs `first` on the calling thread while scoped helpers claim the
+/// indices `0..len` from an atomic cursor and run `each` on them; once
+/// `first` returns, the caller claims too. There are `jobs − 1` helpers
+/// (`jobs = 0` means all available cores), never more than `len`, so at
+/// most `jobs` threads run, the caller counted. Returns `first`'s result
+/// and every index's result in index order, whichever thread ran it.
+/// One worker spawns nothing: the caller runs `first`, then every index
+/// in order.
+fn fan_out<A, R: Send>(
+    jobs: usize,
+    len: usize,
+    first: impl FnOnce() -> A,
+    each: impl Fn(usize) -> R + Sync,
+) -> (A, Vec<R>) {
+    let helpers = (requested_workers(jobs) - 1).min(len);
+    let cursor = AtomicUsize::new(0);
+    // Each worker keeps its own (index, result) pairs; the cursor only
+    // hands out indices, and `join` publishes the pairs.
+    let claim = || {
+        let mut claimed = Vec::new();
+        loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= len {
+                return claimed;
+            }
+            claimed.push((index, each(index)));
         }
-        results.push(last?);
-        Ok(results)
-    })
+    };
+    let (head, mut claimed) = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(claim)).collect();
+        let head = first();
+        let mut claimed = claim();
+        for handle in handles {
+            claimed.extend(handle.join().expect("fan-out helper panicked"));
+        }
+        (head, claimed)
+    });
+    claimed.sort_unstable_by_key(|&(index, _)| index);
+    let results = claimed.into_iter().map(|(_, result)| result).collect();
+    (head, results)
+}
+
+/// Runs `work` over contiguous shards of `0..len`, one per worker, and
+/// returns the shard results in shard order. `jobs = 0` means all
+/// available cores, and the worker count never exceeds `len` (matching
+/// the planning engine's convention). The shards go through
+/// [`fan_out`], whose caller claims a shard like any helper, so one
+/// worker spawns nothing.
+fn on_shards<R: Send>(
+    len: usize,
+    jobs: usize,
+    work: impl Fn(Range<usize>) -> Result<R> + Sync,
+) -> Result<Vec<R>> {
+    let workers = requested_workers(jobs).min(len).max(1);
+    let (base, extra) = (len / workers, len % workers);
+    let start = |shard: usize| shard * base + shard.min(extra);
+    let ((), shards) = fan_out(
+        workers,
+        workers,
+        || (),
+        |shard| work(start(shard)..start(shard + 1)),
+    );
+    shards.into_iter().collect()
 }
 
 /// Executes whole networks on the crossbar engine; see the
@@ -206,34 +242,30 @@ impl NetworkExecutor {
         weights: &[Tensor4<T>],
         jobs: usize,
     ) -> Result<BatchRun<T>> {
-        let run = self.execute_unrecorded(network, plans, ifms, weights, jobs)?;
+        self.check_execution_inputs(network, plans, weights.len())?;
+        if ifms.is_empty() {
+            return Err(SimError::new("cannot execute an empty batch"));
+        }
+        let (programmed, program_stats) = program(plans, weights)?;
+        let run = self.stream(network, plans, &programmed, &program_stats, ifms, jobs)?;
         record_sim_telemetry(&run.stages, run.batch() as u64);
         Ok(run)
     }
 
-    /// [`Self::execute_batch`] without the telemetry record, for a
-    /// simulation that records its stages once for all its segments.
-    fn execute_unrecorded<T: Scalar + Send + Sync>(
+    /// The stream phase of [`Self::execute_batch`], unrecorded in
+    /// telemetry: `ifms` through the `programmed` stages of `network`
+    /// over contiguous batch shards on up to `jobs` workers, aggregated
+    /// with each stage's program-phase counters into the batch's records.
+    fn stream<T: Scalar + Send + Sync>(
         &self,
         network: &Network,
         plans: &[MappingPlan],
+        programmed: &[ProgrammedStage<T>],
+        program_stats: &[RunStats],
         ifms: &[Tensor3<T>],
-        weights: &[Tensor4<T>],
         jobs: usize,
     ) -> Result<BatchRun<T>> {
-        self.check_execution_inputs(network, plans, weights.len())?;
         let batch = ifms.len();
-        if batch == 0 {
-            return Err(SimError::new("cannot execute an empty batch"));
-        }
-        // Program phase: every crossbar built and programmed once.
-        let mut program_stats = Vec::with_capacity(network.len());
-        let mut programmed = Vec::with_capacity(network.len());
-        for (plan, bank) in plans.iter().zip(weights) {
-            let mut stats = RunStats::new();
-            programmed.push(ProgrammedStage::program(plan, bank, &mut stats)?);
-            program_stats.push(stats);
-        }
         // Per-input analytical stream counters (input-independent).
         let energy = EnergyModel::default();
         let stream_stats: Vec<RunStats> = programmed
@@ -244,9 +276,8 @@ impl NetworkExecutor {
                 stats
             })
             .collect();
-        // Stream phase: contiguous batch shards across worker threads.
         let ofms: Vec<Tensor3<T>> = on_shards(batch, jobs, |shard| {
-            self.stream_shard(network, &programmed, &ifms[shard])
+            self.stream_shard(network, programmed, &ifms[shard])
         })?
         .into_iter()
         .flatten()
@@ -407,6 +438,23 @@ impl SimulationReport {
     }
 }
 
+/// The program phase: every stage's crossbars built and programmed once,
+/// on the calling thread, with each stage's program-phase counters.
+fn program<T: Scalar>(
+    plans: &[MappingPlan],
+    weights: &[Tensor4<T>],
+) -> Result<(Vec<ProgrammedStage<T>>, Vec<RunStats>)> {
+    plans
+        .iter()
+        .zip(weights)
+        .map(|(plan, bank)| {
+            let mut stats = RunStats::new();
+            let stage = ProgrammedStage::program(plan, bank, &mut stats)?;
+            Ok((stage, stats))
+        })
+        .collect()
+}
+
 /// Records one finished execution or simulation into the process-wide
 /// telemetry registry: crossbar arrays programmed, input feature maps
 /// streamed, and the stages' MAC counts. The counters aggregate over
@@ -456,8 +504,9 @@ fn ifm_seed(seed: u64, element: usize) -> u64 {
 /// once, streams `batch` deterministic pseudo-random input feature maps
 /// through it with up to `jobs` worker threads (`0` = all cores), and
 /// cross-checks **every** element against its own reference forward
-/// pass on the same workers and batch shards. Batch element 0 uses
-/// `seed` itself.
+/// pass. The reference reads no crossbar, so it runs on the other
+/// workers while the calling thread programs, and the stream follows on
+/// contiguous batch shards. Batch element 0 uses `seed` itself.
 ///
 /// Each stage runs in the narrowest of `i32` / `i64` / `i128` that
 /// provably holds every value the stage computes in `mode`, never
@@ -680,13 +729,14 @@ fn simulate_at(
 
 /// Runs `ifms` through every stage of `network`, stage `i` in
 /// `widths[i]` (non-decreasing), on the executor and on the reference
-/// forward pass. Each maximal run of equal-width stages is one segment:
-/// its stages are programmed once and streamed through
-/// [`NetworkExecutor::execute_batch`]'s path, and the reference runs the
-/// same stages through [`forward::forward`], both at that width. At a
-/// boundary both chains widen exactly, and each carries its own outputs,
-/// so the final comparison covers the whole network. Returns the stage
-/// records, unrecorded in telemetry, and both chains' final outputs.
+/// forward pass. Each maximal run of equal-width stages is one segment
+/// ([`Segments::run`]): its stages are programmed once and streamed
+/// through [`NetworkExecutor::execute_batch`]'s phases, and the reference
+/// runs the same stages through [`forward::forward`], both at that width
+/// and on up to `jobs` workers. At a boundary both chains widen exactly,
+/// and each carries its own outputs, so the final comparison covers the
+/// whole network. Returns the stage records, unrecorded in telemetry,
+/// and both chains' final outputs.
 fn run_stages(
     network: &Network,
     plans: &[MappingPlan],
@@ -730,7 +780,13 @@ struct Segments<'a> {
 
 impl Segments<'_> {
     /// Runs stages `range` at width `T` on both chains and appends their
-    /// records; an empty range passes the chains through.
+    /// records; an empty range passes the chains through. One
+    /// [`fan_out`] overlaps two phases: the calling thread programs the
+    /// segment's crossbars while the helpers claim batch elements and
+    /// run the reference on each, and the caller claims elements too
+    /// once it has programmed. The stream then runs on the programmed
+    /// stages over contiguous shards ([`on_shards`]). At one worker the
+    /// caller programs, checks and streams in turn, spawning nothing.
     fn run<T: Scalar + Send + Sync + From<i32>>(
         &self,
         range: Range<usize>,
@@ -756,24 +812,29 @@ impl Segments<'_> {
                     .expect("widening keeps the element count")
             })
             .collect();
-        let run = self.executor.execute_unrecorded(
+        let plans = &self.plans[range];
+        let mode = self.executor.mode;
+        let reference_of = |ifm| Ok(forward::forward(&segment, ifm, &weights, mode)?);
+        let (programmed, reference) = fan_out(
+            self.jobs,
+            chains.reference.len(),
+            || program(plans, &weights),
+            |element| reference_of(&chains.reference[element]),
+        );
+        let (programmed, program_stats) = programmed?;
+        let reference = reference.into_iter().collect::<Result<_>>()?;
+        let run = self.executor.stream(
             &segment,
-            &self.plans[range],
+            plans,
+            &programmed,
+            &program_stats,
             &chains.executor,
-            &weights,
             self.jobs,
         )?;
-        let mode = self.executor.mode;
-        let reference = on_shards(chains.reference.len(), self.jobs, |shard| {
-            chains.reference[shard]
-                .iter()
-                .map(|ifm| Ok(forward::forward(&segment, ifm, &weights, mode)?))
-                .collect::<Result<Vec<_>>>()
-        })?;
         records.extend(run.stages);
         Ok(Chains {
             executor: run.ofms,
-            reference: reference.into_iter().flatten().collect(),
+            reference,
         })
     }
 }
@@ -940,15 +1001,106 @@ mod tests {
 
     #[test]
     fn batch_reports_are_jobs_invariant() {
-        let net = zoo::by_name("tiny").unwrap();
-        let array = PimArray::new(64, 64).unwrap();
-        let plans = plans_for(&net, array, MappingAlgorithm::VwSdk);
-        let serial = simulate_network_batch(&net, &plans, 9, ExecMode::Quantized, 5, 1).unwrap();
-        for jobs in [2, 3, 8, 0] {
-            let sharded =
-                simulate_network_batch(&net, &plans, 9, ExecMode::Quantized, 5, jobs).unwrap();
-            assert_eq!(serial, sharded, "jobs={jobs}");
+        // resnet18-sim exact runs two width segments (i32 -> i64) and
+        // vgg13-sim exact three, each one fan-out of programming and the
+        // reference check, then one sharded stream.
+        let (small, large) = (
+            PimArray::new(64, 64).unwrap(),
+            PimArray::new(512, 512).unwrap(),
+        );
+        let cases = [
+            (zoo::by_name("tiny").unwrap(), small, ExecMode::Quantized),
+            (zoo::resnet18_sim(), large, ExecMode::Exact),
+            (zoo::vgg13_sim(), large, ExecMode::Exact),
+            (zoo::vgg13_sim(), large, ExecMode::Quantized),
+        ];
+        for (net, array, mode) in cases {
+            let plans = plans_for(&net, array, MappingAlgorithm::VwSdk);
+            let serial = simulate_network_batch(&net, &plans, 9, mode, 5, 1).unwrap();
+            assert!(serial.is_fully_consistent(), "{} {mode}", net.name());
+            for jobs in [2, 3, 8, 0] {
+                let sharded = simulate_network_batch(&net, &plans, 9, mode, 5, jobs).unwrap();
+                assert_eq!(serial, sharded, "{} {mode} jobs={jobs}", net.name());
+            }
         }
+    }
+
+    #[test]
+    fn fan_outs_run_on_at_most_jobs_threads() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+
+        let caller = std::thread::current().id();
+        for jobs in [1, 2, 3, 8, 0] {
+            let threads = Mutex::new(HashSet::new());
+            let record = || {
+                let id = std::thread::current().id();
+                threads.lock().unwrap().insert(id);
+                id
+            };
+            let (first, elements) = fan_out(jobs, 6, record, |element| {
+                record();
+                element
+            });
+            assert_eq!(first, caller, "jobs={jobs}");
+            assert_eq!(elements, [0, 1, 2, 3, 4, 5], "jobs={jobs}");
+            let shards = on_shards(6, jobs, |shard| {
+                record();
+                Ok(shard)
+            })
+            .unwrap();
+            assert_eq!(shards.into_iter().flatten().collect::<Vec<_>>(), elements);
+            let threads = threads.into_inner().unwrap();
+            let limit = requested_workers(jobs);
+            if limit == 1 {
+                assert_eq!(threads, HashSet::from([caller]));
+            }
+            assert!(threads.len() <= limit, "jobs={jobs}: {threads:?}");
+        }
+    }
+
+    #[test]
+    fn fan_out_helpers_run_while_the_caller_runs_first() {
+        use std::sync::mpsc;
+        use std::sync::Mutex;
+        use std::time::Duration;
+
+        // One helper. `first` returns only once the helper has started
+        // element 0, and element 0 returns only once element 1 has
+        // finished, so the caller runs element 1 and the helper runs
+        // element 0. The timeouts turn a fan-out that does not overlap
+        // into a failure, not a hang.
+        let patience = Duration::from_secs(30);
+        let (started, on_started) = mpsc::channel();
+        let (finished, on_finished) = mpsc::channel();
+        let on_finished = Mutex::new(on_finished);
+        let caller = std::thread::current().id();
+        let ((), elements) = fan_out(
+            2,
+            2,
+            || {
+                on_started
+                    .recv_timeout(patience)
+                    .expect("a helper starts while the caller runs first");
+            },
+            |element| {
+                if element == 0 {
+                    started.send(()).unwrap();
+                    let on_finished = on_finished.lock().unwrap();
+                    on_finished
+                        .recv_timeout(patience)
+                        .expect("the caller finishes element 1");
+                } else {
+                    finished.send(()).unwrap();
+                }
+                (element, std::thread::current().id())
+            },
+        );
+        // Results come back in element order, not in the order the
+        // elements finished or the order of the threads that ran them.
+        assert_eq!(elements.iter().map(|e| e.0).collect::<Vec<_>>(), [0, 1]);
+        assert_ne!(elements[0].1, caller);
+        assert_eq!(elements[1].1, caller);
     }
 
     #[test]

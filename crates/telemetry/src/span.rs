@@ -32,6 +32,7 @@
 //! assert!(lines[0].contains("\"batch\":\"8\""));
 //! ```
 
+use std::io::Write;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
@@ -53,10 +54,15 @@ pub fn set_trace_sink(sink: Option<TraceSink>) {
     *sink_slot().write().expect("trace sink lock") = sink;
 }
 
-/// Installs a sink that writes each trace event as one line on stderr;
-/// this is what `vwsdk --trace` enables.
+/// Installs a sink that writes each trace event as one line on stderr,
+/// in one write(2) (stderr is unbuffered); this is what `vwsdk --trace`
+/// enables. A line stderr refuses is dropped.
 pub fn trace_to_stderr() {
-    set_trace_sink(Some(Arc::new(|line: &str| eprintln!("{line}"))));
+    set_trace_sink(Some(Arc::new(|line: &str| {
+        let _ = std::io::stderr()
+            .lock()
+            .write_all(format!("{line}\n").as_bytes());
+    })));
 }
 
 /// RAII span guard: created by [`crate::span()`] or the `span!` macro,
