@@ -12,6 +12,15 @@
 //!   the parallel window);
 //! * every programmed **cell** holds one kernel weight ([`WeightCoord`]).
 //!
+//! A layout keeps no cell list. Its cells come from one walk,
+//! [`TileLayout::runs`], which lists them row-major — rows ascending and,
+//! within a row, columns ascending — as [`CellRun`]s: adjacent cells of
+//! one row holding one kernel tap for consecutive output channels. The
+//! layout numbers a tile's columns window-major, by `(wy, wx, oc)`, so a
+//! row's cells for one window are one run. The simulator programs its
+//! crossbars from the walk, [`crate::utilization`] counts it and
+//! [`render_ascii`] draws it, so only the walk says where a weight goes.
+//!
 //! The same generator covers im2col (`PW = K`, one window), SDK (square
 //! `PW`, dense row packing) and VW-SDK (rectangular `PW`, channel-granular
 //! packing). Sub-matrix duplication has a block-diagonal structure of its
@@ -19,6 +28,7 @@
 
 use crate::plan::{MappingPlan, RowPacking};
 use crate::Result;
+use pim_cost::model::windows_per_pw_axis;
 
 /// Identifies one weight element `W[oc][ic][ky][kx]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,27 +68,32 @@ pub struct ColSink {
     pub wx: usize,
 }
 
-/// One programmed cell: `(row, col)` holds `weight`.
+/// `len` adjacent programmed cells of one row: cell `(row, col + j)`
+/// holds `W[weight.oc + j][weight.ic][weight.ky][weight.kx]`, one kernel
+/// tap for `len` consecutive output channels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CellAssignment {
+pub struct CellRun {
     /// Physical row (0-based).
     pub row: usize,
-    /// Physical column (0-based).
+    /// Physical column of the first cell (0-based).
     pub col: usize,
-    /// The weight element stored in the cell.
+    /// Number of cells.
+    pub len: usize,
+    /// The weight element stored in the first cell.
     pub weight: WeightCoord,
 }
 
 /// The layout of one (AR tile, AC tile) array programming.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TileLayout {
-    ar_index: u64,
-    ac_index: u64,
-    rows_used: usize,
-    cols_used: usize,
     row_sources: Vec<RowSource>,
     col_sinks: Vec<ColSink>,
-    cells: Vec<CellAssignment>,
+    /// Window `w`'s columns are `window_cols[w]..window_cols[w + 1]`.
+    window_cols: Vec<usize>,
+    /// Along x, then y: for each patch offset, the windows whose kernel
+    /// reads it (ascending, y's scaled to a window-index step) and the
+    /// kernel tap that reads it.
+    taps: [Vec<Vec<(usize, usize)>>; 2],
 }
 
 impl TileLayout {
@@ -87,14 +102,15 @@ impl TileLayout {
     /// # Errors
     ///
     /// Returns [`crate::MappingError`] if the tile indices are out of
-    /// range or the plan's layer is not layout-supported (grouped).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an internal bound is violated — the property tests treat
-    /// any such panic as a planner bug.
+    /// range, the plan's layer is not layout-supported (grouped), or the
+    /// plan duplicates the kernel matrix (use [`SmdLayout`]).
     pub fn build(plan: &MappingPlan, ar_index: u64, ac_index: u64) -> Result<TileLayout> {
         plan.check_layout_supported()?;
+        if plan.is_block_diagonal() {
+            return Err(crate::MappingError::new(
+                "SMD plan duplicates the kernel matrix; use SmdLayout",
+            ));
+        }
         if ar_index >= plan.ar_cycles() || ac_index >= plan.ac_cycles() {
             return Err(crate::MappingError::new(format!(
                 "tile ({ar_index},{ac_index}) out of range {}x{}",
@@ -108,8 +124,6 @@ impl TileLayout {
         let stride = layer.stride();
         let dilation = layer.dilation();
         let (kw, kh) = (layer.kernel_w(), layer.kernel_h());
-        let wpp_w =
-            pim_cost::model::windows_per_pw_axis(pw.width(), layer.effective_kernel_w(), stride);
         let nwp = plan.windows_in_pw();
         let ic = layer.in_channels();
         let oc = layer.out_channels();
@@ -118,9 +132,26 @@ impl TileLayout {
         // space: one row per weight position, gathered at dilated input
         // offsets. Every other plan's rows are a literal input patch.
         let kernel_grid = nwp == 1 && pw.width() == kw && pw.height() == kh;
+        // Window `w` reads offset `w·stride + k·dilation` with tap `k`.
+        let axis = |patch: usize, effective: usize, kernel: usize, step: usize| {
+            let (extent, windows) = if kernel_grid {
+                (effective, 1)
+            } else {
+                (patch, windows_per_pw_axis(patch, effective, stride))
+            };
+            let taps = |offset: usize| {
+                (0..windows).filter_map(move |w| {
+                    let tap = offset.checked_sub(w * stride)?;
+                    let hit = tap % dilation == 0 && tap / dilation < kernel;
+                    hit.then_some((w * step, tap / dilation))
+                })
+            };
+            ((0..extent).map(|o| taps(o).collect()).collect(), windows)
+        };
+        let (taps_x, windows_x) = axis(pw.width(), layer.effective_kernel_w(), kw, 1);
+        let (taps_y, _) = axis(pw.height(), layer.effective_kernel_h(), kh, windows_x);
 
         // Row range: list of (global ic, dy, dx) per physical row.
-        let mut row_sources = Vec::new();
         let (lr_base, lr_count) = match plan.row_packing() {
             RowPacking::Dense => {
                 let total = ic * pw_area;
@@ -134,19 +165,23 @@ impl TileLayout {
                 (ic_base * pw_area, ic_count * pw_area)
             }
         };
-        for lr in lr_base..lr_base + lr_count {
-            let c = lr / pw_area;
-            let pos = lr % pw_area;
-            let (dy, dx) = if kernel_grid {
-                ((pos / kw) * dilation, (pos % kw) * dilation)
-            } else {
-                (pos / pw.width(), pos % pw.width())
-            };
-            row_sources.push(RowSource { ic: c, dy, dx });
-        }
+        let row_sources = (lr_base..lr_base + lr_count)
+            .map(|lr| {
+                let pos = lr % pw_area;
+                let (dy, dx) = if kernel_grid {
+                    ((pos / kw) * dilation, (pos % kw) * dilation)
+                } else {
+                    (pos / pw.width(), pos % pw.width())
+                };
+                RowSource {
+                    ic: lr / pw_area,
+                    dy,
+                    dx,
+                }
+            })
+            .collect();
 
-        // Column range: list of (global oc, wy, wx) per physical column.
-        let mut col_sinks = Vec::new();
+        // Column range, as logical columns `oc * NWP + window`.
         let (lc_base, lc_count) = match plan.row_packing() {
             RowPacking::Dense => {
                 let total = oc * nwp;
@@ -160,81 +195,41 @@ impl TileLayout {
                 (oc_base * nwp, oc_count * nwp)
             }
         };
-        for lc in lc_base..lc_base + lc_count {
-            let o = lc / nwp;
-            let win = lc % nwp;
-            col_sinks.push(ColSink {
-                oc: o,
-                wy: win / wpp_w.max(1),
-                wx: win % wpp_w.max(1),
-            });
+        // Physical columns number the logical ones window-major: window
+        // `w` holds, in ascending order, the output channels whose logical
+        // column falls in the tile. A Dense tile may cut one channel's
+        // windows, so its first and last windows can hold one fewer.
+        let lc_end = lc_base + lc_count;
+        let mut col_sinks = Vec::with_capacity(lc_count);
+        let mut window_cols = Vec::with_capacity(nwp + 1);
+        for w in 0..nwp {
+            window_cols.push(col_sinks.len());
+            let first = (lc_base + nwp - 1 - w) / nwp;
+            let end = (lc_end + nwp - 1 - w) / nwp;
+            col_sinks.extend((first..end).map(|oc| ColSink {
+                oc,
+                wy: w / windows_x,
+                wx: w % windows_x,
+            }));
         }
-
-        // Cells: for each column, place its kernel at the window offset,
-        // for every channel whose rows fall inside this tile.
-        let mut cells = Vec::new();
-        for (col, sink) in col_sinks.iter().enumerate() {
-            for ky in 0..kh {
-                for kx in 0..kw {
-                    let pos = if kernel_grid {
-                        ky * kw + kx
-                    } else {
-                        let dy = sink.wy * stride + ky * dilation;
-                        let dx = sink.wx * stride + kx * dilation;
-                        dy * pw.width() + dx
-                    };
-                    // All channels present in this tile's row range.
-                    let first_c = lr_base / pw_area;
-                    let last_c = (lr_base + lr_count - 1) / pw_area;
-                    for c in first_c..=last_c {
-                        let lr = c * pw_area + pos;
-                        if lr < lr_base || lr >= lr_base + lr_count {
-                            continue;
-                        }
-                        cells.push(CellAssignment {
-                            row: lr - lr_base,
-                            col,
-                            weight: WeightCoord {
-                                oc: sink.oc,
-                                ic: c,
-                                ky,
-                                kx,
-                            },
-                        });
-                    }
-                }
-            }
-        }
+        window_cols.push(col_sinks.len());
 
         Ok(TileLayout {
-            ar_index,
-            ac_index,
-            rows_used: lr_count,
-            cols_used: lc_count,
             row_sources,
             col_sinks,
-            cells,
+            window_cols,
+            taps: [taps_x, taps_y],
         })
-    }
-
-    /// AR tile index of this layout.
-    fn ar_index(&self) -> u64 {
-        self.ar_index
-    }
-
-    /// AC tile index of this layout.
-    fn ac_index(&self) -> u64 {
-        self.ac_index
     }
 
     /// Physical rows driven in this tile.
     pub fn rows_used(&self) -> usize {
-        self.rows_used
+        self.row_sources.len()
     }
 
     /// Physical columns read in this tile.
     pub fn cols_used(&self) -> usize {
-        self.cols_used
+        self.col_sinks.len()
     }
 
     /// Input element of each physical row (length [`Self::rows_used`]).
@@ -243,25 +238,54 @@ impl TileLayout {
     }
 
     /// Output contribution of each physical column (length
-    /// [`Self::cols_used`]).
+    /// [`Self::cols_used`]), window-major: by `(wy, wx, oc)`.
     pub fn col_sinks(&self) -> &[ColSink] {
         &self.col_sinks
     }
 
-    /// All programmed cells.
-    pub fn cells(&self) -> &[CellAssignment] {
-        &self.cells
+    /// The tile's programmed cells, row-major: rows ascending and, within
+    /// a row, columns ascending.
+    ///
+    /// Row `(ic, dy, dx)` holds a weight for every window `(wy, wx)`
+    /// whose kernel reads it: `dy = wy·s + ky·d` and `dx = wx·s + kx·d`
+    /// for a kernel tap `(ky, kx)`. That window's columns hold
+    /// `W[oc][ic][ky][kx]` for each of its output channels, one run.
+    /// Windows ascend in window-major column order, so consecutive
+    /// windows' runs may abut.
+    pub fn runs(&self) -> impl Iterator<Item = CellRun> + '_ {
+        let [x, y] = &self.taps;
+        let reads = self
+            .row_sources
+            .iter()
+            .enumerate()
+            .flat_map(move |(row, src)| {
+                let along_x = &x[src.dx];
+                y[src.dy].iter().flat_map(move |&(wy, ky)| {
+                    along_x
+                        .iter()
+                        .map(move |&(wx, kx)| (row, src.ic, wy + wx, ky, kx))
+                })
+            });
+        reads.filter_map(move |(row, ic, w, ky, kx)| {
+            let (col, end) = (self.window_cols[w], self.window_cols[w + 1]);
+            (end > col).then(|| CellRun {
+                row,
+                col,
+                len: end - col,
+                weight: WeightCoord {
+                    oc: self.col_sinks[col].oc,
+                    ic,
+                    ky,
+                    kx,
+                },
+            })
+        })
     }
 
     /// Number of cells holding a mapped weight (the paper's "used memory
-    /// cells" under the nonzero interpretation).
+    /// cells" under the nonzero interpretation): the walk's count.
     pub fn used_cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Cells of the allocated bounding rectangle (`rows_used × cols_used`).
-    pub fn rect_cells(&self) -> usize {
-        self.rows_used * self.cols_used
+        self.runs().map(|run| run.len).sum()
     }
 }
 
@@ -270,11 +294,10 @@ impl TileLayout {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SmdLayout {
     duplication: usize,
+    /// Kernel width and height.
+    kernel: (usize, usize),
     kernel_rows: usize,
     out_channels: usize,
-    rows_used: usize,
-    cols_used: usize,
-    cells: Vec<CellAssignment>,
 }
 
 impl SmdLayout {
@@ -296,39 +319,11 @@ impl SmdLayout {
                 "SMD plan degenerated to im2col; use TileLayout",
             ));
         }
-        let (kw, kh) = (layer.kernel_w(), layer.kernel_h());
-        let ic = layer.in_channels();
-        let oc = layer.out_channels();
-        let mut cells = Vec::with_capacity(d * oc * ic * kh * kw);
-        for copy in 0..d {
-            for o in 0..oc {
-                let col = copy * oc + o;
-                for c in 0..ic {
-                    for ky in 0..kh {
-                        for kx in 0..kw {
-                            let row = copy * kernel_rows + c * (kh * kw) + ky * kw + kx;
-                            cells.push(CellAssignment {
-                                row,
-                                col,
-                                weight: WeightCoord {
-                                    oc: o,
-                                    ic: c,
-                                    ky,
-                                    kx,
-                                },
-                            });
-                        }
-                    }
-                }
-            }
-        }
         Ok(SmdLayout {
             duplication: d,
+            kernel: (layer.kernel_w(), layer.kernel_h()),
             kernel_rows,
-            out_channels: oc,
-            rows_used: d * kernel_rows,
-            cols_used: d * oc,
-            cells,
+            out_channels: layer.out_channels(),
         })
     }
 
@@ -349,22 +344,38 @@ impl SmdLayout {
 
     /// Total rows driven.
     pub fn rows_used(&self) -> usize {
-        self.rows_used
+        self.duplication * self.kernel_rows
     }
 
     /// Total columns read.
     pub fn cols_used(&self) -> usize {
-        self.cols_used
+        self.duplication * self.out_channels
     }
 
-    /// All programmed cells.
-    pub fn cells(&self) -> &[CellAssignment] {
-        &self.cells
+    /// The programmed cells, row-major. Row `copy·KH·KW·IC + (ic·KH +
+    /// ky)·KW + kx` holds tap `(ic, ky, kx)` of every output channel, one
+    /// run in the copy's columns `copy·OC..(copy + 1)·OC`.
+    pub fn runs(&self) -> impl Iterator<Item = CellRun> + '_ {
+        let (kw, kh) = self.kernel;
+        (0..self.rows_used()).map(move |row| {
+            let tap = row % self.kernel_rows;
+            CellRun {
+                row,
+                col: row / self.kernel_rows * self.out_channels,
+                len: self.out_channels,
+                weight: WeightCoord {
+                    oc: 0,
+                    ic: tap / (kh * kw),
+                    ky: tap / kw % kh,
+                    kx: tap % kw,
+                },
+            }
+        })
     }
 
-    /// Number of cells holding a mapped weight.
+    /// Number of cells holding a mapped weight: the walk's count.
     pub fn used_cells(&self) -> usize {
-        self.cells.len()
+        self.runs().map(|run| run.len).sum()
     }
 }
 
@@ -391,8 +402,7 @@ mod tests {
         assert_eq!(t.rows_used(), 18); // 3*3*2
         assert_eq!(t.cols_used(), 4);
         assert_eq!(t.used_cells(), 18 * 4); // fully dense
-        assert_eq!(t.rect_cells(), 18 * 4);
-        // Row 0 is channel 0, window origin.
+                                            // Row 0 is channel 0, window origin.
         assert_eq!(
             t.row_sources()[0],
             RowSource {
@@ -435,31 +445,56 @@ mod tests {
         assert_eq!(t.cols_used(), 3 * 2);
         // Each column holds one 3x3 kernel per channel: 9*2 cells.
         assert_eq!(t.used_cells(), 6 * 18);
-        // Column 0: window (0,0); column 1: window (0,1) shifted right.
+        // Window-major columns: 0..3 are window (0,0) for output channels
+        // 0..3, and 3..6 window (0,1), shifted right.
+        let sink = |oc, wx| ColSink { oc, wy: 0, wx };
         assert_eq!(
-            t.col_sinks()[0],
-            ColSink {
-                oc: 0,
-                wy: 0,
-                wx: 0
-            }
+            t.col_sinks(),
+            [
+                sink(0, 0),
+                sink(1, 0),
+                sink(2, 0),
+                sink(0, 1),
+                sink(1, 1),
+                sink(2, 1)
+            ]
         );
+        let min_dx = |col| {
+            t.runs()
+                .filter(|run| (run.col..run.col + run.len).contains(&col))
+                .map(|run| t.row_sources()[run.row].dx)
+                .min()
+        };
+        assert_eq!(min_dx(0), Some(0));
+        assert_eq!(min_dx(3), Some(1));
+        // A row both windows read lists one run per window; the two abut.
         assert_eq!(
-            t.col_sinks()[1],
-            ColSink {
-                oc: 0,
-                wy: 0,
-                wx: 1
-            }
+            t.runs().filter(|run| run.row == 1).collect::<Vec<_>>(),
+            [
+                CellRun {
+                    row: 1,
+                    col: 0,
+                    len: 3,
+                    weight: WeightCoord {
+                        oc: 0,
+                        ic: 0,
+                        ky: 0,
+                        kx: 1
+                    }
+                },
+                CellRun {
+                    row: 1,
+                    col: 3,
+                    len: 3,
+                    weight: WeightCoord {
+                        oc: 0,
+                        ic: 0,
+                        ky: 0,
+                        kx: 0
+                    }
+                }
+            ]
         );
-        let col1_min_dx = t
-            .cells()
-            .iter()
-            .filter(|c| c.col == 1)
-            .map(|c| t.row_sources()[c.row].dx)
-            .min()
-            .unwrap();
-        assert_eq!(col1_min_dx, 1);
     }
 
     #[test]
@@ -480,7 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn tile_cells_are_distinct_and_inside_the_array() {
+    fn tile_walks_are_row_major_and_inside_the_array() {
         let l = layer(10, 3, 3, 5);
         let array = arr(48, 40);
         for alg in [
@@ -492,26 +527,36 @@ mod tests {
             for t in 0..p.ar_cycles() {
                 for u in 0..p.ac_cycles() {
                     let layout = TileLayout::build(&p, t, u).unwrap();
-                    let distinct: std::collections::HashSet<(usize, usize)> =
-                        layout.cells().iter().map(|c| (c.row, c.col)).collect();
-                    assert_eq!(distinct.len(), layout.used_cells(), "{alg} tile {t},{u}");
-                    assert!(
-                        distinct
-                            .iter()
-                            .all(|&(r, c)| r < array.rows() && c < array.cols()),
-                        "{alg} tile {t},{u} leaves the array"
-                    );
+                    // Each run starts past the previous one's last cell, so
+                    // no cell is listed twice.
+                    let mut next = (0, 0);
+                    for run in layout.runs() {
+                        assert!(
+                            run.len > 0 && (run.row, run.col) >= next,
+                            "{alg} tile {t},{u}"
+                        );
+                        next = (run.row, run.col + run.len);
+                        assert!(
+                            run.row < layout.rows_used() && next.1 <= layout.cols_used(),
+                            "{alg} tile {t},{u} leaves the layout"
+                        );
+                    }
+                    assert!(layout.rows_used() <= array.rows());
+                    assert!(layout.cols_used() <= array.cols());
                 }
             }
         }
     }
 
     #[test]
-    fn layout_rejects_out_of_range_tiles() {
+    fn layout_rejects_out_of_range_tiles_and_duplicated_smd() {
         let l = layer(6, 3, 2, 4);
         let p = MappingAlgorithm::Im2col.plan(&l, arr(64, 64)).unwrap();
         assert!(TileLayout::build(&p, 1, 0).is_err());
         assert!(TileLayout::build(&p, 0, 1).is_err());
+        let smd = MappingAlgorithm::Smd.plan(&l, arr(64, 64)).unwrap();
+        assert!(smd.is_block_diagonal());
+        assert!(TileLayout::build(&smd, 0, 0).is_err());
     }
 
     #[test]
@@ -525,10 +570,10 @@ mod tests {
         assert_eq!(s.cols_used(), d * 3);
         assert_eq!(s.used_cells(), d * 3 * 18);
         // No cell may fall outside its diagonal block.
-        for cell in s.cells() {
-            let row_copy = cell.row / s.kernel_rows();
-            let col_copy = cell.col / s.out_channels();
-            assert_eq!(row_copy, col_copy);
+        for run in s.runs() {
+            let row_copy = run.row / s.kernel_rows();
+            assert_eq!(run.col, row_copy * s.out_channels());
+            assert_eq!(run.len, s.out_channels());
         }
     }
 
@@ -553,35 +598,65 @@ mod tests {
     }
 }
 
-/// Renders a tile layout as ASCII art: `#` for cells holding a weight,
-/// `.` for unused cells inside the allocated region, blank outside.
+/// Renders tile (0, 0) of a plan as ASCII art: `#` for cells holding a
+/// weight, `.` for unused cells inside the allocated region, blank
+/// outside. Sub-matrix duplication draws its block-diagonal layout.
 ///
 /// Large tiles are downsampled to at most `max_rows × max_cols`
 /// characters (each character then represents a block of cells and is
 /// `#` if any cell in the block is programmed).
 ///
-/// Useful for eyeballing how SDK/VW-SDK shift kernels inside window
-/// columns — the structure of the paper's Fig. 2.
-pub fn render_ascii(layout: &TileLayout, max_rows: usize, max_cols: usize) -> String {
-    let rows = layout.rows_used().max(1);
-    let cols = layout.cols_used().max(1);
+/// Columns are drawn `oc`-major, each output channel's windows side by
+/// side, so SDK/VW-SDK's kernel shifts show as in the paper's Fig. 2.
+///
+/// # Errors
+///
+/// Returns [`crate::MappingError`] if the plan has no cell-level layout
+/// (grouped layers).
+pub fn render_ascii(plan: &MappingPlan, max_rows: usize, max_cols: usize) -> Result<String> {
+    let max = (max_rows, max_cols);
+    let cells = |run: CellRun| (run.col..run.col + run.len).map(move |col| (run.row, col));
+    if plan.is_block_diagonal() {
+        let layout = SmdLayout::build(plan)?;
+        let used = (layout.rows_used(), layout.cols_used());
+        return Ok(draw(used, max, layout.runs().flat_map(cells)));
+    }
+    let layout = TileLayout::build(plan, 0, 0)?;
+    let sinks = layout.col_sinks();
+    let mut order: Vec<usize> = (0..sinks.len()).collect();
+    order.sort_unstable_by_key(|&col| (sinks[col].oc, sinks[col].wy, sinks[col].wx));
+    let mut shown = vec![0; sinks.len()];
+    for (position, &col) in order.iter().enumerate() {
+        shown[col] = position;
+    }
+    let used = (layout.rows_used(), layout.cols_used());
+    let cells = layout
+        .runs()
+        .flat_map(cells)
+        .map(|(row, col)| (row, shown[col]));
+    Ok(draw(used, max, cells))
+}
+
+/// Draws `cells` of a `rows × cols` region on at most `max_rows ×
+/// max_cols` characters, under a header that counts them.
+fn draw(
+    (rows_used, cols_used): (usize, usize),
+    (max_rows, max_cols): (usize, usize),
+    cells: impl Iterator<Item = (usize, usize)>,
+) -> String {
+    let rows = rows_used.max(1);
+    let cols = cols_used.max(1);
     let row_step = rows.div_ceil(max_rows.max(1));
     let col_step = cols.div_ceil(max_cols.max(1));
-    let grid_h = rows.div_ceil(row_step);
-    let grid_w = cols.div_ceil(col_step);
-    let mut grid = vec![vec!['.'; grid_w]; grid_h];
-    for cell in layout.cells() {
-        grid[cell.row / row_step][cell.col / col_step] = '#';
+    let mut grid = vec![vec!['.'; cols.div_ceil(col_step)]; rows.div_ceil(row_step)];
+    let mut weights = 0;
+    for (row, col) in cells {
+        grid[row / row_step][col / col_step] = '#';
+        weights += 1;
     }
     let mut out = format!(
-        "tile ({}, {}): {} rows x {} cols used, {} weights ({}x{} per character)\n",
-        layout.ar_index(),
-        layout.ac_index(),
-        layout.rows_used(),
-        layout.cols_used(),
-        layout.used_cells(),
-        row_step,
-        col_step,
+        "tile (0, 0): {rows_used} rows x {cols_used} cols used, {weights} weights \
+         ({row_step}x{col_step} per character)\n"
     );
     for row in grid {
         out.push_str(&row.into_iter().collect::<String>());
@@ -603,8 +678,7 @@ mod ascii_tests {
         let pw = pim_cost::window::ParallelWindow::new(4, 3).unwrap();
         let plan =
             crate::plan::plan_with_window(&layer, PimArray::new(16, 16).unwrap(), pw).unwrap();
-        let layout = TileLayout::build(&plan, 0, 0).unwrap();
-        let art = render_ascii(&layout, 64, 64);
+        let art = render_ascii(&plan, 64, 64).unwrap();
         // 12 rows x 4 cols fully rendered; shifted kernels leave holes.
         assert!(art.contains('#'));
         assert!(art.contains('.'));
@@ -625,8 +699,7 @@ mod ascii_tests {
         let plan = MappingAlgorithm::VwSdk
             .plan(&layer, PimArray::new(512, 512).unwrap())
             .unwrap();
-        let layout = TileLayout::build(&plan, 0, 0).unwrap();
-        let art = render_ascii(&layout, 32, 80);
+        let art = render_ascii(&plan, 32, 80).unwrap();
         let lines: Vec<&str> = art.lines().skip(1).collect();
         assert!(lines.len() <= 32);
         assert!(lines.iter().all(|l| l.len() <= 80));
@@ -638,9 +711,36 @@ mod ascii_tests {
         let plan = MappingAlgorithm::Im2col
             .plan(&layer, PimArray::new(32, 32).unwrap())
             .unwrap();
-        let layout = TileLayout::build(&plan, 0, 0).unwrap();
-        let art = render_ascii(&layout, 64, 64);
+        let art = render_ascii(&plan, 64, 64).unwrap();
         // im2col columns are dense: no '.' inside the used region.
         assert!(!art.lines().skip(1).any(|l| l.contains('.')));
+    }
+
+    #[test]
+    fn smd_renders_its_block_diagonal_copies() {
+        let layer = ConvLayer::square("s", 8, 3, 2, 3).unwrap();
+        let plan = MappingAlgorithm::Smd
+            .plan(&layer, PimArray::new(64, 64).unwrap())
+            .unwrap();
+        let d = plan.duplication();
+        assert!(d > 1);
+        let art = render_ascii(&plan, 64, 64).unwrap();
+        let lines: Vec<&str> = art.lines().collect();
+        assert_eq!(
+            lines[0],
+            format!(
+                "tile (0, 0): {} rows x {} cols used, {} weights (1x1 per character)",
+                d * 18,
+                d * 3,
+                d * 18 * 3
+            )
+        );
+        // Row r of copy r / 18 is programmed in that copy's 3 columns only.
+        for (r, line) in lines[1..].iter().enumerate() {
+            let expected: String = (0..d * 3)
+                .map(|c| if c / 3 == r / 18 { '#' } else { '.' })
+                .collect();
+            assert_eq!(*line, expected, "row {r}");
+        }
     }
 }

@@ -10,12 +10,13 @@
 //!   the VW search;
 //! * [`layout`] — the cell-level [`layout::TileLayout`] of one array
 //!   programming (an AR-tile × AC-tile pair) and the block-diagonal
-//!   [`layout::SmdLayout`];
+//!   [`layout::SmdLayout`], each generating its cells in one row-major
+//!   walk that the `pim-sim` crossbars are programmed from;
 //! * [`schedule`] — parallel-window positions and the cycle enumeration
 //!   executed by the `pim-sim` crossbar engine;
-//! * [`utilization`] — the paper's eq. (9) array utilization, measured
-//!   exactly from the layouts (both nonzero-cell and bounding-rectangle
-//!   interpretations, mean and peak).
+//! * [`utilization`] — the paper's eq. (9) array utilization, counted
+//!   exactly from the layouts' walks (both nonzero-cell and
+//!   bounding-rectangle interpretations, mean and peak).
 //!
 //! # Example
 //!

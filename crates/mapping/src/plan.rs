@@ -247,6 +247,13 @@ impl MappingPlan {
         self.row_packing
     }
 
+    /// Whether the plan programs sub-matrix duplication's block-diagonal
+    /// kernel copies ([`crate::layout::SmdLayout`]) rather than (AR, AC)
+    /// tiles ([`crate::layout::TileLayout`]).
+    pub fn is_block_diagonal(&self) -> bool {
+        self.algorithm == MappingAlgorithm::Smd && self.duplication > 1
+    }
+
     /// Speedup of this plan relative to another (`other.cycles / cycles`).
     pub fn speedup_over(&self, other: &MappingPlan) -> f64 {
         other.cycles as f64 / self.cycles as f64

@@ -16,7 +16,7 @@
 //! the **peak** (the paper's "up to" phrasing).
 
 use crate::layout::{SmdLayout, TileLayout};
-use crate::plan::{MappingAlgorithm, MappingPlan};
+use crate::plan::MappingPlan;
 use crate::Result;
 
 /// Utilization statistics of one plan, in percent.
@@ -36,9 +36,11 @@ pub struct UtilizationStats {
 
 /// Measures eq. (9) utilization of a plan exactly, from its cell layouts.
 ///
-/// Every `(AR, AC)` tile pair is laid out once; its per-cycle utilization
-/// is constant across the parallel-window positions that stream through
-/// it, so the cycle weighting reduces to averaging over tile pairs.
+/// Every `(AR, AC)` tile pair is laid out once and its cells counted
+/// from the layout's walk, the one the simulator programs; its per-cycle
+/// utilization is constant across the parallel-window positions that
+/// stream through it, so the cycle weighting reduces to averaging over
+/// tile pairs.
 ///
 /// # Errors
 ///
@@ -46,38 +48,33 @@ pub struct UtilizationStats {
 /// layout support).
 pub fn utilization(plan: &MappingPlan) -> Result<UtilizationStats> {
     plan.check_layout_supported()?;
-    let total = plan.array().cells() as f64;
-
-    // SMD with real duplication has a single block-diagonal programming.
-    if plan.algorithm() == MappingAlgorithm::Smd && plan.duplication() > 1 {
+    // Each programming's used cells and allocated rectangle. SMD with real
+    // duplication has a single block-diagonal programming.
+    let programmings: Vec<(usize, usize)> = if plan.is_block_diagonal() {
         let layout = SmdLayout::build(plan)?;
-        let nonzero = layout.used_cells() as f64 / total * 100.0;
-        let rect = (layout.rows_used() * layout.cols_used()) as f64 / total * 100.0;
-        return Ok(UtilizationStats {
-            mean_nonzero: nonzero,
-            peak_nonzero: nonzero,
-            mean_rect: rect,
-            peak_rect: rect,
-            cycles: plan.cycles(),
-        });
-    }
-
+        vec![(layout.used_cells(), layout.rows_used() * layout.cols_used())]
+    } else {
+        let tiles = (0..plan.ar_cycles()).flat_map(|t| (0..plan.ac_cycles()).map(move |u| (t, u)));
+        tiles
+            .map(|(t, u)| {
+                let layout = TileLayout::build(plan, t, u)?;
+                Ok((layout.used_cells(), layout.rows_used() * layout.cols_used()))
+            })
+            .collect::<Result<_>>()?
+    };
+    let total = plan.array().cells() as f64;
     let mut sum_nonzero = 0.0;
     let mut peak_nonzero = 0.0f64;
     let mut sum_rect = 0.0;
     let mut peak_rect = 0.0f64;
-    let pairs = (plan.ar_cycles() * plan.ac_cycles()) as f64;
-    for t in 0..plan.ar_cycles() {
-        for u in 0..plan.ac_cycles() {
-            let layout = TileLayout::build(plan, t, u)?;
-            let nz = layout.used_cells() as f64 / total;
-            let rc = layout.rect_cells() as f64 / total;
-            sum_nonzero += nz;
-            sum_rect += rc;
-            peak_nonzero = peak_nonzero.max(nz);
-            peak_rect = peak_rect.max(rc);
-        }
+    for &(used, rect) in &programmings {
+        let (nz, rc) = (used as f64 / total, rect as f64 / total);
+        sum_nonzero += nz;
+        sum_rect += rc;
+        peak_nonzero = peak_nonzero.max(nz);
+        peak_rect = peak_rect.max(rc);
     }
+    let pairs = programmings.len() as f64;
     Ok(UtilizationStats {
         mean_nonzero: sum_nonzero / pairs * 100.0,
         peak_nonzero: peak_nonzero * 100.0,
@@ -90,6 +87,7 @@ pub fn utilization(plan: &MappingPlan) -> Result<UtilizationStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MappingAlgorithm;
     use pim_arch::PimArray;
     use pim_nets::ConvLayer;
 

@@ -1,7 +1,7 @@
 //! The programmable crossbar state.
 
 use crate::{Result, SimError};
-use pim_mapping::layout::CellAssignment;
+use pim_mapping::layout::CellRun;
 use pim_tensor::{Scalar, Tensor4};
 
 /// One crossbar array holding programmed weights.
@@ -22,20 +22,23 @@ use pim_tensor::{Scalar, Tensor4};
 /// # Example
 ///
 /// ```
-/// use pim_mapping::layout::{CellAssignment, WeightCoord};
+/// use pim_mapping::layout::{CellRun, WeightCoord};
 /// use pim_sim::Crossbar;
 /// use pim_tensor::Tensor4;
 ///
 /// let bank = Tensor4::from_vec(2, 1, 1, 1, vec![3i64, 5]).unwrap();
-/// let cell = |row, col, oc| CellAssignment {
+/// let run = |row, col, len| CellRun {
 ///     row,
 ///     col,
-///     weight: WeightCoord { oc, ic: 0, ky: 0, kx: 0 },
+///     len,
+///     weight: WeightCoord { oc: 0, ic: 0, ky: 0, kx: 0 },
 /// };
-/// let xbar = Crossbar::program(2, 2, &[cell(0, 0, 0), cell(1, 1, 1)], &bank).unwrap();
+/// // Row 0 holds W[0] and W[1] in columns 0 and 1; row 1 holds W[0] in
+/// // column 1.
+/// let xbar = Crossbar::program(2, 2, [run(0, 0, 2), run(1, 1, 1)], &bank).unwrap();
 /// let mut out = Vec::new();
 /// xbar.mvm_batch_into(&[10, 100], 1, &mut out).unwrap();
-/// assert_eq!(out, vec![30, 500]);
+/// assert_eq!(out, vec![30, 50 + 300]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Crossbar<T> {
@@ -60,107 +63,67 @@ struct ColumnRun {
 }
 
 impl<T: Scalar> Crossbar<T> {
-    /// Programs a `rows × cols` crossbar with a tile layout's cells,
-    /// fetching weight values from the weight bank. When the list
-    /// writes one cell twice, the later write wins.
+    /// Programs a `rows × cols` crossbar in one pass over a layout's
+    /// walk, fetching weight values from the weight bank.
     ///
-    /// A counting pass sizes each row and a fill pass lists its cells;
-    /// each row is then cut into runs of consecutive columns. The cells
-    /// may come in any order.
+    /// The runs must come row-major — rows ascending and, within a row,
+    /// columns ascending — as [`pim_mapping::layout::TileLayout::runs`]
+    /// lists them. Each is appended to its row, merged with the row's
+    /// last run when the two abut.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if any assignment exceeds the crossbar or the
-    /// weight bank dimensions.
+    /// Returns [`SimError`] if a run exceeds the crossbar or the weight
+    /// bank dimensions, or if a cell does not follow the one before it
+    /// in row-major order, which a cell written twice never does.
     pub fn program(
         rows: usize,
         cols: usize,
-        cells: &[CellAssignment],
-        weights: &Tensor4<T>,
-    ) -> Result<Self> {
-        Self::program_from(rows, cols, cells.iter().copied(), weights)
-    }
-
-    /// [`Crossbar::program`] from cells a clonable iterator lists, read
-    /// twice.
-    pub(crate) fn program_from(
-        rows: usize,
-        cols: usize,
-        cells: impl Iterator<Item = CellAssignment> + Clone,
+        runs: impl IntoIterator<Item = CellRun>,
         weights: &Tensor4<T>,
     ) -> Result<Self> {
         let (oc, ic, kh, kw) = weights.dims();
-        let mut row_start = vec![0usize; rows + 1];
-        for cell in cells.clone() {
-            if cell.row >= rows || cell.col >= cols {
-                return Err(SimError::new(format!(
-                    "cell ({}, {}) outside {rows}x{cols} crossbar",
-                    cell.row, cell.col
-                )));
-            }
-            let w = cell.weight;
-            if w.oc >= oc || w.ic >= ic || w.ky >= kh || w.kx >= kw {
-                return Err(SimError::new(format!(
-                    "weight coordinate ({}, {}, {}, {}) outside {}x{}x{}x{} bank",
-                    w.oc, w.ic, w.ky, w.kx, oc, ic, kh, kw
-                )));
-            }
-            row_start[cell.row + 1] += 1;
-        }
-        for r in 0..rows {
-            row_start[r + 1] += row_start[r];
-        }
-        let mut next = row_start[..rows].to_vec();
-        let mut col = vec![0; row_start[rows]];
-        let mut weight = vec![T::ZERO; row_start[rows]];
-        for cell in cells {
-            let slot = next[cell.row];
-            next[cell.row] += 1;
-            col[slot] = cell.col;
-            let w = cell.weight;
-            weight[slot] = weights.get(w.oc, w.ic, w.ky, w.kx);
-        }
-        // Cut each row into runs. The row's cells go into a dense row
-        // buffer, so a later write of a cell replaces an earlier one, and
-        // into a bitmap whose set bits, read in ascending order, give the
-        // row's columns sorted. The weights compact in place: a row never
-        // keeps more cells than it listed.
-        let mut present = vec![0u64; cols.div_ceil(64)];
-        let mut dense = vec![T::ZERO; cols];
-        let mut runs: Vec<ColumnRun> = Vec::new();
-        let mut kept = 0;
-        for r in 0..rows {
-            for i in row_start[r]..row_start[r + 1] {
-                present[col[i] / 64] |= 1 << (col[i] % 64);
-                dense[col[i]] = weight[i];
-            }
-            row_start[r] = runs.len();
-            for (word_index, word) in present.iter_mut().enumerate() {
-                while *word != 0 {
-                    let c = word_index * 64 + word.trailing_zeros() as usize;
-                    *word &= *word - 1;
-                    match runs[row_start[r]..].last_mut() {
-                        Some(run) if c == run.col + run.len => run.len += 1,
-                        _ => runs.push(ColumnRun {
-                            col: c,
-                            start: kept,
-                            len: 1,
-                        }),
-                    }
-                    weight[kept] = dense[c];
-                    kept += 1;
-                }
-            }
-        }
-        row_start[rows] = runs.len();
-        weight.truncate(kept);
-        Ok(Self {
+        let bank = weights.as_slice();
+        let mut xbar = Self {
             rows,
             cols,
-            row_start,
-            runs,
-            weight,
-        })
+            row_start: vec![0],
+            runs: Vec::new(),
+            weight: Vec::new(),
+        };
+        // The first column the next cell of the current row may take.
+        let mut next_col = 0;
+        runs.into_iter().try_for_each(|run| {
+            let (CellRun { row, col, len, .. }, w) = (run, run.weight);
+            if row >= rows || len > cols || col > cols - len {
+                let msg = format!("{len} cells from ({row}, {col}) outside {rows}x{cols} crossbar");
+                return Err(SimError::new(msg));
+            }
+            if len > oc || w.oc > oc - len || w.ic >= ic || w.ky >= kh || w.kx >= kw {
+                let msg = format!("{len} weights from {w:?} outside {oc}x{ic}x{kh}x{kw} bank");
+                return Err(SimError::new(msg));
+            }
+            let current = xbar.row_start.len() - 1;
+            if row < current || (row == current && col < next_col) {
+                return Err(SimError::new(format!(
+                    "cell ({row}, {col}) does not follow the cell before it in row-major \
+                     order: it is written twice or out of order"
+                )));
+            }
+            xbar.row_start.resize(row + 1, xbar.runs.len());
+            let start = xbar.weight.len();
+            let first = ((w.oc * ic + w.ic) * kh + w.ky) * kw + w.kx;
+            xbar.weight
+                .extend(bank[first..].iter().step_by(ic * kh * kw).take(len));
+            match xbar.runs[xbar.row_start[row]..].last_mut() {
+                Some(last) if last.col + last.len == col => last.len += len,
+                _ => xbar.runs.push(ColumnRun { col, start, len }),
+            }
+            next_col = col + len;
+            Ok(())
+        })?;
+        xbar.row_start.resize(rows + 1, xbar.runs.len());
+        Ok(xbar)
     }
 
     /// Number of rows.
@@ -173,8 +136,7 @@ impl<T: Scalar> Crossbar<T> {
         self.cols
     }
 
-    /// Number of distinct programmed cells.
-    #[cfg(test)]
+    /// Number of programmed cells.
     pub(crate) fn programmed_cells(&self) -> usize {
         self.weight.len()
     }
@@ -256,10 +218,25 @@ mod tests {
     use pim_tensor::gen;
     use proptest::prelude::*;
 
-    fn cell(row: usize, col: usize, oc: usize, ic: usize, ky: usize, kx: usize) -> CellAssignment {
-        CellAssignment {
+    fn run(row: usize, col: usize, len: usize, oc: usize) -> CellRun {
+        CellRun {
             row,
             col,
+            len,
+            weight: WeightCoord {
+                oc,
+                ic: 0,
+                ky: 0,
+                kx: 0,
+            },
+        }
+    }
+
+    fn cell(row: usize, col: usize, oc: usize, ic: usize, ky: usize, kx: usize) -> CellRun {
+        CellRun {
+            row,
+            col,
+            len: 1,
             weight: WeightCoord { oc, ic, ky, kx },
         }
     }
@@ -267,23 +244,48 @@ mod tests {
     #[test]
     fn mvm_rejects_wrong_input_length() {
         let bank = gen::random4::<i32>(1, 1, 1, 1, 7);
-        let x = Crossbar::program(3, 2, &[], &bank).unwrap();
+        let x = Crossbar::program(3, 2, [], &bank).unwrap();
         assert!(x.mvm(&[1, 2]).is_err());
         assert_eq!(x.mvm(&[1, 2, 3]).unwrap(), vec![0, 0]);
     }
 
     #[test]
-    fn program_reads_weight_bank_and_last_write_wins() {
+    fn program_reads_weight_bank_and_refuses_a_repeated_cell() {
         let weights = gen::random4::<i64>(2, 1, 2, 2, 7);
-        let cells = [
+        let cells = [cell(0, 0, 0, 0, 0, 0), cell(3, 1, 1, 0, 1, 1)];
+        let x = Crossbar::program(4, 2, cells, &weights).unwrap();
+        assert_eq!(x.programmed_cells(), 2);
+        let y = x.mvm(&[1, 0, 0, 1]).unwrap();
+        assert_eq!(y, vec![weights.get(0, 0, 0, 0), weights.get(1, 0, 1, 1)]);
+        // A second write of cell (3, 1) is refused, naming the cell,
+        // instead of replacing the first write's weight.
+        let twice = [
             cell(0, 0, 0, 0, 0, 0),
             cell(3, 1, 0, 0, 1, 0),
             cell(3, 1, 1, 0, 1, 1),
         ];
-        let x = Crossbar::program(4, 2, &cells, &weights).unwrap();
-        assert_eq!(x.programmed_cells(), 2);
-        let y = x.mvm(&[1, 0, 0, 1]).unwrap();
-        assert_eq!(y, vec![weights.get(0, 0, 0, 0), weights.get(1, 0, 1, 1)]);
+        let err = Crossbar::program(4, 2, twice, &weights).unwrap_err();
+        assert!(err.to_string().contains("cell (3, 1)"), "{err}");
+        // So are a column that steps back within its row, a row that
+        // steps back, and a run that overlaps the run before it.
+        for (cells, named) in [
+            (vec![run(3, 1, 1, 0), run(3, 0, 1, 0)], "cell (3, 0)"),
+            (vec![run(3, 0, 1, 0), run(2, 1, 1, 0)], "cell (2, 1)"),
+            (vec![run(0, 0, 2, 0), run(0, 1, 1, 0)], "cell (0, 1)"),
+        ] {
+            let err = Crossbar::program(4, 2, cells, &weights).unwrap_err();
+            assert!(err.to_string().contains(named), "{err}");
+        }
+    }
+
+    #[test]
+    fn abutting_runs_of_one_row_merge() {
+        let weights = gen::random4::<i64>(3, 1, 1, 1, 7);
+        let x = Crossbar::program(2, 5, [run(0, 0, 2, 1), run(0, 2, 3, 0)], &weights).unwrap();
+        assert_eq!(x.runs_in_row(0), 1);
+        assert_eq!(x.runs_in_row(1), 0);
+        let w = |oc| weights.get(oc, 0, 0, 0);
+        assert_eq!(x.mvm(&[1, 7]).unwrap(), vec![w(1), w(2), w(0), w(1), w(2)]);
     }
 
     #[test]
@@ -292,7 +294,7 @@ mod tests {
         let cells: Vec<_> = (0..8)
             .flat_map(|r| (0..4).map(move |c| cell(r, c, c, r % 2, (r / 2) % 2, r / 4)))
             .collect();
-        let x = Crossbar::program(8, 4, &cells, &weights).unwrap();
+        let x = Crossbar::program(8, 4, cells, &weights).unwrap();
         let a: Vec<i64> = (0..8).map(|v| v - 3).collect();
         let b: Vec<i64> = (0..8).map(|v| 2 * v - 7).collect();
         let packed: Vec<i64> = a.iter().chain(b.iter()).copied().collect();
@@ -314,8 +316,9 @@ mod tests {
             (
                 Just(rows),
                 Just(cols),
-                // Up to 40 writes into at most 81 cells: duplicate
-                // writes, zero weights and rows without a cell all occur.
+                // Up to 40 writes into at most 81 cells: repeated cells,
+                // steps back, zero weights and rows without a cell all
+                // occur.
                 collection::vec((0..rows, 0..cols, -3i8..4), 0..40),
                 Just(batch),
                 collection::vec(-2i8..3, batch * rows..batch * rows + 1),
@@ -334,16 +337,22 @@ mod tests {
             let bank =
                 Tensor4::from_vec(writes.len(), 1, 1, 1, writes.iter().map(|w| value(w.2)).collect())
                     .unwrap();
-            let cells: Vec<_> = writes
-                .iter()
-                .enumerate()
-                .map(|(i, &(r, c, _))| cell(r, c, i, 0, 0, 0))
-                .collect();
-            let xbar = Crossbar::program(rows, cols, &cells, &bank).unwrap();
+            let write = |i: usize| cell(writes[i].0, writes[i].1, i, 0, 0, 0);
+            // The writes as drawn program only when they are strictly
+            // row-major: a repeated cell or a step back is refused.
+            let row_major = writes.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1));
+            let drawn = Crossbar::program(rows, cols, (0..writes.len()).map(write), &bank);
+            prop_assert_eq!(drawn.is_ok(), row_major);
+            // Each cell's last write, row-major.
+            let mut last = std::collections::BTreeMap::new();
+            for (i, &(r, c, _)) in writes.iter().enumerate() {
+                last.insert((r, c), i);
+            }
+            let xbar = Crossbar::program(rows, cols, last.values().map(|&i| write(i)), &bank).unwrap();
             let inputs: Vec<f64> = inputs.into_iter().map(value).collect();
             let mut dense = vec![0.0; rows * cols];
-            for &(r, c, w) in &writes {
-                dense[r * cols + c] = value(w);
+            for (&(r, c), &i) in &last {
+                dense[r * cols + c] = value(writes[i].2);
             }
             let mut expect = vec![0.0; batch * cols];
             for bi in 0..batch {
@@ -356,17 +365,26 @@ mod tests {
             let mut out = vec![1.0; 3];
             xbar.mvm_batch_into(&inputs, batch, &mut out).unwrap();
             prop_assert_eq!(out, expect);
-            let distinct: std::collections::HashSet<_> =
-                writes.iter().map(|&(r, c, _)| (r, c)).collect();
-            prop_assert_eq!(xbar.programmed_cells(), distinct.len());
+            prop_assert_eq!(xbar.programmed_cells(), last.len());
         }
     }
 
     #[test]
     fn program_validates_bounds() {
-        let weights = gen::random4::<i64>(1, 1, 2, 2, 7);
-        assert!(Crossbar::program(2, 2, &[cell(2, 0, 0, 0, 0, 0)], &weights).is_err());
-        assert!(Crossbar::program(2, 2, &[cell(0, 2, 0, 0, 0, 0)], &weights).is_err());
-        assert!(Crossbar::program(2, 2, &[cell(0, 0, 1, 0, 0, 0)], &weights).is_err());
+        let weights = gen::random4::<i64>(2, 1, 2, 2, 7);
+        for cells in [
+            [cell(2, 0, 0, 0, 0, 0)],
+            [cell(0, 2, 0, 0, 0, 0)],
+            [run(0, 1, 2, 0)],
+            [cell(0, 0, 2, 0, 0, 0)],
+            [run(0, 0, 2, 1)],
+            [cell(0, 0, 0, 1, 0, 0)],
+            [cell(0, 0, 0, 0, 2, 0)],
+        ] {
+            assert!(
+                Crossbar::program(2, 2, cells, &weights).is_err(),
+                "{cells:?}"
+            );
+        }
     }
 }

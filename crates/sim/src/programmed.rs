@@ -9,10 +9,12 @@
 //! crossbars, schedule) so that:
 //!
 //! * [`ProgrammedStage::program`] runs once per deployment, recording
-//!   one `array_programmings` count per tile. It numbers each windowed
-//!   tile's crossbar columns window-major, by `(wy, wx, oc)`, so a row's
-//!   cells form a few long runs of adjacent columns (see [`Crossbar`]);
-//!   the tile layout itself keeps its `oc`-major order;
+//!   one `array_programmings` count per tile. It builds each tile's
+//!   crossbar in one pass over the layout's row-major walk
+//!   ([`TileLayout::runs`]); the layout numbers a tile's columns
+//!   window-major, by `(wy, wx, oc)`, so a row's cells form a few long
+//!   runs of adjacent columns (see [`Crossbar`]), and no cell list is
+//!   built;
 //! * [`ProgrammedStage::stream_batch`] pushes any number of input
 //!   feature maps through the programmed pipeline, using batched MVMs
 //!   ([`Crossbar::mvm_batch_into`]) so each programmed row is read once
@@ -26,57 +28,26 @@
 //! accumulate in the same order for every batch element (tiles in
 //! (AR, AC) order, positions in schedule order, rows ascending), so a
 //! batched stream is bit-identical to N one-element streams even for
-//! floating-point scalars. The column renumbering changes no order
-//! either: an output receives one column's sum per tile and position.
+//! floating-point scalars. The column numbering changes no order either:
+//! an output receives one column's sum per tile and position.
 
 use crate::crossbar::Crossbar;
 use crate::metrics::RunStats;
 use crate::{Result, SimError};
 use pim_arch::energy::EnergyModel;
-use pim_mapping::layout::{CellAssignment, ColSink, RowSource, SmdLayout, TileLayout};
+use pim_mapping::layout::{SmdLayout, TileLayout};
 use pim_mapping::schedule::{pw_positions, windows_per_pw, PwPosition};
-use pim_mapping::{MappingAlgorithm, MappingPlan};
+use pim_mapping::MappingPlan;
 use pim_nets::ConvLayer;
 use pim_tensor::{Scalar, Tensor3, Tensor4};
 
-/// One (AR, AC) tile: the input element each row reads, the output
-/// each column feeds, and the crossbar programmed from the tile's
-/// layout. The layout's cell list is not kept: the crossbar holds the
-/// cells.
+/// One (AR, AC) tile: its layout, which gives the input element each
+/// row reads and the output each column feeds, and the crossbar
+/// programmed from the layout's walk.
 #[derive(Debug, Clone, PartialEq)]
 struct WindowedTile<T> {
-    row_sources: Vec<RowSource>,
-    col_sinks: Vec<ColSink>,
-    used_cells: usize,
+    layout: TileLayout,
     xbar: Crossbar<T>,
-}
-
-impl<T: Scalar> WindowedTile<T> {
-    /// Programs a tile with its columns renumbered window-major, by
-    /// `(wy, wx, oc)`. The layout numbers them `oc`-major, which puts one
-    /// window's cells `NWP` columns apart; window-major, a row's cells
-    /// for one window are one run of the tile's output channels, and
-    /// neighbouring windows merge. Each output still receives one
-    /// column's sum per tile and position, so no sum changes order.
-    fn program(layout: &TileLayout, weights: &Tensor4<T>) -> Result<Self> {
-        let sinks = layout.col_sinks();
-        let mut order: Vec<usize> = (0..sinks.len()).collect();
-        order.sort_unstable_by_key(|&c| (sinks[c].wy, sinks[c].wx, sinks[c].oc));
-        let mut rank = vec![0; sinks.len()];
-        for (new, &old) in order.iter().enumerate() {
-            rank[old] = new;
-        }
-        let cells = layout.cells().iter().map(|cell| CellAssignment {
-            col: rank[cell.col],
-            ..*cell
-        });
-        Ok(Self {
-            row_sources: layout.row_sources().to_vec(),
-            col_sinks: order.iter().map(|&old| sinks[old]).collect(),
-            used_cells: layout.used_cells(),
-            xbar: Crossbar::program_from(layout.rows_used(), sinks.len(), cells, weights)?,
-        })
-    }
 }
 
 /// The programmed state behind one plan, by mapping flavour.
@@ -147,12 +118,12 @@ impl<T: Scalar> ProgrammedStage<T> {
             return Self::program_grouped(plan, weights, stats);
         }
         plan.check_layout_supported()?;
-        let kind = if plan.algorithm() == MappingAlgorithm::Smd && plan.duplication() > 1 {
+        let kind = if plan.is_block_diagonal() {
             let layout = SmdLayout::build(plan)?;
             let xbar = Crossbar::program(
                 layout.rows_used(),
                 layout.cols_used(),
-                layout.cells(),
+                layout.runs(),
                 weights,
             )?;
             stats.record_programming();
@@ -161,10 +132,14 @@ impl<T: Scalar> ProgrammedStage<T> {
             let mut tiles = Vec::new();
             for t in 0..plan.ar_cycles() {
                 for u in 0..plan.ac_cycles() {
-                    tiles.push(WindowedTile::program(
-                        &TileLayout::build(plan, t, u)?,
+                    let layout = TileLayout::build(plan, t, u)?;
+                    let xbar = Crossbar::program(
+                        layout.rows_used(),
+                        layout.cols_used(),
+                        layout.runs(),
                         weights,
-                    )?);
+                    )?;
+                    tiles.push(WindowedTile { layout, xbar });
                     stats.record_programming();
                 }
             }
@@ -268,21 +243,16 @@ impl<T: Scalar> ProgrammedStage<T> {
                             energy,
                             tile.xbar.rows(),
                             tile.xbar.cols(),
-                            tile.used_cells,
+                            tile.xbar.programmed_cells(),
                         );
                     }
                 }
             }
-            StageKind::Smd { layout, .. } => {
+            StageKind::Smd { layout, xbar } => {
                 let (oh, ow) = self.plan.layer().output_dims();
                 let cycles = (oh * ow).div_ceil(layout.duplication());
                 for _ in 0..cycles {
-                    stats.record_cycle(
-                        energy,
-                        layout.rows_used(),
-                        layout.cols_used(),
-                        layout.used_cells(),
-                    );
+                    stats.record_cycle(energy, xbar.rows(), xbar.cols(), xbar.programmed_cells());
                 }
             }
             StageKind::Grouped { groups } => {
@@ -350,7 +320,7 @@ impl<T: Scalar> ProgrammedStage<T> {
             for (pidx, pos) in positions.iter().enumerate() {
                 inputs.clear();
                 inputs.resize(b * rows, T::ZERO);
-                for (r, src) in tile.row_sources.iter().enumerate() {
+                for (r, src) in tile.layout.row_sources().iter().enumerate() {
                     let iy = pos.origin_y as isize + src.dy as isize - pad;
                     let ix = pos.origin_x as isize + src.dx as isize - pad;
                     for (bi, ifm) in ifms.iter().enumerate() {
@@ -358,7 +328,7 @@ impl<T: Scalar> ProgrammedStage<T> {
                     }
                 }
                 tile.xbar.mvm_batch_into(&inputs, b, &mut result)?;
-                for (col, sink) in tile.col_sinks.iter().enumerate() {
+                for (col, sink) in tile.layout.col_sinks().iter().enumerate() {
                     let gy = pos.first_win_y + sink.wy;
                     let gx = pos.first_win_x + sink.wx;
                     if owner[gy * ow + gx] == pidx {
@@ -487,6 +457,7 @@ impl<T: Scalar> ProgrammedStage<T> {
 mod tests {
     use super::*;
     use pim_arch::PimArray;
+    use pim_mapping::MappingAlgorithm;
     use pim_nets::Network;
     use pim_tensor::forward::{forward, ExecMode};
     use pim_tensor::gen;
@@ -688,7 +659,7 @@ mod tests {
                 };
                 let mut cells = Vec::with_capacity(tiles.len());
                 for tile in tiles {
-                    assert_eq!(tile.xbar.programmed_cells(), tile.used_cells);
+                    assert_eq!(tile.xbar.programmed_cells(), tile.layout.used_cells());
                     cells.push(tile.xbar.programmed_cells());
                 }
                 let mean = cells.iter().map(|&c| c as f64 / total).sum::<f64>()

@@ -77,10 +77,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             base_macs * batch as u64,
             "MACs must scale with the batch"
         );
-        // Programming once runs batch 64 about ten times cheaper per
-        // input than batch 1. Reprogramming every element, even
-        // uncounted, leaves only the per-call setup to amortize: about
-        // 1.2 times.
+        // Programming once runs batch 64 about four times cheaper per
+        // input than batch 1 (2.4 to 5.7 times on a 2-core container;
+        // programming is about 2 ms of batch 1's 5 ms). Reprogramming
+        // every element, even uncounted, leaves only the per-call setup
+        // to amortize: 1.2 to 1.7 times.
         if batch == 64 {
             assert!(
                 2.0 * per_input <= base_per_input,

@@ -730,12 +730,9 @@ pub fn run(command: &Command) -> std::result::Result<String, CliError> {
             let plan = algorithm
                 .plan(layer, *array)
                 .map_err(|e| CliError::new(e.to_string()))?;
-            let layout = pim_mapping::layout::TileLayout::build(&plan, 0, 0)
+            let art = pim_mapping::layout::render_ascii(&plan, 48, 100)
                 .map_err(|e| CliError::new(e.to_string()))?;
-            Ok(format!(
-                "{plan}\n\n{}",
-                pim_mapping::layout::render_ascii(&layout, 48, 100)
-            ))
+            Ok(format!("{plan}\n\n{art}"))
         }
         Command::Sweep {
             request,
@@ -1307,6 +1304,73 @@ mod tests {
             "show --input 8 --kernel 3 --ic 1 --oc 2 --algorithm bogus"
         ))
         .is_err());
+    }
+
+    #[test]
+    fn show_draws_the_pinned_layouts() {
+        // Golden bytes of `vwsdk show` for the README example and for an
+        // SDK-opt layer of 2 AR x 2 AC tiles whose first AC tile holds 7
+        // columns of 4 windows each, so it cuts output channel 1's
+        // windows. The layout numbers its columns window-major; the
+        // drawing puts them back in `oc`-major order.
+        const README: &str = concat!(
+            "cli-layer on 16x16: 4x4x1x2 (9 cycles = 9 PW x 1 AR x 1 AC)\n",
+            "\n",
+            "tile (0, 0): 16 rows x 8 cols used, 72 weights (1x1 per character)\n",
+            "#...#...\n",
+            "##..##..\n",
+            "##..##..\n",
+            ".#...#..\n",
+            "#.#.#.#.\n",
+            "########\n",
+            "########\n",
+            ".#.#.#.#\n",
+            "#.#.#.#.\n",
+            "########\n",
+            "########\n",
+            ".#.#.#.#\n",
+            "..#...#.\n",
+            "..##..##\n",
+            "..##..##\n",
+            "...#...#\n",
+        );
+        const SDK_OPT: &str = concat!(
+            "cli-layer on 16x7: 4x4x2x1 (16 cycles = 4 PW x 2 AR x 2 AC)\n",
+            "\n",
+            "tile (0, 0): 16 rows x 7 cols used, 63 weights (1x1 per character)\n",
+            "#...#..\n",
+            "##..##.\n",
+            "##..##.\n",
+            ".#...#.\n",
+            "#.#.#.#\n",
+            "#######\n",
+            "#######\n",
+            ".#.#.#.\n",
+            "#.#.#.#\n",
+            "#######\n",
+            "#######\n",
+            ".#.#.#.\n",
+            "..#...#\n",
+            "..##..#\n",
+            "..##..#\n",
+            "...#...\n",
+        );
+        for (args, expected) in [
+            (
+                "show --input 8 --kernel 3 --ic 1 --oc 2 --array 16x16 --algorithm vw-sdk",
+                README,
+            ),
+            (
+                "show --input 6 --kernel 3 --ic 2 --oc 3 --array 16x7 --algorithm sdk-opt",
+                SDK_OPT,
+            ),
+        ] {
+            assert_eq!(
+                run(&parse(&argv(args)).unwrap()).unwrap(),
+                expected,
+                "{args}"
+            );
+        }
     }
 
     #[test]
